@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import structures as core
-from .errors import BudgetRequired
+from .errors import BudgetRequired, FormatError
 from .structures import (
     EXPLICIT_ENUM_MAX,
     TOL_EQ,
@@ -55,6 +55,10 @@ class ValidationBudget:
     seed: int = 0
     exhaustive_max_points: int = EXPLICIT_ENUM_MAX
     sample_large_explicit: bool = False
+
+    def __post_init__(self) -> None:
+        if self.samples < 1:
+            raise FormatError(f"validation needs samples >= 1, got {self.samples}")
 
 
 @dataclass

@@ -97,9 +97,13 @@ def _sampler(args) -> sim.SamplerConfig:
 
 def _add_sampler_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--samples", type=int, default=20_000,
-                   help="vantage samples for sampled similarities")
+                   help="vantage samples of the similarity sampler; ray "
+                        "subspace similarity is exact, so the sampler only "
+                        "guards nearly equal pairs whose zero witness fails "
+                        "its re-check")
     p.add_argument("--refine-top", type=int, default=50,
-                   help="candidates polished by local descent")
+                   help="sampler candidates polished by local descent "
+                        "(guard only, like --samples)")
     p.add_argument("--seed", type=int, default=0, help="sampler seed")
 
 

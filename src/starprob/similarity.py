@@ -8,14 +8,17 @@ From a vantage point ``x`` two subspaces compare as
 
 and the subspace similarity ``s(A, B)`` is the infimum over all vantage
 points.  Discrete models take the exact minimum over their finite point set.
-The ray model has exact values in every case that admits one (equal
-subspaces, an empty or full side, orthogonal operands, one side meeting the
-other's complement, and pairs of lines, where the value is the squared
-cosine of the angle); everything else falls back to a seeded sampler whose
-estimate is an upper bound on the true infimum.
+The ray model is exact for every pair: equal subspaces give 1; an empty or
+full side, orthogonal operands and one side meeting the other's complement
+give 0; two lines give the squared cosine of their angle; and every other
+pair gives 0, attained at a vantage point built from the principal angles
+of the pair (see :func:`subspace_similarity`).
 
-Because sampled values only ever bound the infimum from above, inequality
-checks report ``pass`` / ``fail-certified`` / ``inconclusive`` by interval
+The seeded sampler :func:`sampled_similarity`, whose estimate is an upper
+bound on the true infimum, stays as an independent oracle and as a guard
+that runs only if the zero witness fails its numerical re-check.  Because
+sampled values only ever bound the infimum from above, inequality checks
+report ``pass`` / ``fail-certified`` / ``inconclusive`` by interval
 reasoning instead of comparing point estimates blindly.
 """
 
@@ -27,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import structures as core
+from .errors import FormatError
 from .lattice import (
     Subspace,
     is_orthogonal,
@@ -66,6 +70,12 @@ class SamplerConfig:
     samples: int = 20_000
     refine_top: int = 50
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.samples < 1:
+            raise FormatError(f"sampler needs samples >= 1, got {self.samples}")
+        if self.refine_top < 0:
+            raise FormatError(f"sampler needs refine_top >= 0, got {self.refine_top}")
 
 
 @dataclass(frozen=True)
@@ -137,8 +147,42 @@ def subspace_similarity(a: Subspace, b: Subspace,
                         cfg: SamplerConfig | None = None) -> SimilarityEstimate:
     """``s(A, B)``: the infimum of the vantage comparison over all points.
 
-    Exact whenever the models allow; otherwise a seeded upper-bound sample.
-    Symmetric in its arguments, 1 exactly when ``A = B``.
+    Exact on every model, short of the nearly equal ray pairs named at the
+    end.  Symmetric in its arguments, 1 exactly when ``A = B``.
+
+    Ray pairs that pass every earlier branch have equal dimension
+    ``2 <= k < d``: unequal dimensions always meet the other's complement
+    (``dim A > dim B`` forces ``dim(A & B') >= dim A - dim B > 0``), and
+    lines, an empty or full side and orthogonal pairs are answered before.
+    For these pairs ``s(A, B) = 0`` and a vantage point attains it.
+
+    Proof.  For ``x`` seen from both sides, ``P_A x . P_B x = x.S.x`` with
+    ``S = (P_A P_B + P_B P_A)/2``, so ``tau(x) = 0`` exactly when
+    ``x.S.x = 0``.  Take principal vectors ``u_i`` of ``A`` and ``v_i`` of
+    ``B`` with ``u_i . v_j = cos(g_i) [i = j]`` (Bjorck & Golub, Math. Comp.
+    1973).  No cross meet means every ``g_i < pi/2``, and ``A != B`` means
+    some ``g_i > 0``.  ``S`` splits over orthogonal pieces invariant under
+    both projectors: it is 0 on ``(A + B)'``, 1 on each shared direction
+    (``g_i = 0``), and on each plane ``span(u_i, v_i)`` with ``0 < g_i``
+    it has the eigenpairs ``c(1 + c)/2`` at ``u_i + v_i`` and
+    ``-c(1 - c)/2 < 0`` at ``u_i - v_i``, where ``c = cos(g_i)``.  As
+    ``k >= 2``, a second such plane or a shared direction exists, so ``S``
+    has a negative eigenvector ``w-`` and a positive one ``w+`` in different
+    pieces.  Then ``x = sqrt(l+) w- + sqrt(-l-) w+`` has ``x.S.x = 0``, and
+    ``P_A x``, ``P_B x`` are non-zero, since ``w-`` alone already projects
+    to non-zero vectors on both sides and ``w+`` adds a part in an
+    orthogonal piece.  Inside a single plane the same recipe gives an ``x``
+    orthogonal to ``u_i`` or to ``v_i``, which is why two lines keep
+    ``cos^2``.
+
+    ``eigh`` may return any orthonormal basis of a repeated eigenvalue, but
+    for a fixed ``w-`` only one unit vector (up to sign) fails as ``w+``,
+    and ``S`` has at least two positive eigenvectors, so some pair always
+    works.  :func:`_zero_witness` tries the pairs and re-checks the winner
+    with :func:`tau`.  The sampler runs only if no pair passes, which
+    happens for nearly equal pairs (every principal angle below about
+    6e-5): there any zero witness shows one side less than ``TOL_EQ`` of
+    its mass, so ``tau`` reads it as orthogonal to that side.
     """
     ensure_same_structure(a.structure, b.structure)
     st = a.structure
@@ -164,7 +208,35 @@ def subspace_similarity(a: Subspace, b: Subspace,
     if a.dim == 1 and b.dim == 1:
         dot = float(np.dot(a.frame[:, 0], b.frame[:, 0]))
         return exact(min(1.0, dot * dot))
+    witness = _zero_witness(a, b)
+    if witness is not None:
+        return exact(0.0, witness=witness.tolist())
     return sampled_similarity(a, b, cfg or SamplerConfig())
+
+
+def _zero_witness(a: Subspace, b: Subspace) -> Point | None:
+    """A vantage point with ``tau = 0`` that sees both subspaces, if found.
+
+    Builds ``x = sqrt(l+) w- + sqrt(-l-) w+`` from one ``eigh`` of
+    ``S = (P_A P_B + P_B P_A)/2``, trying negative eigenpairs from the most
+    negative and positive ones from the largest, so eigenvalues that are
+    zero up to rounding come last.  A candidate is kept when more than
+    ``TOL_EQ`` of its mass projects onto each side and :func:`tau` confirms
+    a value within ``TOL_EQ`` of zero.
+    """
+    fa, fb = a.frame, b.frame
+    cross = a.projector() @ b.projector()
+    lam, w = np.linalg.eigh((cross + cross.T) / 2.0)
+    for i in np.flatnonzero(lam < 0.0):
+        for j in np.flatnonzero(lam > 0.0)[::-1]:
+            x = math.sqrt(lam[j]) * w[:, i] + math.sqrt(-lam[i]) * w[:, j]
+            x /= np.linalg.norm(x)
+            if min(np.sum((x @ fa) ** 2), np.sum((x @ fb) ** 2)) <= TOL_EQ:
+                continue
+            pt = as_point(a.structure, x)
+            if tau(pt, a, b) <= TOL_EQ:
+                return pt
+    return None
 
 
 def _discrete_similarity(st: SPStructure, a: Subspace, b: Subspace) -> SimilarityEstimate:

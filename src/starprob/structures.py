@@ -26,9 +26,11 @@ import numpy as np
 from .errors import (
     BoundednessViolated,
     BudgetRequired,
+    CompletionNotFound,
     EmptySubspace,
     FormatError,
     InvalidPoint,
+    MixedStructures,
     NotOrthoSet,
     OrthogonalProjectionUndefined,
     ProjectionNotFound,
@@ -132,8 +134,6 @@ def same_structure(a: SPStructure, b: SPStructure) -> bool:
 
 
 def ensure_same_structure(a: SPStructure, b: SPStructure) -> None:
-    from .errors import MixedStructures
-
     if not same_structure(a, b):
         raise MixedStructures("operands belong to different sample spaces")
 
@@ -340,8 +340,6 @@ def extend_to_basis(st: SPStructure, ortho: Sequence[Point],
     Raises :class:`CompletionNotFound` when no completion exists or the
     search budget runs out (the two cases are distinguished on the error).
     """
-    from .errors import CompletionNotFound
-
     pts = ensure_ortho_set(st, ortho)
     if st.kind == CLASSICAL:
         return tuple(range(st.n))  # the only basis is the whole point set
@@ -371,8 +369,6 @@ def _complete_ray_basis(st: SPStructure, pts: Sequence[Point]) -> tuple[Point, .
 
 def _complete_explicit_basis(st: SPStructure, pts: Sequence[Point],
                              max_nodes: int) -> tuple[Point, ...]:
-    from .errors import CompletionNotFound
-
     base = tuple(sorted(int(p) for p in pts))
     matrix = st.matrix
     nodes = 0

@@ -56,6 +56,25 @@ def test_validate_missing_file_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("cmd, fixture, rest, message", [
+    # zero checks must not read as "sampled evidence only" (exit 3)
+    (["validate"], "ray2.json", ["--samples", -1], "samples >= 1"),
+    # rejected when the budget is read, before numpy can fail on it
+    (["sim", "subspace"], "ray3.json",
+     ["[[1, 0, 0], [0, 1, 0]]", "[[1, 0, 1], [0, 1, 1]]", "--samples", -5],
+     "samples >= 1"),
+    (["sim", "subspace"], "ray2.json",
+     ["[[1.0, 0.0]]", "[[1.0, 1.0]]", "--refine-top", -1], "refine_top >= 0"),
+], ids=["validate-samples", "sim-samples", "sim-refine-top"])
+def test_bad_sampler_budget_is_usage_error(capsys, fixture_dir, cmd, fixture,
+                                           rest, message):
+    code = run_command([str(a) for a in [*cmd, fixture_dir / fixture, *rest]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err
+
+
 # ---------------------------------------------------------------------------
 # lattice
 
@@ -124,6 +143,17 @@ def test_sim_subspace_line_pair(capsys, fixture_dir):
     assert code == 0
     assert payload["estimate"]["certainty"] == "exact"
     assert payload["estimate"]["value"] == pytest.approx(0.5, abs=1e-12)
+
+
+def test_sim_subspace_planes_are_exact(capsys, fixture_dir):
+    code, payload = run_json(
+        capsys, "sim", "subspace", fixture_dir / "ray3.json",
+        "[[1, 0, 0], [0, 1, 0]]", "[[1, 0, 1], [0, 1, 1]]",
+    )
+    assert code == 0
+    assert payload["estimate"]["certainty"] == "exact"
+    assert payload["estimate"]["value"] == 0.0
+    assert len(payload["estimate"]["witness"]) == 3
 
 
 def test_sim_continuity_counterexample(capsys, fixture_dir):

@@ -5,6 +5,9 @@ The headline facts pinned here:
 * line pairs have the closed form s = cos^2(angle), and the sampler must
   reproduce it to 1e-3 while never undercutting it (estimates are upper
   bounds of an infimum);
+* every other ray pair without a closed form has similarity exactly 0, with
+  a witness that sees both sides, and the sampler oracle never undercuts
+  the exact value;
 * the similarity of a subspace pair is 1 exactly when they are equal;
 * on discrete structures the triangle-style bound and the pointwise
   continuity bound hold exhaustively;
@@ -36,11 +39,14 @@ from starprob import (
     from_points,
     from_span,
     ortho_complement,
+    sampled_similarity,
+    similarity_to_subspace,
     subspace_similarity,
     tau,
 )
+from starprob import similarity as similarity_module
 from starprob.similarity import EXACT, SAMPLED, SamplerConfig, continuity_rhs
-from starprob.structures import as_point, similarity as point_sim
+from starprob.structures import TOL_EQ, as_point, similarity as point_sim
 
 
 def ray_line(st, angle):
@@ -142,10 +148,77 @@ class TestExactValues:
 
 
 # ---------------------------------------------------------------------------
+# the zero witness for ray pairs without a closed form
+
+
+def _no_sampler(*args, **kwargs):
+    raise AssertionError("the sampler guard was entered")
+
+
+def _random_pair(seed, d, ka, kb):
+    rng = np.random.default_rng(seed)
+    st = SPStructure.ray(d)
+    a = from_span(st, rng.standard_normal((ka, d)))
+    b = from_span(st, rng.standard_normal((kb, d)))
+    return st, a, b
+
+
+def _assert_zero_witness(st, a, b, e):
+    assert e.certainty == EXACT and e.value == 0.0
+    x = as_point(st, e.witness)
+    assert tau(x, a, b) <= TOL_EQ
+    assert similarity_to_subspace(x, a) > TOL_EQ
+    assert similarity_to_subspace(x, b) > TOL_EQ
+
+
+class TestZeroWitness:
+    def test_pinned_planes_are_exactly_zero(self):
+        st = SPStructure.ray(4)
+        a = from_span(st, [[1, 0, 0, 0], [0, 1, 0, 0]])
+        b = from_span(st, [[1, 0, 1, 0], [0, 1, 0, 1]])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(similarity_module, "sampled_similarity", _no_sampler)
+            e = subspace_similarity(a, b)
+        _assert_zero_witness(st, a, b, e)
+        assert e.interval() == (0.0, 0.0)
+        assert compare_leq(e, 0.0) == "pass"
+
+    def test_nearly_equal_planes_fall_back_to_the_sampler(self):
+        # principal angles of 1e-5: a zero witness would sit within 1e-9 of
+        # orthogonal to one side, so the re-check fails and the guard runs
+        g = 1e-5
+        st = SPStructure.ray(4)
+        a = from_span(st, [[1, 0, 0, 0], [0, 1, 0, 0]])
+        b = from_span(st, [[math.cos(g), 0, math.sin(g), 0],
+                           [0, math.cos(g), 0, math.sin(g)]])
+        e = subspace_similarity(a, b)
+        assert e.certainty == SAMPLED
+        assert 0.0 <= e.value <= 1e-9
+
+    @given(hs.integers(min_value=0, max_value=2 ** 32 - 1), hs.integers(3, 8),
+           hs.data())
+    def test_exact_value_is_certified_and_never_undercut(self, seed, d, data):
+        # half the draws give equal dimensions, the pairs that need a witness
+        ka = data.draw(hs.integers(1, d - 1))
+        kb = data.draw(hs.one_of(hs.just(ka), hs.integers(1, d - 1)))
+        st, a, b = _random_pair(seed, d, ka, kb)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(similarity_module, "sampled_similarity", _no_sampler)
+            e = subspace_similarity(a, b)
+        assert e.certainty == EXACT
+        if ka == kb >= 2:
+            _assert_zero_witness(st, a, b, e)
+        oracle = sampled_similarity(a, b, SamplerConfig(samples=2000, refine_top=4))
+        assert oracle.value >= e.value - 1e-12
+
+
+# ---------------------------------------------------------------------------
 # sampled estimates
 
 
 class TestSampledEstimates:
+    """The sampler oracle, called directly on a pair it is not needed for."""
+
     def _planes(self):
         st = SPStructure.ray(4)
         a = from_span(st, [[1, 0, 0, 0], [0, 1, 0, 0]])
@@ -154,7 +227,7 @@ class TestSampledEstimates:
 
     def test_certainty_and_upper_bound(self):
         _, a, b = self._planes()
-        e = subspace_similarity(a, b)
+        e = sampled_similarity(a, b)
         assert e.certainty == SAMPLED
         # the true infimum here is 0 (vantage points orthogonal to the
         # shared directions exist); the estimate must stay above it
@@ -164,8 +237,8 @@ class TestSampledEstimates:
 
     def test_deterministic_given_config(self):
         _, a, b = self._planes()
-        e1 = subspace_similarity(a, b)
-        e2 = subspace_similarity(a, b)
+        e1 = sampled_similarity(a, b)
+        e2 = sampled_similarity(a, b)
         assert e1.value == e2.value
         assert e1.witness == e2.witness
 
@@ -173,20 +246,20 @@ class TestSampledEstimates:
         _, a, b = self._planes()
         cfg_small = SamplerConfig(samples=2000, refine_top=10, seed=5)
         cfg_big = SamplerConfig(samples=8000, refine_top=10, seed=5)
-        lo = subspace_similarity(a, b, cfg_big)
-        hi = subspace_similarity(a, b, cfg_small)
+        lo = sampled_similarity(a, b, cfg_big)
+        hi = sampled_similarity(a, b, cfg_small)
         # prefix-stable sampling: the big run minimizes over a superset
         assert lo.value <= hi.value + 1e-12
 
     def test_symmetry_of_estimates(self):
         _, a, b = self._planes()
-        assert subspace_similarity(a, b).value == pytest.approx(
-            subspace_similarity(b, a).value, abs=1e-9
+        assert sampled_similarity(a, b).value == pytest.approx(
+            sampled_similarity(b, a).value, abs=1e-9
         )
 
     def test_vantage_bound_at_basis_points(self):
         st, a, b = self._planes()
-        e = subspace_similarity(a, b)
+        e = sampled_similarity(a, b)
         for sub in (a, b):
             for x in sub.basis_points():
                 assert e.value <= tau(x, a, b) + 1e-9
@@ -206,7 +279,7 @@ def test_compare_leq_with_estimates():
     st = SPStructure.ray(4)
     a = from_span(st, [[1, 0, 0, 0], [0, 1, 0, 0]])
     b = from_span(st, [[1, 0, 1, 0], [0, 1, 0, 1]])
-    e = subspace_similarity(a, b)  # interval [0, tiny]
+    e = sampled_similarity(a, b)  # interval [0, tiny]
     assert compare_leq(e, 1.0) == "pass"
     assert compare_leq(1.0, e) == "fail-certified"
     # "is the estimate below zero" cannot be settled from an upper bound
