@@ -32,10 +32,7 @@ from .structures import (
     random_unit_vector,
     similarity,
 )
-
-PASS = "pass"
-SAMPLED_PASS = "sampled-pass"
-FAIL = "fail"
+from .structures import FAIL, PASS, SAMPLED_PASS, worst
 
 # A sampled witness must misbehave by more than the comparison tolerance
 # before the precondition s(x, A) < 1 stops being numerically meaningful.
@@ -47,13 +44,12 @@ class ValidationBudget:
     """How much work the validator may do.
 
     ``samples`` drives the seeded ray checks.  Explicit models larger than
-    ``exhaustive_max_points`` refuse to run unless ``sample_large_explicit``
-    opts into sampling instead of enumeration.
+    ``EXPLICIT_ENUM_MAX`` points refuse to run unless
+    ``sample_large_explicit`` opts into sampling instead of enumeration.
     """
 
     samples: int = 10_000
     seed: int = 0
-    exhaustive_max_points: int = EXPLICIT_ENUM_MAX
     sample_large_explicit: bool = False
 
     def __post_init__(self) -> None:
@@ -83,12 +79,7 @@ class ValidationReport:
 
     @property
     def overall(self) -> str:
-        statuses = {v.status for v in self.verdicts.values()}
-        if FAIL in statuses:
-            return FAIL
-        if SAMPLED_PASS in statuses:
-            return SAMPLED_PASS
-        return PASS
+        return worst(v.status for v in self.verdicts.values())
 
     @property
     def checks_performed(self) -> int:
@@ -113,7 +104,8 @@ def o_projection_point(st: SPStructure, x: Point, ortho) -> Point:
 
     Defined whenever ``s(x, A) < 1``.  The ray model constructs it as the
     normalized residual of ``x`` against the span; discrete models search
-    for it.
+    the points orthogonal to the set (on classical models that finds ``x``
+    itself).
     """
     pts = core.ensure_ortho_set(st, ortho)
     x = check_point(st, x)
@@ -125,12 +117,9 @@ def o_projection_point(st: SPStructure, x: Point, ortho) -> Point:
         for a in pts:
             v = v - np.dot(a, v) * a
         return as_point(st, v)
-    if st.kind == core.CLASSICAL:
-        return x  # s(x, A) < 1 means x sits outside A, orthogonal to all of it
-    for y in range(st.n):
-        if all(st.matrix[y, a] <= TOL_EQ for a in pts):
-            if abs(sxa + st.matrix[x, y] - 1.0) <= TOL_EQ:
-                return y
+    for y in sorted(core.orthogonal_points(st, pts)):
+        if abs(sxa + similarity(st, x, y) - 1.0) <= TOL_EQ:
+            return y
     raise core.ProjectionNotFound(
         "no orthogonal witness completes the similarity sum to one")
 
@@ -149,11 +138,11 @@ def validate_sp_axioms(st: SPStructure,
             report.verdicts[name] = AxiomVerdict(status=PASS, checks=st.n)
         return report
     if st.kind == core.EXPLICIT:
-        if st.n > budget.exhaustive_max_points and not budget.sample_large_explicit:
+        if st.n > EXPLICIT_ENUM_MAX and not budget.sample_large_explicit:
             raise BudgetRequired(
                 f"explicit model has {st.n} points; pass a budget with "
                 "sample_large_explicit=True or shrink the model")
-        if st.n <= budget.exhaustive_max_points:
+        if st.n <= EXPLICIT_ENUM_MAX:
             _explicit_exhaustive(st, report)
         else:
             _explicit_sampled(st, report, budget)

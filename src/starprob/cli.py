@@ -27,14 +27,19 @@ from . import randomvars as rv_mod
 from . import sigma as sig
 from . import similarity as sim
 from . import structures as core
-from .axioms import SAMPLED_PASS, ValidationBudget, validate_sp_axioms
+from .axioms import ValidationBudget, validate_sp_axioms
 from .errors import ClosureCapExceeded, FormatError, SPError, ValueUndefinedAtPoint
+from .structures import FAIL, FAIL_CERTIFIED, INCONCLUSIVE, PASS, SAMPLED_PASS
 from .suites import SUITE_IDS, DEFAULT_SCALE, run_property_suite
 
 OK = 0
 CHECK_FAILED = 1
 USAGE = 2
 UNCERTIFIED = 3
+
+# exit code of a report's overall verdict
+_EXIT = {PASS: OK, SAMPLED_PASS: UNCERTIFIED, INCONCLUSIVE: UNCERTIFIED,
+         FAIL: CHECK_FAILED, FAIL_CERTIFIED: CHECK_FAILED}
 
 
 def main(argv=None) -> int:
@@ -130,13 +135,7 @@ def _cmd_validate(args) -> int:
         if verdict.witness is not None:
             lines.append(f"  witness: {json.dumps(verdict.witness, sort_keys=True)}")
     lines.append(f"overall: {report.overall}")
-    if report.overall == "fail":
-        code = CHECK_FAILED
-    elif report.overall == SAMPLED_PASS:
-        code = UNCERTIFIED
-    else:
-        code = OK
-    return _emit(args, payload, lines, code)
+    return _emit(args, payload, lines, _EXIT[report.overall])
 
 
 # ---------------------------------------------------------------------------
@@ -302,13 +301,7 @@ def _cmd_prob(args) -> int:
             if c.witness is not None:
                 lines.append(f"  witness: {json.dumps(c.witness, sort_keys=True, default=str)}")
         lines.append(f"overall: {report.overall}")
-        if report.overall == sim.FAIL_CERTIFIED:
-            code = CHECK_FAILED
-        elif report.overall == sim.INCONCLUSIVE:
-            code = UNCERTIFIED
-        else:
-            code = OK
-        return _emit(args, payload, lines, code)
+        return _emit(args, payload, lines, _EXIT[report.overall])
     # equal
     p = spio.load_measure(st, args.measure)
     q = spio.load_measure(st, args.other)
@@ -394,13 +387,7 @@ def _cmd_suite(args) -> int:
             lines.append(f"  witness: {json.dumps(w, sort_keys=True, default=str)}")
     lines.append(f"overall: {report.overall}")
     lines.append(f"wall time: {report.wall_time:.2f}s")
-    if report.overall == "fail":
-        code = CHECK_FAILED
-    elif report.overall == "inconclusive":
-        code = UNCERTIFIED
-    else:
-        code = OK
-    return _emit(args, payload, lines, code)
+    return _emit(args, payload, lines, _EXIT[report.overall])
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from typing import Any
 from . import lattice as lat
 from . import measures as meas
 from . import structures as core
-from .errors import FormatError
+from .errors import FormatError, SPError
 from .lattice import Subspace
 from .sigma import DEFAULT_CAP, SigmaStarField, generate_sigma_star
 from .randomvars import RealRandomVariable, make_rv
@@ -50,18 +50,24 @@ def load_structure(source) -> SPStructure:
         raise FormatError("structure document needs a 'kind' key")
     kind = doc["kind"]
     if kind == core.CLASSICAL:
-        if "n" not in doc:
-            raise FormatError("classical structure needs 'n'")
-        return SPStructure.classical(int(doc["n"]))
+        return SPStructure.classical(_integer(doc, "classical", "n"))
     if kind == core.RAY:
-        if "d" not in doc:
-            raise FormatError("ray structure needs 'd'")
-        return SPStructure.ray(int(doc["d"]))
+        return SPStructure.ray(_integer(doc, "ray", "d"))
     if kind == core.EXPLICIT:
         if "matrix" not in doc:
             raise FormatError("explicit structure needs 'matrix'")
         return SPStructure.explicit(doc["matrix"], labels=doc.get("points"))
     raise FormatError(f"unknown structure kind {kind!r}")
+
+
+def _integer(doc: dict, kind: str, key: str) -> int:
+    """``doc[key]`` as a JSON integer (not a bool, not a float)."""
+    if key not in doc:
+        raise FormatError(f"{kind} structure needs '{key}'")
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FormatError(f"{kind} structure needs an integer '{key}', got {value!r}")
+    return value
 
 
 def structure_to_dict(st: SPStructure) -> dict:
@@ -87,10 +93,8 @@ def parse_subspace(st: SPStructure, literal) -> Subspace:
     if not isinstance(literal, (list, tuple)):
         raise FormatError("subspace literals are lists")
     try:
-        if st.kind == core.RAY:
-            return lat.from_span(st, literal)
         return lat.from_points(st, literal)
-    except core.SPError as exc:
+    except SPError as exc:
         if isinstance(exc, FormatError):
             raise
         raise FormatError(f"bad subspace literal: {exc}") from exc
@@ -171,7 +175,7 @@ def load_rv(st: SPStructure, source) -> RealRandomVariable:
         pairs.append((float(item["value"]), parse_subspace(st, item["event"])))
     try:
         return make_rv(st, pairs)
-    except core.SPError as exc:
+    except SPError as exc:
         if isinstance(exc, FormatError):
             raise
         raise FormatError(f"bad random variable: {exc}") from exc

@@ -1,8 +1,14 @@
 """The complete orthocomplemented lattice of subspaces.
 
 A subspace is the closure of a pairwise-orthogonal point set: everything
-with total similarity one against the set.  Discrete models carry subspaces
-as point sets; the ray model carries them as canonical orthonormal frames
+with total similarity one against the set.  There are two routes.  Discrete
+models carry a subspace as its point set (its carrier) plus a canonical
+basis; every discrete operation computes a carrier and hands it to one
+constructor.  The classical model is the Kronecker case of that route, in
+which every point set is its own closure; the three places where it differs
+from an explicit table (a carrier's basis, the least carrier over a point
+set, the points orthogonal to a set) live in :mod:`starprob.structures`.
+The ray model carries subspaces as canonical orthonormal frames
 (column-pivoted, largest-residual-first, sign-canonical), so equal subspaces
 have byte-identical canonical forms after rounding to 12 decimal places.
 Equality is additionally backed by projector comparison.
@@ -14,13 +20,12 @@ distributive; ``check_orthomodular`` and ``distributes`` exercise both laws.
 
 from __future__ import annotations
 
-from functools import reduce
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from . import structures as core
-from .errors import EmptySubspace, MixedStructures, NotASubspace
+from .errors import EmptySubspace, NotASubspace
 from .structures import (
     CANON_DECIMALS,
     SV_RTOL,
@@ -29,7 +34,6 @@ from .structures import (
     SPStructure,
     as_point,
     ensure_same_structure,
-    explicit_lattice,
 )
 
 
@@ -82,14 +86,11 @@ class Subspace:
 
     # -- identity ----------------------------------------------------------
 
-    def sort_key(self):
+    def canonical_key(self):
+        """Hashable dedup and sort key; ties are broken by projector comparison."""
         if self.frame is not None:
             return (self.dim, tuple(np.round(self.frame, CANON_DECIMALS).ravel()))
         return (self.dim, tuple(sorted(self.points)))
-
-    def canonical_key(self):
-        """Hashable dedup key; ties are broken by projector comparison."""
-        return self.sort_key()
 
     def to_literal(self):
         """JSON-ready form: point labels for discrete models, frame columns for rays."""
@@ -136,10 +137,7 @@ def empty(st: SPStructure) -> Subspace:
 def full(st: SPStructure) -> Subspace:
     if st.kind == core.RAY:
         return Subspace(st, frame=np.eye(st.d))
-    if st.kind == core.CLASSICAL:
-        return Subspace(st, points=frozenset(range(st.n)),
-                        basis=tuple(range(st.n)))
-    return _explicit_from_carrier(st, frozenset(range(st.n)))
+    return _from_carrier(st, frozenset(range(st.n)))
 
 
 def from_basis(st: SPStructure, ortho) -> Subspace:
@@ -149,10 +147,7 @@ def from_basis(st: SPStructure, ortho) -> Subspace:
         if not pts:
             return empty(st)
         return _ray_from_projector(st, sum(np.outer(p, p) for p in pts), len(pts))
-    carrier = core.closure_of_ortho_set(st, pts)
-    if st.kind == core.CLASSICAL:
-        return Subspace(st, points=carrier, basis=tuple(sorted(carrier)))
-    return _explicit_from_carrier(st, carrier)
+    return _from_carrier(st, core.closure_of_ortho_set(st, pts))
 
 
 def from_points(st: SPStructure, points: Iterable) -> Subspace:
@@ -160,14 +155,7 @@ def from_points(st: SPStructure, points: Iterable) -> Subspace:
     if st.kind == core.RAY:
         return from_span(st, points)
     pts = frozenset(as_point(st, p) for p in points)
-    if st.kind == core.CLASSICAL:
-        return Subspace(st, points=pts, basis=tuple(sorted(pts)))
-    lattice = explicit_lattice(st)
-    carriers = [c for c in lattice["carrier_list"] if pts <= c]
-    if not carriers:
-        raise NotASubspace("no subspace contains the given points")
-    meet_carrier = reduce(frozenset.__and__, carriers)
-    return _explicit_from_carrier(st, meet_carrier)
+    return _least_containing(st, pts, "the given points")
 
 
 def from_span(st: SPStructure, vectors) -> Subspace:
@@ -188,14 +176,17 @@ def from_span(st: SPStructure, vectors) -> Subspace:
     return _ray_from_projector(st, basis @ basis.T, rank)
 
 
-def _explicit_from_carrier(st: SPStructure, carrier: frozenset) -> Subspace:
-    lattice = explicit_lattice(st)
-    basis = lattice["carriers"].get(carrier)
-    if basis is None:
-        raise NotASubspace(
-            f"point set {sorted(carrier)} is not the closure of any "
-            "orthogonal set")
-    return Subspace(st, points=carrier, basis=basis)
+def _from_carrier(st: SPStructure, carrier: frozenset) -> Subspace:
+    """The discrete subspace whose point set is exactly ``carrier``."""
+    return Subspace(st, points=carrier, basis=core.carrier_basis(st, carrier))
+
+
+def _least_containing(st: SPStructure, pts: frozenset, what: str) -> Subspace:
+    """The least discrete subspace containing ``pts``."""
+    carrier = core.least_carrier(st, pts)
+    if carrier is None:
+        raise NotASubspace(f"no subspace contains {what}")
+    return _from_carrier(st, carrier)
 
 
 def _ray_from_projector(st: SPStructure, proj: np.ndarray, rank: int) -> Subspace:
@@ -242,13 +233,7 @@ def ortho_complement(a: Subspace) -> Subspace:
     if st.kind == core.RAY:
         proj = np.eye(st.d) - a.projector()
         return _ray_from_projector(st, proj, st.d - a.dim)
-    if st.kind == core.CLASSICAL:
-        rest = frozenset(range(st.n)) - a.points
-        return Subspace(st, points=rest, basis=tuple(sorted(rest)))
-    rest = frozenset(
-        p for p in range(st.n)
-        if all(st.matrix[p, q] <= TOL_EQ for q in a.points))
-    return _explicit_from_carrier(st, rest)
+    return _from_carrier(st, core.orthogonal_points(st, a.points))
 
 
 def join(first: Subspace, *rest: Subspace) -> Subspace:
@@ -263,13 +248,7 @@ def join(first: Subspace, *rest: Subspace) -> Subspace:
             return empty(st)
         return from_span(st, np.concatenate(frames, axis=1).T)
     union = frozenset().union(*(s.points for s in subs))
-    if st.kind == core.CLASSICAL:
-        return Subspace(st, points=union, basis=tuple(sorted(union)))
-    lattice = explicit_lattice(st)
-    carriers = [c for c in lattice["carrier_list"] if union <= c]
-    if not carriers:
-        raise NotASubspace("no subspace contains the union")
-    return _explicit_from_carrier(st, reduce(frozenset.__and__, carriers))
+    return _least_containing(st, union, "the union")
 
 
 def meet(first: Subspace, *rest: Subspace) -> Subspace:
@@ -281,10 +260,7 @@ def meet(first: Subspace, *rest: Subspace) -> Subspace:
     if st.kind == core.RAY:
         # complement of the sum of complements
         return ortho_complement(join(*[ortho_complement(s) for s in subs]))
-    inter = reduce(frozenset.__and__, (s.points for s in subs))
-    if st.kind == core.CLASSICAL:
-        return Subspace(st, points=inter, basis=tuple(sorted(inter)))
-    return _explicit_from_carrier(st, inter)
+    return _from_carrier(st, frozenset.intersection(*(s.points for s in subs)))
 
 
 def is_orthogonal(a: Subspace, b: Subspace) -> bool:
@@ -296,8 +272,7 @@ def is_orthogonal(a: Subspace, b: Subspace) -> bool:
             return True
         cross = (a.frame.T @ b.frame) ** 2
         return float(np.max(cross)) <= TOL_EQ
-    return all(st.matrix[p, q] <= TOL_EQ if st.kind == core.EXPLICIT else p != q
-               for p in a.points for q in b.points)
+    return a.points <= core.orthogonal_points(st, b.points)
 
 
 def is_subset(a: Subspace, b: Subspace) -> bool:

@@ -14,27 +14,22 @@ field.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import lattice as lat
-from . import similarity as sim
 from . import structures as core
 from .errors import EventNotInField, FormatError, WeightsNotConvex
 from .lattice import Subspace, similarity_to_subspace
 from .sigma import SigmaStarField
 from .similarity import (
-    FAIL_CERTIFIED,
-    INCONCLUSIVE,
-    PASS,
     SamplerConfig,
-    SimilarityEstimate,
     continuity_rhs,
     subspace_similarity,
 )
 from .structures import TOL_EQ, TOL_UNIT, Point, SPStructure, as_point, ensure_same_structure
+from .structures import FAIL_CERTIFIED, INCONCLUSIVE, PASS, worst
 
 TABLE = "table"
 PURE = "pure"
@@ -173,12 +168,7 @@ class MeasureReport:
 
     @property
     def overall(self) -> str:
-        statuses = [c.status for c in self.checks]
-        if FAIL_CERTIFIED in statuses:
-            return FAIL_CERTIFIED
-        if INCONCLUSIVE in statuses:
-            return INCONCLUSIVE
-        return PASS
+        return worst(c.status for c in self.checks)
 
     def as_dict(self) -> dict:
         return {"checks": [c.as_dict() for c in self.checks],

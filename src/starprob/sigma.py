@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import lattice as lat
-from . import structures as core
 from .errors import ClosureCapExceeded, EventNotInField, TripleEnumerationTooLarge
 from .lattice import Subspace
 from .structures import SPStructure, ensure_same_structure
@@ -118,7 +117,7 @@ def generate_sigma_star(st: SPStructure, generators, cap: int = DEFAULT_CAP) -> 
                     changed = True
             _check_cap(st, events, gens, cap, rounds)
 
-    ordered = tuple(sorted(events, key=Subspace.sort_key))
+    ordered = tuple(sorted(events, key=Subspace.canonical_key))
     return SigmaStarField(structure=st, events=ordered, generators=gens,
                           closure_meta={"rounds": rounds, "cap": cap})
 
@@ -127,7 +126,7 @@ def _check_cap(st, events: _EventSet, gens, cap: int, rounds: int) -> None:
     if len(events) > cap:
         partial = SigmaStarField(
             structure=st,
-            events=tuple(sorted(events, key=Subspace.sort_key)),
+            events=tuple(sorted(events, key=Subspace.canonical_key)),
             generators=gens, capped=True,
             closure_meta={"rounds": rounds, "cap": cap})
         raise ClosureCapExceeded(

@@ -40,13 +40,10 @@ from .lattice import (
     similarity_to_subspace,
 )
 from .structures import TOL_EQ, Point, SPStructure, as_point, ensure_same_structure, similarity
+from .structures import FAIL_CERTIFIED, INCONCLUSIVE, PASS, worst
 
 EXACT = "exact"
 SAMPLED = "upper-bound-sampled"
-
-PASS = "pass"
-FAIL_CERTIFIED = "fail-certified"
-INCONCLUSIVE = "inconclusive"
 
 _REFINE_ITERS = 200
 _REFINE_DECAY = 0.7
@@ -188,7 +185,7 @@ def subspace_similarity(a: Subspace, b: Subspace,
     st = a.structure
     if a == b:
         return exact(1.0)
-    if st.kind in (core.CLASSICAL, core.EXPLICIT):
+    if st.kind != core.RAY:
         return _discrete_similarity(st, a, b)
     if a.is_empty or b.is_empty:
         # one side empty, the other not: any point of the other side gives 0
@@ -419,12 +416,7 @@ class SimilarityTheoremsReport:
 
     @property
     def overall(self) -> str:
-        statuses = [e.status for e in self.entries]
-        if FAIL_CERTIFIED in statuses:
-            return FAIL_CERTIFIED
-        if INCONCLUSIVE in statuses:
-            return INCONCLUSIVE
-        return PASS
+        return worst(e.status for e in self.entries)
 
     def as_dict(self) -> dict:
         return {"entries": [e.as_dict() for e in self.entries],
@@ -448,14 +440,13 @@ def check_similarity_theorems(a: Subspace, b: Subspace, c: Subspace,
     s_bc = subspace_similarity(b, c, cfg)
 
     # membership vantage bound
-    worst = PASS
     detail: dict = {"pairs": []}
     for x in a.basis_points():
         sxb = similarity_to_subspace(x, b)
-        verdict = compare_leq(s_ab, sxb)
-        detail["pairs"].append({"s_xB": sxb, "verdict": verdict})
-        worst = _worse(worst, verdict)
-    entries.append(TheoremCheck("similarity.vantage_bound", worst, detail))
+        detail["pairs"].append({"s_xB": sxb, "verdict": compare_leq(s_ab, sxb)})
+    entries.append(TheoremCheck(
+        "similarity.vantage_bound",
+        worst(pair["verdict"] for pair in detail["pairs"]), detail))
 
     # identity characterization
     equal = a == b
@@ -490,11 +481,6 @@ def check_similarity_theorems(a: Subspace, b: Subspace, c: Subspace,
          "rhs_interval": list(rhs)}))
 
     return SimilarityTheoremsReport(entries)
-
-
-def _worse(a: str, b: str) -> str:
-    rank = {PASS: 0, INCONCLUSIVE: 1, FAIL_CERTIFIED: 2}
-    return a if rank[a] >= rank[b] else b
 
 
 # ---------------------------------------------------------------------------

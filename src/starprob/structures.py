@@ -31,6 +31,7 @@ from .errors import (
     FormatError,
     InvalidPoint,
     MixedStructures,
+    NotASubspace,
     NotOrthoSet,
     OrthogonalProjectionUndefined,
     ProjectionNotFound,
@@ -43,6 +44,23 @@ SV_RTOL = 1e-10  # relative singular-value cutoff for rank decisions
 GS_DISCARD = 1e-10  # residual cutoff when completing a basis
 CANON_DECIMALS = 12  # rounding applied to canonical dedup keys
 EXPLICIT_ENUM_MAX = 12  # largest explicit model enumerated exhaustively
+COMPLETION_MAX_NODES = 200_000  # search budget of explicit basis completion
+
+# Verdicts, pinned once and ranked on one ladder:
+# pass < sampled-pass / inconclusive < fail / fail-certified.
+PASS = "pass"
+SAMPLED_PASS = "sampled-pass"
+INCONCLUSIVE = "inconclusive"
+FAIL = "fail"
+FAIL_CERTIFIED = "fail-certified"
+_VERDICT_RANK = {PASS: 0, SAMPLED_PASS: 1, INCONCLUSIVE: 1,
+                 FAIL: 2, FAIL_CERTIFIED: 2}
+
+
+def worst(statuses) -> str:
+    """The highest verdict on the ladder (the first on a tie); ``pass`` if none."""
+    return max(statuses, key=_VERDICT_RANK.__getitem__, default=PASS)
+
 
 Point = Union[int, np.ndarray]
 
@@ -61,6 +79,8 @@ class SPStructure:
     labels: tuple[str, ...] = ()
     matrix: np.ndarray | None = None
     _cache: dict | None = field(default=None, init=False, repr=False)
+    # explicit models: for each point, the points orthogonal to it
+    orthogonal: tuple[frozenset, ...] = field(default=(), init=False, repr=False)
 
     # -- constructors ------------------------------------------------------
 
@@ -85,6 +105,8 @@ class SPStructure:
         n = m.shape[0]
         if n < 1:
             raise FormatError("explicit model needs at least one point")
+        if not np.all(np.isfinite(m)):
+            raise FormatError("similarity matrix entries must be finite")
         if np.max(np.abs(m - m.T)) > TOL_UNIT:
             raise FormatError("similarity matrix must be symmetric (within 1e-12)")
         if np.max(np.abs(np.diag(m) - 1.0)) > TOL_UNIT:
@@ -105,7 +127,10 @@ class SPStructure:
                 raise FormatError("labels must be distinct and match the matrix size")
         m = m.copy()
         m.flags.writeable = False
-        return SPStructure(kind=EXPLICIT, n=n, labels=labels, matrix=m)
+        st = SPStructure(kind=EXPLICIT, n=n, labels=labels, matrix=m)
+        st.orthogonal = tuple(frozenset(np.flatnonzero(m[:, q] <= TOL_EQ).tolist())
+                              for q in range(n))
+        return st
 
     # -- basic interrogation ----------------------------------------------
 
@@ -299,8 +324,6 @@ def project_point(st: SPStructure, x: Point, basis: Sequence[Point],
         mat = np.stack(pts)
         proj = mat.T @ (mat @ x)
         return as_point(st, proj)
-    if st.kind == CLASSICAL:
-        return x  # s(x, A) > 0 forces x to be one of the basis points
     members = carrier if carrier is not None else closure_of_ortho_set(st, pts)
     for p in sorted(members):
         if abs(similarity(st, x, p) - sxa) <= TOL_EQ:
@@ -328,8 +351,7 @@ def closure_of_ortho_set(st: SPStructure, ortho: Sequence[Point]) -> frozenset:
 # basis completion
 
 
-def extend_to_basis(st: SPStructure, ortho: Sequence[Point],
-                    max_nodes: int = 200_000) -> tuple[Point, ...]:
+def extend_to_basis(st: SPStructure, ortho: Sequence[Point]) -> tuple[Point, ...]:
     """Complete an orthogonal set to a basis of the whole space.
 
     A basis is an orthogonal set whose total similarity against every point
@@ -338,14 +360,15 @@ def extend_to_basis(st: SPStructure, ortho: Sequence[Point],
     discrete models search candidates in index order.
 
     Raises :class:`CompletionNotFound` when no completion exists or the
-    search budget runs out (the two cases are distinguished on the error).
+    search budget of ``COMPLETION_MAX_NODES`` nodes runs out (the two cases
+    are distinguished on the error).
     """
     pts = ensure_ortho_set(st, ortho)
     if st.kind == CLASSICAL:
         return tuple(range(st.n))  # the only basis is the whole point set
     if st.kind == RAY:
         return _complete_ray_basis(st, pts)
-    return _complete_explicit_basis(st, pts, max_nodes)
+    return _complete_explicit_basis(st, pts)
 
 
 def _complete_ray_basis(st: SPStructure, pts: Sequence[Point]) -> tuple[Point, ...]:
@@ -367,8 +390,7 @@ def _complete_ray_basis(st: SPStructure, pts: Sequence[Point]) -> tuple[Point, .
     return tuple(as_point(st, v) for v in frame)
 
 
-def _complete_explicit_basis(st: SPStructure, pts: Sequence[Point],
-                             max_nodes: int) -> tuple[Point, ...]:
+def _complete_explicit_basis(st: SPStructure, pts: Sequence[Point]) -> tuple[Point, ...]:
     base = tuple(sorted(int(p) for p in pts))
     matrix = st.matrix
     nodes = 0
@@ -387,7 +409,7 @@ def _complete_explicit_basis(st: SPStructure, pts: Sequence[Point],
     def search(sel: tuple[int, ...], start: int):
         nonlocal nodes
         nodes += 1
-        if nodes > max_nodes:
+        if nodes > COMPLETION_MAX_NODES:
             raise CompletionNotFound(
                 "basis completion search budget exhausted", exhausted=False)
         if is_basis(sel):
@@ -428,17 +450,11 @@ def explicit_lattice(st: SPStructure) -> dict:
         raise BudgetRequired(
             f"explicit model has {st.n} > {EXPLICIT_ENUM_MAX} points; "
             "exhaustive subspace enumeration is out of budget")
-    adj = [set() for _ in range(st.n)]
-    for i in range(st.n):
-        for j in range(st.n):
-            if i != j and st.matrix[i, j] <= TOL_EQ:
-                adj[i].add(j)
-
     cliques: list[tuple[int, ...]] = [()]
 
     def grow(clique: tuple[int, ...], start: int) -> None:
         for v in range(start, st.n):
-            if all(v in adj[u] for u in clique):
+            if st.orthogonal[v].issuperset(clique):
                 nxt = clique + (v,)
                 cliques.append(nxt)
                 grow(nxt, v + 1)
@@ -461,6 +477,47 @@ def explicit_lattice(st: SPStructure) -> dict:
     }
     st._cache = cache
     return cache
+
+
+# ---------------------------------------------------------------------------
+# discrete subspaces, carried by point sets
+#
+# The classical model is the Kronecker case of the explicit one: every point
+# set is the closure of itself, so nothing is enumerated.  These three
+# helpers are the only place the two discrete models differ in the lattice.
+
+
+def carrier_basis(st: SPStructure, carrier: frozenset) -> tuple[int, ...]:
+    """The canonical orthogonal basis of a carrier (discrete models).
+
+    A carrier is the point set of a subspace, the closure of an orthogonal
+    set.  Classical: every set is one, with its sorted points as basis.
+    Explicit: looked up in :func:`explicit_lattice`; raises
+    :class:`NotASubspace` when the set is no closure.
+    """
+    if st.kind == CLASSICAL:
+        return tuple(sorted(carrier))
+    basis = explicit_lattice(st)["carriers"].get(carrier)
+    if basis is None:
+        raise NotASubspace(
+            f"point set {sorted(carrier)} is not the closure of any "
+            "orthogonal set")
+    return basis
+
+
+def least_carrier(st: SPStructure, points: frozenset) -> frozenset | None:
+    """The least carrier containing ``points``; None when no carrier does."""
+    if st.kind == CLASSICAL:
+        return points
+    carriers = [c for c in explicit_lattice(st)["carrier_list"] if points <= c]
+    return frozenset.intersection(*carriers) if carriers else None
+
+
+def orthogonal_points(st: SPStructure, points) -> frozenset:
+    """Every point orthogonal to all of ``points`` (discrete models)."""
+    if st.kind == CLASSICAL:
+        return frozenset(range(st.n)).difference(points)
+    return frozenset(range(st.n)).intersection(*(st.orthogonal[q] for q in points))
 
 
 # ---------------------------------------------------------------------------

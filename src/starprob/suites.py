@@ -25,13 +25,10 @@ from . import sigma as sig
 from . import similarity as sim
 from . import structures as core
 from .structures import SPStructure, as_point, random_frame, random_unit_vector
+from .structures import FAIL, FAIL_CERTIFIED, INCONCLUSIVE, PASS, worst
 
 DEFAULT_SCALE = 200
 _LATTICE_DIMS = (2, 3, 4, 5)
-
-PASS = "pass"
-FAIL = "fail"
-INCONCLUSIVE = "inconclusive"
 
 SUITE_IDS = ("lattice", "similarity", "sigma", "prob", "rv", "all")
 
@@ -65,11 +62,11 @@ class CheckRecord:
     def soft(self, verdict: str, witness=None) -> None:
         """Record a direction-aware verdict (pass / fail-certified / inconclusive)."""
         self.trials += 1
-        if verdict == sim.FAIL_CERTIFIED:
+        if verdict == FAIL_CERTIFIED:
             self.failures += 1
             if witness is not None and len(self.witnesses) < 3:
                 self.witnesses.append(witness)
-        elif verdict == sim.INCONCLUSIVE:
+        elif verdict == INCONCLUSIVE:
             self.inconclusive += 1
 
     def as_dict(self) -> dict:
@@ -94,24 +91,16 @@ class SuiteReport:
 
     @property
     def overall(self) -> str:
-        statuses = [c.status for c in self.checks]
-        if FAIL in statuses:
-            return FAIL
-        if INCONCLUSIVE in statuses:
-            return INCONCLUSIVE
-        return PASS
+        return worst(c.status for c in self.checks)
 
-    def as_dict(self, include_timing: bool = False) -> dict:
-        out = {
+    def as_dict(self) -> dict:
+        return {
             "suite": self.suite,
             "seed": self.seed,
             "scale": self.scale,
             "checks": [c.as_dict() for c in self.checks],
             "overall": self.overall,
         }
-        if include_timing:
-            out["wall_time"] = self.wall_time
-        return out
 
 
 def run_property_suite(suite_id: str, seed: int,
@@ -316,9 +305,9 @@ def similarity_suite(seed: int, scale: int) -> list[CheckRecord]:
                 identity.hit(est.value < 1.0 - core.TOL_EQ,
                              witness={"value": est.value})
             elif est.value < 1.0 - core.TOL_EQ:
-                identity.soft(sim.PASS)
+                identity.soft(PASS)
             else:
-                identity.soft(sim.INCONCLUSIVE)
+                identity.soft(INCONCLUSIVE)
             for x in a.basis_points():
                 vantage.soft(sim.compare_leq(
                     est, lat.similarity_to_subspace(x, b)),
@@ -564,7 +553,7 @@ def prob_suite(seed: int, scale: int) -> list[CheckRecord]:
     report = meas.validate_measure(bad, fld_line)
     additivity = next(c for c in report.checks
                       if c.name == "orthogonal_additivity")
-    detection.hit(additivity.status == sim.FAIL_CERTIFIED
+    detection.hit(additivity.status == FAIL_CERTIFIED
                   and additivity.witness is not None,
                   witness={"status": additivity.status})
 
@@ -649,7 +638,7 @@ def _gleason_fixture(st2: SPStructure, fld_two: sig.SigmaStarField):
                    and by_name["full_event_one"].status == PASS
                    and by_name["orthogonal_additivity"].status == PASS,
                    {"note": "pointwise and additivity axioms hold"}))
-    checks.append((by_name["continuity_bound"].status == sim.FAIL_CERTIFIED,
+    checks.append((by_name["continuity_bound"].status == FAIL_CERTIFIED,
                    {"witness": by_name["continuity_bound"].witness}))
 
     # brute grid over two-point mixtures w * p_theta + (1-w) * p_phi

@@ -65,7 +65,10 @@ def test_validate_missing_file_is_usage_error(capsys):
      "samples >= 1"),
     (["sim", "subspace"], "ray2.json",
      ["[[1.0, 0.0]]", "[[1.0, 1.0]]", "--refine-top", -1], "refine_top >= 0"),
-], ids=["validate-samples", "sim-samples", "sim-refine-top"])
+    # a dimension that is no JSON integer is malformed input, not a crash
+    (["validate"], "bad_ray_dimension.json", [], "integer 'd'"),
+], ids=["validate-samples", "sim-samples", "sim-refine-top",
+        "validate-structure-dimension"])
 def test_bad_sampler_budget_is_usage_error(capsys, fixture_dir, cmd, fixture,
                                            rest, message):
     code = run_command([str(a) for a in [*cmd, fixture_dir / fixture, *rest]])

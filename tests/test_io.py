@@ -51,6 +51,22 @@ def test_unknown_kind_rejected(tmp_path):
         load_structure(path)
 
 
+@pytest.mark.parametrize("spec", [
+    {"kind": "ray", "d": "abc"},
+    {"kind": "ray", "d": 2.0},
+    {"kind": "ray", "d": True},
+    {"kind": "classical", "n": 2.7},
+    {"kind": "classical", "n": "4"},
+    {"kind": "classical"},
+], ids=["ray-d-string", "ray-d-float", "ray-d-bool", "classical-n-float",
+        "classical-n-string", "classical-n-missing"])
+def test_structure_size_must_be_a_json_integer(tmp_path, spec):
+    path = tmp_path / "st.json"
+    path.write_text(json.dumps(spec))
+    with pytest.raises(FormatError):
+        load_structure(path)
+
+
 def test_missing_file_rejected():
     with pytest.raises(FormatError):
         load_structure("nope/does_not_exist.json")
@@ -74,6 +90,13 @@ def test_parse_subspace_literals():
     assert sub.dim == 2
     with pytest.raises(FormatError):
         parse_subspace(ray, "not-a-list")
+
+
+def test_parse_subspace_rejects_a_point_set_no_subspace_contains(fixture_dir):
+    # on the broken three-point table no subspace holds two of its points
+    bad = load_structure(fixture_dir / "bad3x3.json")
+    with pytest.raises(FormatError, match="no subspace contains"):
+        parse_subspace(bad, ["a", "b"])
 
 
 def test_field_round_trip(ray2, fixture_dir, tmp_path):

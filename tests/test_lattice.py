@@ -7,6 +7,7 @@ orthomodular but deliberately NOT distributive once two non-orthogonal,
 non-nested lines exist.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -126,6 +127,21 @@ def test_classical_operations_are_set_operations(classical4):
     assert join(a, b).points == frozenset({0, 1, 2})
     assert meet(a, b).points == frozenset({1})
     assert ortho_complement(a).points == frozenset({2, 3})
+    # the set algebra the classical model reduces to, as an oracle over
+    # every pair of subsets of four points
+    subsets = [frozenset(s) for r in range(5)
+               for s in itertools.combinations(range(4), r)]
+    everything = frozenset(range(4))
+    for p in subsets:
+        a = from_points(classical4, p)
+        assert a.points == p
+        assert a.basis == tuple(sorted(p))
+        assert ortho_complement(a).points == everything - p
+        for q in subsets:
+            b = from_points(classical4, q)
+            assert join(a, b).points == p | q
+            assert meet(a, b).points == p & q
+            assert is_orthogonal(a, b) == p.isdisjoint(q)
 
 
 def test_wheel_complements(wheel):

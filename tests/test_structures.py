@@ -1,4 +1,6 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from starprob.structures import (
     ensure_ortho_set,
     ensure_same_structure,
     extend_to_basis,
+    orthogonal_points,
     similarity_to_ortho_set,
 )
 
@@ -96,6 +99,26 @@ def test_explicit_rejects_bad_diagonal():
 def test_explicit_rejects_out_of_range_entries():
     with pytest.raises(FormatError):
         SPStructure.explicit([[1.0, 1.2], [1.2, 1.0]])
+    # non-finite entries are rejected up front, without a numpy warning
+    for bad in (math.nan, math.inf, -math.inf):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match="finite"):
+                SPStructure.explicit([[1.0, bad], [bad, 1.0]])
+
+
+def test_orthogonal_points_match_a_scan_of_the_table(wheel):
+    # the precomputed per-point orthogonality sets against the direct scan
+    # of the similarity table that they replace
+    angles = [math.pi * k / 6 for k in range(6)]
+    planes = SPStructure.explicit(
+        [[math.cos(a - b) ** 2 for b in angles] for a in angles])
+    for st in (wheel, planes):
+        for r in range(st.n + 1):
+            for pts in itertools.combinations(range(st.n), r):
+                want = frozenset(p for p in range(st.n)
+                                 if all(st.matrix[p, q] <= 1e-9 for q in pts))
+                assert orthogonal_points(st, pts) == want
 
 
 def test_explicit_rejects_indistinguishable_points():
