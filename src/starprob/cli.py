@@ -283,7 +283,11 @@ def _cmd_prob(args) -> int:
     if op == "mix":
         parts = []
         for w, path in args.component:
-            parts.append((float(w), spio.load_measure(st, path)))
+            try:
+                weight = float(w)
+            except ValueError:
+                raise FormatError(f"component weight {w!r} is not a number") from None
+            parts.append((weight, spio.load_measure(st, path)))
         p = meas.mix(parts)
         payload = {"command": "prob.mix", "measure": p.describe()}
         return _emit(args, payload,

@@ -18,6 +18,7 @@ Schemas:
 from __future__ import annotations
 
 import json
+import math
 import os
 from typing import Any
 
@@ -64,10 +65,22 @@ def _integer(doc: dict, kind: str, key: str) -> int:
     """``doc[key]`` as a JSON integer (not a bool, not a float)."""
     if key not in doc:
         raise FormatError(f"{kind} structure needs '{key}'")
-    value = doc[key]
+    return _json_int(doc[key], f"{kind} structure needs an integer '{key}'")
+
+
+def _json_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer (not a bool, not a float)."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise FormatError(f"{kind} structure needs an integer '{key}', got {value!r}")
+        raise FormatError(f"{what}, got {value!r}")
     return value
+
+
+def _json_number(value, what: str) -> float:
+    """``value`` as a float if it is a finite JSON number (not a bool)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise FormatError(f"{what}, got {value!r}")
+    return float(value)
 
 
 def structure_to_dict(st: SPStructure) -> dict:
@@ -105,7 +118,8 @@ def load_field(st: SPStructure, source, cap: int | None = None) -> SigmaStarFiel
     if not isinstance(doc, dict) or "generators" not in doc:
         raise FormatError("field document needs 'generators'")
     gens = [parse_subspace(st, g) for g in doc["generators"]]
-    use_cap = cap if cap is not None else int(doc.get("cap", DEFAULT_CAP))
+    use_cap = cap if cap is not None else _json_int(
+        doc.get("cap", DEFAULT_CAP), "a field's 'cap' must be an integer")
     return generate_sigma_star(st, gens, cap=use_cap)
 
 
@@ -139,10 +153,13 @@ def load_measure(st: SPStructure, source,
         values = [0.0] * len(fld.events)
         seen = set()
         for key, v in raw.items():
-            idx = int(key)
+            try:
+                idx = int(key)
+            except ValueError:
+                raise FormatError(f"event index {key!r} is not an integer") from None
             if not 0 <= idx < len(fld.events):
                 raise FormatError(f"event index {idx} out of range")
-            values[idx] = float(v)
+            values[idx] = _json_number(v, f"event {idx} needs a finite number")
             seen.add(idx)
         if len(seen) != len(fld.events):
             raise FormatError("table measures need a value for every event")
@@ -153,11 +170,13 @@ def load_measure(st: SPStructure, source,
         return meas.pure_state(st, parse_point(st, doc["point"]), field=fld)
     if kind == meas.MIXED:
         comps = doc.get("components")
-        if not isinstance(comps, list) or not comps:
-            raise FormatError("mixed measures need components")
+        if not isinstance(comps, list) or not comps or not all(
+                isinstance(c, list) and len(c) == 2 for c in comps):
+            raise FormatError("mixed measures need [weight, point] components")
         try:
             return meas.mix([
-                (float(w), meas.pure_state(st, parse_point(st, lit), field=fld))
+                (_json_number(w, "component weights must be finite numbers"),
+                 meas.pure_state(st, parse_point(st, lit), field=fld))
                 for w, lit in comps])
         except meas.WeightsNotConvex as exc:
             raise FormatError(str(exc)) from exc
@@ -170,9 +189,10 @@ def load_rv(st: SPStructure, source) -> RealRandomVariable:
         raise FormatError("random-variable document needs 'outcomes'")
     pairs = []
     for item in doc["outcomes"]:
-        if "value" not in item or "event" not in item:
+        if not isinstance(item, dict) or "value" not in item or "event" not in item:
             raise FormatError("each outcome needs 'value' and 'event'")
-        pairs.append((float(item["value"]), parse_subspace(st, item["event"])))
+        value = _json_number(item["value"], "outcome values must be finite numbers")
+        pairs.append((value, parse_subspace(st, item["event"])))
     try:
         return make_rv(st, pairs)
     except SPError as exc:
@@ -185,9 +205,15 @@ def load_sampler(doc) -> SamplerConfig:
     if doc is None:
         return SamplerConfig()
     doc = _load_json(doc)
-    return SamplerConfig(samples=int(doc.get("samples", 20_000)),
-                         refine_top=int(doc.get("refine_top", 50)),
-                         seed=int(doc.get("seed", 0)))
+    if not isinstance(doc, dict):
+        raise FormatError("sampler document must be an object")
+
+    def budget(key: str, default: int) -> int:
+        return _json_int(doc.get(key, default), f"sampler '{key}' must be an integer")
+
+    return SamplerConfig(samples=budget("samples", 20_000),
+                         refine_top=budget("refine_top", 50),
+                         seed=budget("seed", 0))
 
 
 def dump_json(payload: dict) -> str:

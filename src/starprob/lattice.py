@@ -14,12 +14,17 @@ have byte-identical canonical forms after rounding to 12 decimal places.
 Equality is additionally backed by projector comparison.
 
 The lattice operations are sum (least upper bound), intersection (greatest
-lower bound) and orthocomplement.  The lattice is orthomodular but not
-distributive; ``check_orthomodular`` and ``distributes`` exercise both laws.
+lower bound) and orthocomplement.  For rays the sum is one SVD of the
+operands' stacked frames, the intersection one SVD of their stacked residual
+maps ``I - P`` (the common nullspace), and the complement the frame of
+``I - P``, kept on the subspace after its first use.  The lattice is
+orthomodular but not distributive; ``check_orthomodular`` and
+``distributes`` exercise both laws.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 import numpy as np
@@ -44,7 +49,7 @@ class Subspace:
     :func:`from_basis`, :func:`empty` or :func:`full` to build one.
     """
 
-    __slots__ = ("structure", "points", "basis", "frame")
+    __slots__ = ("structure", "points", "basis", "frame", "_complement")
 
     def __init__(self, structure: SPStructure, *, points=None, basis=None,
                  frame=None):
@@ -52,6 +57,8 @@ class Subspace:
         self.points: frozenset | None = points
         self.basis: tuple[int, ...] | None = basis
         self.frame: np.ndarray | None = frame
+        # filled by the first ortho_complement call
+        self._complement: Subspace | None = None
         if frame is not None:
             frame.flags.writeable = False
 
@@ -201,23 +208,28 @@ def _canonical_frame(proj: np.ndarray, rank: int) -> np.ndarray:
     sign so the first component above 1e-12 is positive.  The outcome depends
     only on the projector, so every construction route for the same subspace
     lands on the same frame.
+
+    One residual is carried through the steps and each step subtracts only
+    the newest column's outer product, so a step costs O(d^2); the
+    subtractions run in column order, which fixes the frame's bits.
     """
     d = proj.shape[0]
     cols: list[np.ndarray] = []
+    residual = proj.copy()
     for _ in range(rank):
-        residual = proj.copy()
-        for c in cols:
-            residual -= np.outer(c, c)
-        norms = np.linalg.norm(residual, axis=0)
+        norms = np.sqrt(np.add.reduce(residual * residual, axis=0))
         # round before the argmax so exact ties (axis-aligned subspaces)
         # resolve to the lowest column index instead of to float noise
-        pick = int(np.argmax(np.round(norms, CANON_DECIMALS)))
-        v = residual[:, pick]
-        v = v / float(np.linalg.norm(v))
+        pick = int(norms.round(CANON_DECIMALS).argmax())
+        # a contiguous copy: sqrt(v.v) on it equals np.linalg.norm bit for
+        # bit, on the strided column view it does not
+        v = residual[:, pick].copy()
+        v = v / math.sqrt(v.dot(v))
         for c in cols:  # one more sweep for tight orthonormality
             v = v - np.dot(c, v) * c
-        v = v / float(np.linalg.norm(v))
-        cols.append(core._canonical_sign(v))
+        v = core._canonical_sign(v / math.sqrt(v.dot(v)))
+        cols.append(v)
+        residual -= v[:, None] * v  # np.outer(v, v), without its wrapper
     if not cols:
         return np.zeros((d, 0))
     return np.stack(cols, axis=1)
@@ -228,12 +240,20 @@ def _canonical_frame(proj: np.ndarray, rank: int) -> np.ndarray:
 
 
 def ortho_complement(a: Subspace) -> Subspace:
-    """Everything orthogonal to the subspace; an involution."""
-    st = a.structure
-    if st.kind == core.RAY:
-        proj = np.eye(st.d) - a.projector()
-        return _ray_from_projector(st, proj, st.d - a.dim)
-    return _from_carrier(st, core.orthogonal_points(st, a.points))
+    """Everything orthogonal to the subspace; an involution.
+
+    Computed once per subspace object and kept on it.  The result does not
+    point back at ``a``, so ``ortho_complement(ortho_complement(a))`` is
+    computed afresh and the involution law compares two constructions.
+    """
+    if a._complement is None:
+        st = a.structure
+        if st.kind == core.RAY:
+            proj = np.eye(st.d) - a.projector()
+            a._complement = _ray_from_projector(st, proj, st.d - a.dim)
+        else:
+            a._complement = _from_carrier(st, core.orthogonal_points(st, a.points))
+    return a._complement
 
 
 def join(first: Subspace, *rest: Subspace) -> Subspace:
@@ -258,8 +278,7 @@ def meet(first: Subspace, *rest: Subspace) -> Subspace:
     for s in subs[1:]:
         ensure_same_structure(st, s.structure)
     if st.kind == core.RAY:
-        # complement of the sum of complements
-        return ortho_complement(join(*[ortho_complement(s) for s in subs]))
+        return _nullspace_meet(*subs)
     return _from_carrier(st, frozenset.intersection(*(s.points for s in subs)))
 
 
@@ -287,15 +306,21 @@ def is_subset(a: Subspace, b: Subspace) -> bool:
 
 def similarity_to_subspace(x: Point, b: Subspace) -> float:
     """``s(x, B)`` computed through any basis of ``B`` (basis-independent)."""
-    return core.similarity_to_ortho_set(b.structure, x, b.basis_points())
+    return core.similarity_to_basis(b.structure, x, _own_basis(b))
 
 
 def project(x: Point, b: Subspace) -> Point:
     """The projection ``t(x, B)``; undefined when ``x`` is orthogonal to ``B``."""
     if b.is_empty:
         raise EmptySubspace("cannot project onto the empty subspace")
-    return core.project_point(b.structure, x, b.basis_points(),
-                              carrier=b.points)
+    return core.project_onto_basis(b.structure, x, _own_basis(b),
+                                   carrier=b.points)
+
+
+def _own_basis(b: Subspace) -> tuple[Point, ...]:
+    """``b``'s basis as canonical points; orthogonal by construction, so the
+    pairwise check of :func:`structures.ensure_ortho_set` is not repeated."""
+    return tuple(as_point(b.structure, p) for p in b.basis_points())
 
 
 # ---------------------------------------------------------------------------
@@ -314,11 +339,15 @@ def check_orthomodular(a: Subspace, c: Subspace) -> bool:
 
 
 def check_de_morgan(a: Subspace, b: Subspace) -> bool:
-    """Both De Morgan identities, with the intersection recomputed independently.
+    """Both De Morgan identities, each side computed by a different route.
 
-    For the ray model the intersection on the checking side comes from the
-    common-nullspace construction rather than the complement route used by
-    :func:`meet`, so the two sides cannot share a wrong answer.
+    For the ray model the intersections come from the common-nullspace
+    construction (which :func:`meet` also uses) and the sums from the span of
+    the operands' frames, so ``(A & B)' = A' + B'`` and
+    ``(A + B)' = A' & B'`` each compare an SVD of stacked residual maps with
+    an SVD of stacked frames.  Rewriting the intersection as the complement
+    of a sum of complements would reduce the first identity to
+    ``((A' + B')')' = A' + B'``, which only tests the involution.
     """
     ensure_same_structure(a.structure, b.structure)
     st = a.structure
@@ -334,11 +363,13 @@ def check_de_morgan(a: Subspace, b: Subspace) -> bool:
     return first and second
 
 
-def _nullspace_meet(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection as the common nullspace of the two residual maps."""
-    st = a.structure
+def _nullspace_meet(*subs: Subspace) -> Subspace:
+    """Intersection as the common nullspace of the residual maps ``I - P``,
+    from one SVD of the stacked maps."""
+    st = subs[0].structure
     d = st.d
-    stacked = np.vstack([np.eye(d) - a.projector(), np.eye(d) - b.projector()])
+    eye = np.eye(d)
+    stacked = np.vstack([eye - s.projector() for s in subs])
     _, sv, vt = np.linalg.svd(stacked)
     cutoff = max(SV_RTOL * (sv[0] if sv.size else 0.0), core.TOL_UNIT)
     null_rows = [vt[i] for i in range(d) if (i >= sv.size or sv[i] <= cutoff)]

@@ -99,7 +99,10 @@ class SPStructure:
 
     @staticmethod
     def explicit(matrix, labels: Sequence[str] | None = None) -> "SPStructure":
-        m = np.asarray(matrix, dtype=float)
+        try:
+            m = np.asarray(matrix, dtype=float)
+        except (TypeError, ValueError):
+            raise FormatError("similarity matrix must be a square table of numbers") from None
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise FormatError("similarity matrix must be square")
         n = m.shape[0]
@@ -201,10 +204,10 @@ def as_point(st: SPStructure, raw) -> Point:
 
 
 def _canonical_sign(v: np.ndarray) -> np.ndarray:
-    for c in v:
-        if abs(c) > TOL_UNIT:
-            return -v if c < 0 else +v
-    return v
+    lead = np.flatnonzero(np.abs(v) > TOL_UNIT)
+    if not lead.size:
+        return v
+    return -v if v[lead[0]] < 0 else +v
 
 
 def check_point(st: SPStructure, x: Point) -> Point:
@@ -277,7 +280,12 @@ def similarity_to_ortho_set(st: SPStructure, x: Point, ortho: Sequence[Point]) -
     the explicit model raises :class:`BoundednessViolated` when the input
     matrix breaks that bound.
     """
-    pts = ensure_ortho_set(st, ortho)
+    return similarity_to_basis(st, x, ensure_ortho_set(st, ortho))
+
+
+def similarity_to_basis(st: SPStructure, x: Point, pts: Sequence[Point]) -> float:
+    """:func:`similarity_to_ortho_set` for canonical points already known to
+    be pairwise orthogonal, such as a subspace's own basis: no pair check."""
     x = check_point(st, x)
     raw = _raw_ortho_sum(st, x, pts)
     if st.kind == EXPLICIT and raw > 1.0 + TOL_EQ:
@@ -312,11 +320,17 @@ def project_point(st: SPStructure, x: Point, basis: Sequence[Point],
     Raises :class:`OrthogonalProjectionUndefined` when ``x`` is orthogonal to
     the span and :class:`EmptySubspace` when ``A`` is empty.
     """
-    pts = ensure_ortho_set(st, basis)
+    return project_onto_basis(st, x, ensure_ortho_set(st, basis), carrier)
+
+
+def project_onto_basis(st: SPStructure, x: Point, pts: Sequence[Point],
+                       carrier: frozenset | None = None) -> Point:
+    """:func:`project_point` for canonical points already known to be
+    pairwise orthogonal, such as a subspace's own basis: no pair check."""
     x = check_point(st, x)
     if not pts:
         raise EmptySubspace("cannot project onto the empty subspace")
-    sxa = similarity_to_ortho_set(st, x, pts)
+    sxa = similarity_to_basis(st, x, pts)
     if sxa <= TOL_EQ:
         raise OrthogonalProjectionUndefined(
             "the point is orthogonal to the subspace")

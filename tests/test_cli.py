@@ -8,10 +8,13 @@ Exit code contract:
 """
 
 import json
+import pathlib
 
 import pytest
 
 from starprob.cli import run_command
+
+FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def run(capsys, *argv):
@@ -67,8 +70,21 @@ def test_validate_missing_file_is_usage_error(capsys):
      ["[[1.0, 0.0]]", "[[1.0, 1.0]]", "--refine-top", -1], "refine_top >= 0"),
     # a dimension that is no JSON integer is malformed input, not a crash
     (["validate"], "bad_ray_dimension.json", [], "integer 'd'"),
+    # so are non-numeric table entries, event indices, values and weights
+    (["validate"], "bad_explicit_entries.json", [], "table of numbers"),
+    (["prob", "evaluate"], "ray2.json",
+     [FIXTURES / "measure_table_bad_key.json", "[[1.0, 0.0]]"],
+     "event index 'x' is not an integer"),
+    (["rv", "make"], "ray2.json", [FIXTURES / "rv_bad_value.json"],
+     "outcome values must be finite numbers"),
+    (["sigma", "generate"], "ray2.json", [FIXTURES / "field_bad_cap.json"],
+     "'cap' must be an integer"),
+    (["prob", "mix"], "ray2.json",
+     ["--component", "abc", FIXTURES / "measure_pure_e1.json"],
+     "component weight 'abc' is not a number"),
 ], ids=["validate-samples", "sim-samples", "sim-refine-top",
-        "validate-structure-dimension"])
+        "validate-structure-dimension", "validate-explicit-entries",
+        "prob-measure-key", "rv-value", "sigma-cap", "prob-mix-weight"])
 def test_bad_sampler_budget_is_usage_error(capsys, fixture_dir, cmd, fixture,
                                            rest, message):
     code = run_command([str(a) for a in [*cmd, fixture_dir / fixture, *rest]])

@@ -141,3 +141,75 @@ def test_dump_json_is_sorted_and_stable():
     b = dump_json({"a": [2, 3], "b": 1})
     assert a == b
     assert a.index('"a"') < a.index('"b"')
+
+
+# ---------------------------------------------------------------------------
+# numbers in documents: JSON numbers only, finite, never bools
+
+
+def _write(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("values", [
+    {"x": 0.5},
+    {"0.0": 0.0, "1": 0.6, "2": 0.6, "3": 1.0},
+    {"0": "0.0", "1": 0.6, "2": 0.6, "3": 1.0},
+    {"0": True, "1": 0.6, "2": 0.6, "3": 1.0},
+    {"0": None, "1": 0.6, "2": 0.6, "3": 1.0},
+    '{"0": NaN, "1": 0.6, "2": 0.6, "3": 1.0}',
+    '{"0": 0.0, "1": Infinity, "2": 0.6, "3": 1.0}',
+], ids=["key-word", "key-float", "value-string", "value-bool", "value-null",
+        "value-nan", "value-inf"])
+def test_table_measure_values_must_be_finite_numbers(ray2, fixture_dir, tmp_path,
+                                                     values):
+    field = (fixture_dir / "field_ray2_line.json").resolve()
+    raw = values if isinstance(values, str) else json.dumps(values)
+    path = _write(tmp_path, "m.json",
+                  f'{{"kind": "table", "field": "{field}", "values": {raw}}}')
+    with pytest.raises(FormatError):
+        load_measure(ray2, path)
+
+
+@pytest.mark.parametrize("components", [
+    [["half", [1.0, 0.0]], [0.5, [0.0, 1.0]]],
+    [[True, [1.0, 0.0]]],
+    [[0.5, [1.0, 0.0], "extra"]],
+    [0.5],
+], ids=["weight-string", "weight-bool", "three-entries", "bare-number"])
+def test_mixed_measure_components_are_weight_point_pairs(ray2, tmp_path, components):
+    path = _write(tmp_path, "m.json", {"kind": "mixed", "components": components})
+    with pytest.raises(FormatError):
+        load_measure(ray2, path)
+
+
+@pytest.mark.parametrize("cap", ["many", 2.5, True, None])
+def test_field_cap_must_be_an_integer(ray2, tmp_path, cap):
+    path = _write(tmp_path, "f.json", {"generators": [[[1.0, 0.0]]], "cap": cap})
+    with pytest.raises(FormatError, match="cap"):
+        load_field(ray2, path)
+
+
+@pytest.mark.parametrize("value", ['"one"', "true", "null", "NaN", "-Infinity"])
+def test_rv_values_must_be_finite_numbers(ray2, tmp_path, value):
+    path = _write(tmp_path, "rv.json",
+                  f'{{"outcomes": [{{"value": {value}, "event": [[1.0, 0.0]]}}]}}')
+    with pytest.raises(FormatError):
+        load_rv(ray2, path)
+
+
+def test_rv_outcomes_must_be_objects(ray2, tmp_path):
+    path = _write(tmp_path, "rv.json", {"outcomes": [[1.0, [[1.0, 0.0]]]]})
+    with pytest.raises(FormatError):
+        load_rv(ray2, path)
+
+
+@pytest.mark.parametrize("doc", [
+    {"samples": "100"}, {"samples": 1.5}, {"refine_top": True}, {"seed": None},
+    [100, 50, 0],
+], ids=["samples-string", "samples-float", "refine-bool", "seed-null", "list"])
+def test_sampler_budget_must_be_integers(tmp_path, doc):
+    with pytest.raises(FormatError):
+        load_sampler(_write(tmp_path, "s.json", doc))

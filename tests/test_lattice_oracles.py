@@ -1,0 +1,234 @@
+"""Fast ray lattice kernels against the slower paths they replaced.
+
+The superseded implementations live here as oracles:
+
+* ``old_canonical_frame`` rebuilds the residual from a copy of the projector
+  at every rank step and fixes signs with a Python scan; the library carries
+  one residual and must produce byte-identical frames.
+* ``old_meet`` is the complement of the sum of complements; the library's
+  ray ``meet`` takes the common nullspace of the residual maps from one SVD
+  and must agree on dimension and, within ``TOL_EQ``, on the projector.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as hs
+
+from starprob import (
+    SPStructure,
+    empty,
+    from_points,
+    from_span,
+    full,
+    join,
+    meet,
+    ortho_complement,
+    project,
+    similarity_to_subspace,
+)
+from starprob import lattice
+from starprob import structures as core
+from starprob.structures import TOL_EQ, as_point, random_frame
+
+
+def old_canonical_sign(v):
+    for c in v:
+        if abs(c) > 1e-12:
+            return -v if c < 0 else +v
+    return v
+
+
+def old_canonical_frame(proj, rank):
+    d = proj.shape[0]
+    cols = []
+    for _ in range(rank):
+        residual = proj.copy()
+        for c in cols:
+            residual -= np.outer(c, c)
+        norms = np.linalg.norm(residual, axis=0)
+        pick = int(np.argmax(np.round(norms, 12)))
+        v = residual[:, pick]
+        v = v / float(np.linalg.norm(v))
+        for c in cols:
+            v = v - np.dot(c, v) * c
+        v = v / float(np.linalg.norm(v))
+        cols.append(old_canonical_sign(v))
+    if not cols:
+        return np.zeros((d, 0))
+    return np.stack(cols, axis=1)
+
+
+def old_meet(*subs):
+    return ortho_complement(join(*[ortho_complement(s) for s in subs]))
+
+
+def _basis(rng, d, k, shape):
+    """A ``d x k`` orthonormal basis: random, axis-aligned, or axes mixed
+    with random directions in the remaining coordinates."""
+    if shape == "random":
+        return random_frame(d, k, rng)
+    axes = rng.permutation(d)
+    if shape == "axes":
+        return np.eye(d)[:, axes[:k]]
+    n_axes = k // 2
+    out = np.zeros((d, k))
+    out[axes[:n_axes], np.arange(n_axes)] = 1.0
+    rest = axes[n_axes:]
+    out[np.ix_(rest, np.arange(n_axes, k))] = random_frame(len(rest), k - n_axes, rng)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# canonical frame: byte-identical to the per-step-copy oracle
+
+
+@given(hs.integers(min_value=0, max_value=2 ** 31 - 1),
+       hs.integers(min_value=1, max_value=32),
+       hs.floats(min_value=0.0, max_value=1.0),
+       hs.sampled_from(["random", "axes", "mixed"]))
+def test_canonical_frame_is_byte_identical_to_the_oracle(seed, d, frac, shape):
+    rng = np.random.default_rng(seed)
+    k = min(d, int(frac * (d + 1)))
+    b = _basis(rng, d, k, shape)
+    proj = b @ b.T
+    for p, rank in ((proj, k), (np.eye(d) - proj, d - k)):
+        got = lattice._canonical_frame(p, rank)
+        assert got.tobytes() == old_canonical_frame(p, rank).tobytes()
+        assert got.shape == (d, rank)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 32])
+def test_canonical_frame_of_every_axis_prefix(d):
+    # all-ties inputs: every candidate column has the same residual norm
+    for k in range(d + 1):
+        proj = np.diag([1.0] * k + [0.0] * (d - k))
+        want = old_canonical_frame(proj, k)
+        assert lattice._canonical_frame(proj, k).tobytes() == want.tobytes()
+        np.testing.assert_array_equal(want, np.eye(d)[:, :k])
+
+
+def test_canonical_sign_matches_the_scan():
+    vectors = [np.array(v, dtype=float) for v in (
+        [0.0, -0.6, 0.8], [1e-13, -1.0, 0.0], [0.0, 0.0, 0.0],
+        [-1e-12, 0.5, 0.5], [-2e-12, 1.0, 0.0], [0.3, -0.4, 0.0])]
+    for v in vectors:
+        assert core._canonical_sign(v).tobytes() == old_canonical_sign(v).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# meet: the one-SVD nullspace route against the complement route
+
+
+def _assert_same_subspace(got, want):
+    assert got.dim == want.dim
+    if got.dim:
+        diff = np.max(np.abs(got.projector() - want.projector()))
+        assert diff <= TOL_EQ
+
+
+def _tilted(st, frame, angle, rng):
+    """``frame`` with its last column turned by ``angle`` towards a
+    direction orthogonal to the whole frame."""
+    d, k = frame.shape
+    q, _ = np.linalg.qr(np.concatenate([frame, rng.standard_normal((d, 1))], axis=1))
+    out = frame.copy()
+    out[:, -1] = math.cos(angle) * frame[:, -1] + math.sin(angle) * q[:, k]
+    return from_span(st, out.T)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_meet_matches_the_complement_route_on_structured_pairs(d):
+    rng = np.random.default_rng(d)
+    st = SPStructure.ray(d)
+    big = random_frame(d, d - 1, rng)
+    a = from_span(st, big.T)
+    nested = from_span(st, big[:, : d // 2].T)
+    same = from_span(st, (big @ random_frame(d - 1, d - 1, rng)).T)
+    perp = ortho_complement(a)
+    near = _tilted(st, big, 1e-6, rng)
+    cases = [
+        (a, nested), (nested, a), (a, same), (a, perp), (a, near),
+        (a, a), (a, empty(st)), (a, full(st)), (full(st), full(st)),
+        (empty(st), empty(st)),
+    ]
+    for x, y in cases:
+        _assert_same_subspace(meet(x, y), old_meet(x, y))
+    # the nearly equal pair shares all but the tilted direction
+    assert meet(a, near).dim == d - 2
+    assert meet(a, same) == a
+    assert meet(a, perp).is_empty
+    assert meet(a, nested) == nested
+
+
+@pytest.mark.parametrize("d", [3, 4, 6])
+def test_meet_matches_the_complement_route_on_triples(d):
+    rng = np.random.default_rng(100 + d)
+    st = SPStructure.ray(d)
+    big = random_frame(d, d - 1, rng)
+    a = from_span(st, big.T)
+    b = _tilted(st, big, 1e-6, rng)
+    c = from_span(st, big[:, :1].T)
+    triples = [(a, b, c), (a, a, a), (a, b, ortho_complement(c)),
+               (full(st), a, c), (a, empty(st), b)]
+    for x, y, z in triples:
+        _assert_same_subspace(meet(x, y, z), old_meet(x, y, z))
+
+
+@given(hs.integers(min_value=0, max_value=2 ** 31 - 1),
+       hs.integers(min_value=2, max_value=8),
+       hs.integers(min_value=2, max_value=3))
+def test_meet_matches_the_complement_route_on_random_operands(seed, d, count):
+    rng = np.random.default_rng(seed)
+    st = SPStructure.ray(d)
+    subs = []
+    for _ in range(count):
+        k = int(rng.integers(0, d + 1))
+        subs.append(from_span(st, random_frame(d, k, rng).T) if k else empty(st))
+    _assert_same_subspace(meet(*subs), old_meet(*subs))
+
+
+# ---------------------------------------------------------------------------
+# the complement memo
+
+
+def test_complement_is_computed_once_per_object(ray3, wheel):
+    for a in (from_span(ray3, [[1.0, 2.0, 0.0]]), from_points(wheel, ["r0"])):
+        ca = ortho_complement(a)
+        assert ortho_complement(a) is ca
+        # the memo never points back, so the involution is recomputed
+        cca = ortho_complement(ca)
+        assert cca is not a
+        assert cca == a
+
+
+def test_complement_memo_does_not_leak_between_equal_objects(ray3):
+    a = from_span(ray3, [[1.0, 0.0, 0.0]])
+    b = from_span(ray3, [[2.0, 0.0, 0.0]])
+    assert a == b
+    assert ortho_complement(a) is not ortho_complement(b)
+    assert ortho_complement(a) == ortho_complement(b)
+
+
+# ---------------------------------------------------------------------------
+# a subspace's own basis is not re-validated
+
+
+def test_lattice_point_queries_skip_the_pair_check(monkeypatch, ray3, wheel):
+    plane = from_span(ray3, [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
+    x = as_point(ray3, [1.0, 2.0, 2.0])
+    want_s = core.similarity_to_ortho_set(ray3, x, plane.basis_points())
+    want_t = core.project_point(ray3, x, plane.basis_points())
+    line = from_points(wheel, ["r0"])
+    want_w = core.project_point(wheel, 1, line.basis_points(), carrier=line.points)
+
+    def no_pair_check(st, points):
+        raise AssertionError("a subspace's own basis was re-validated")
+
+    monkeypatch.setattr(core, "ensure_ortho_set", no_pair_check)
+    # same bits as the validating path
+    assert similarity_to_subspace(x, plane) == want_s
+    assert project(x, plane).tobytes() == want_t.tobytes()
+    assert project(1, line) == want_w

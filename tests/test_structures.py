@@ -8,13 +8,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from starprob import SPStructure, as_point, point_similarity, points_equal
-from starprob.errors import BoundednessViolated, FormatError, InvalidPoint, MixedStructures
+from starprob.errors import (
+    BoundednessViolated,
+    FormatError,
+    InvalidPoint,
+    MixedStructures,
+    NotOrthoSet,
+)
 from starprob.structures import (
     closure_of_ortho_set,
     ensure_ortho_set,
     ensure_same_structure,
     extend_to_basis,
     orthogonal_points,
+    project_point,
     similarity_to_ortho_set,
 )
 
@@ -105,6 +112,10 @@ def test_explicit_rejects_out_of_range_entries():
             warnings.simplefilter("error")
             with pytest.raises(FormatError, match="finite"):
                 SPStructure.explicit([[1.0, bad], [bad, 1.0]])
+    # entries that are not numbers, or rows that do not form a table
+    for bad in ([["a"]], [[1.0, "x"], ["x", 1.0]], [[1.0, 0.0], [0.0]], "abc"):
+        with pytest.raises(FormatError, match="table of numbers"):
+            SPStructure.explicit(bad)
 
 
 def test_orthogonal_points_match_a_scan_of_the_table(wheel):
@@ -168,6 +179,30 @@ def test_similarity_to_ortho_set_flags_broken_tables():
     bad = SPStructure.explicit(m)
     with pytest.raises(BoundednessViolated):
         similarity_to_ortho_set(bad, 0, [1, 2])
+
+
+def test_public_ortho_set_queries_still_validate(ray3):
+    # the lattice skips the pair check for a subspace's own basis; the public
+    # entry points keep it
+    e1 = as_point(ray3, [1.0, 0.0, 0.0])
+    diag = as_point(ray3, [1.0, 1.0, 0.0])
+    x = as_point(ray3, [1.0, 2.0, 2.0])
+    with pytest.raises(NotOrthoSet):
+        similarity_to_ortho_set(ray3, x, [e1, diag])
+    with pytest.raises(NotOrthoSet):
+        project_point(ray3, x, [e1, diag])
+
+
+def test_projection_flags_broken_tables():
+    # the table of test_similarity_to_ortho_set_flags_broken_tables: mass 1.2
+    # against the orthogonal pair {1, 2}
+    bad = SPStructure.explicit([
+        [1.0, 0.6, 0.6],
+        [0.6, 1.0, 0.0],
+        [0.6, 0.0, 1.0],
+    ])
+    with pytest.raises(BoundednessViolated):
+        project_point(bad, 0, [1, 2])
 
 
 def test_classical_closure_is_the_set_itself(classical4):
