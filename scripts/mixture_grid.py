@@ -50,7 +50,7 @@ def main(argv=None) -> int:
         print(f"  {v:.1f}  on {event.to_literal()}")
     print("\naxiom checks:")
     for c in report.checks:
-        line = f"  {c.name}: {c.status}"
+        line = f"  {c.law}: {c.status}"
         if c.witness:
             line += f"  {c.witness}"
         print(line)

@@ -39,7 +39,7 @@ def main(argv=None) -> int:
         for w in c.witnesses:
             print(f"{'':<{width}}  witness: {w}")
     print(f"\noverall: {report.overall}  ({wall:.2f}s, seed={args.seed}, scale={args.scale})")
-    return 0 if report.overall == "pass" else 1
+    return 0 if report.ok else 1
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ spaces.
 """
 
 from . import errors
-from .axioms import AXIOMS, ValidationBudget, ValidationReport, validate_sp_axioms
+from .axioms import AXIOMS, ValidationBudget, validate_sp_axioms
 from .lattice import (
     Subspace,
     check_de_morgan,
@@ -65,24 +65,24 @@ from .similarity import (
     subspace_similarity,
     tau,
 )
-from .structures import SPStructure, as_point, point_similarity, points_equal
-from .suites import SuiteReport, run_property_suite
+from .structures import Check, Report, SPStructure, as_point, point_similarity, points_equal
+from .suites import run_property_suite
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AXIOMS",
+    "Check",
     "Expectation",
     "ProbabilityMeasure",
     "RealRandomVariable",
+    "Report",
     "SPStructure",
     "SamplerConfig",
     "SigmaStarField",
     "SimilarityEstimate",
     "Subspace",
-    "SuiteReport",
     "ValidationBudget",
-    "ValidationReport",
     "as_point",
     "atomic_decomposition",
     "atoms",

@@ -14,7 +14,7 @@ point set; ray models are spot-checked with a seeded sample and report
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,8 +22,12 @@ from . import structures as core
 from .errors import BudgetRequired, FormatError
 from .structures import (
     EXPLICIT_ENUM_MAX,
+    SAMPLED_PASS,
     TOL_EQ,
+    TOL_UNIT,
+    Check,
     Point,
+    Report,
     SPStructure,
     as_point,
     check_point,
@@ -32,7 +36,7 @@ from .structures import (
     random_unit_vector,
     similarity,
 )
-from .structures import FAIL, PASS, SAMPLED_PASS, worst
+from .structures import FAIL, PASS  # noqa: F401 - verdicts re-exported with the validator
 
 # A sampled witness must misbehave by more than the comparison tolerance
 # before the precondition s(x, A) < 1 stops being numerically meaningful.
@@ -55,43 +59,8 @@ class ValidationBudget:
     def __post_init__(self) -> None:
         if self.samples < 1:
             raise FormatError(f"validation needs samples >= 1, got {self.samples}")
-
-
-@dataclass
-class AxiomVerdict:
-    status: str
-    checks: int = 0
-    max_residual: float = 0.0
-    witness: dict | None = None
-
-    def as_dict(self) -> dict:
-        out = {"status": self.status, "checks": self.checks,
-               "max_residual": self.max_residual}
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
-
-
-@dataclass
-class ValidationReport:
-    structure: dict
-    verdicts: dict[str, AxiomVerdict] = field(default_factory=dict)
-
-    @property
-    def overall(self) -> str:
-        return worst(v.status for v in self.verdicts.values())
-
-    @property
-    def checks_performed(self) -> int:
-        return sum(v.checks for v in self.verdicts.values())
-
-    def as_dict(self) -> dict:
-        return {
-            "structure": self.structure,
-            "verdicts": {k: v.as_dict() for k, v in sorted(self.verdicts.items())},
-            "overall": self.overall,
-            "checks_performed": self.checks_performed,
-        }
+        if self.seed < 0:
+            raise FormatError(f"validation needs seed >= 0, got {self.seed}")
 
 
 AXIOMS = ("symmetry", "non_negativity", "boundedness", "o_projection",
@@ -109,9 +78,15 @@ def o_projection_point(st: SPStructure, x: Point, ortho) -> Point:
     """
     pts = core.ensure_ortho_set(st, ortho)
     x = check_point(st, x)
-    sxa = core.similarity_to_ortho_set(st, x, pts)
+    sxa = core.similarity_to_basis(st, x, pts)
     if sxa >= 1.0 - TOL_EQ:
         raise core.OrthogonalProjectionUndefined  # pragma: no cover - guarded by callers
+    return _o_witness(st, x, pts, sxa)
+
+
+def _o_witness(st: SPStructure, x: Point, pts, sxa: float) -> Point:
+    """:func:`o_projection_point` for a checked point, a validated
+    orthogonal set and ``sxa = s(x, A) < 1``."""
     if st.kind == core.RAY:
         v = np.asarray(x, dtype=float)
         for a in pts:
@@ -125,95 +100,81 @@ def o_projection_point(st: SPStructure, x: Point, ortho) -> Point:
 
 
 def validate_sp_axioms(st: SPStructure,
-                       budget: ValidationBudget | None = None) -> ValidationReport:
-    """Check the six structural properties and report per-axiom verdicts.
+                       budget: ValidationBudget | None = None) -> Report:
+    """Check the six structural properties and report one check per axiom.
 
     Every ``fail`` verdict carries a witness that can be re-checked by hand
     with the ordinary operations.
     """
     budget = budget or ValidationBudget()
-    report = ValidationReport(structure=_describe(st))
     if st.kind == core.CLASSICAL:
-        for name in AXIOMS:
-            report.verdicts[name] = AxiomVerdict(status=PASS, checks=st.n)
-        return report
+        return Report([Check(name, trials=st.n) for name in AXIOMS])
     if st.kind == core.EXPLICIT:
         if st.n > EXPLICIT_ENUM_MAX and not budget.sample_large_explicit:
             raise BudgetRequired(
                 f"explicit model has {st.n} points; pass a budget with "
                 "sample_large_explicit=True or shrink the model")
         if st.n <= EXPLICIT_ENUM_MAX:
-            _explicit_exhaustive(st, report)
-        else:
-            _explicit_sampled(st, report, budget)
-        return report
-    _ray_sampled(st, report, budget)
-    return report
+            return Report(_explicit_exhaustive(st))
+        return Report(_explicit_sampled(st, budget))
+    return Report(_ray_sampled(st, budget))
 
 
-def _describe(st: SPStructure) -> dict:
-    if st.kind == core.RAY:
-        return {"kind": st.kind, "d": st.d}
-    return {"kind": st.kind, "n": st.n}
+def _matrix_law(st: SPStructure, law: str, table: np.ndarray) -> Check:
+    """A law read off the whole matrix: its residual is ``table``'s largest
+    entry, and a failure names the pair where it sits."""
+    res = float(max(0.0, np.max(table)))
+    check = Check(law)
+    check.hit(res <= TOL_UNIT, res,
+              _argmax_pair(table, st) if res > TOL_UNIT else None,
+              trials=st.n * st.n)
+    return check
+
+
+def _argmax_pair(m: np.ndarray, st: SPStructure) -> dict:
+    i, j = np.unravel_index(int(np.argmax(m)), m.shape)
+    return {"points": [st.labels[int(i)], st.labels[int(j)]],
+            "residual": float(m[i, j])}
 
 
 # ---------------------------------------------------------------------------
 # explicit model, exhaustive
 
 
-def _explicit_exhaustive(st: SPStructure, report: ValidationReport) -> None:
+def _explicit_exhaustive(st: SPStructure) -> list[Check]:
     m = st.matrix
     n = st.n
-
-    asym = float(np.max(np.abs(m - m.T))) if n else 0.0
-    report.verdicts["symmetry"] = AxiomVerdict(
-        status=PASS if asym <= core.TOL_UNIT else FAIL,
-        checks=n * n, max_residual=asym,
-        witness=None if asym <= core.TOL_UNIT else _argmax_pair(np.abs(m - m.T), st))
-
-    neg = float(max(0.0, -m.min()))
-    report.verdicts["non_negativity"] = AxiomVerdict(
-        status=PASS if neg <= core.TOL_UNIT else FAIL,
-        checks=n * n, max_residual=neg,
-        witness=None if neg <= core.TOL_UNIT else _argmax_pair(-m, st))
+    labels = st.labels
 
     dup = None
     for i in range(n):
         for j in range(i + 1, n):
-            if np.max(np.abs(m[i] - m[j])) <= core.TOL_UNIT:
-                dup = {"points": [st.labels[i], st.labels[j]]}
-    report.verdicts["standardness"] = AxiomVerdict(
-        status=PASS if dup is None else FAIL,
-        checks=n * (n - 1) // 2, witness=dup)
+            if np.max(np.abs(m[i] - m[j])) <= TOL_UNIT:
+                dup = {"points": [labels[i], labels[j]]}
+    std = Check("standardness")
+    std.hit(dup is None, witness=dup, trials=n * (n - 1) // 2)
 
-    lattice = explicit_lattice(st)
-    cliques = lattice["cliques"]
+    cliques = explicit_lattice(st)["cliques"]
 
-    bound = AxiomVerdict(status=PASS)
+    bound = Check("boundedness")
     for clique in cliques:
         if not clique:
             continue
         sums = m[:, list(clique)].sum(axis=1)
-        bound.checks += n
-        worst = float(np.max(sums) - 1.0)
-        if worst > bound.max_residual:
-            bound.max_residual = max(0.0, worst)
-        if worst > TOL_EQ and bound.witness is None:
-            x = int(np.argmax(sums))
-            bound.status = FAIL
-            bound.witness = {"point": st.labels[x],
-                             "ortho_set": [st.labels[i] for i in clique],
-                             "similarity_sum": float(sums[x])}
-    report.verdicts["boundedness"] = bound
+        excess = float(np.max(sums) - 1.0)
+        x = int(np.argmax(sums))
+        bound.hit(excess <= TOL_EQ, max(0.0, excess),
+                  {"point": labels[x], "ortho_set": [labels[i] for i in clique],
+                   "similarity_sum": float(sums[x])} if excess > TOL_EQ else None,
+                  trials=n)
 
-    oproj = AxiomVerdict(status=PASS)
+    oproj = Check("o_projection")
     for clique in cliques:
         sums = m[:, list(clique)].sum(axis=1) if clique else np.zeros(n)
         for x in range(n):
             sxa = float(sums[x])
             if sxa >= 1.0 - TOL_EQ:
                 continue
-            oproj.checks += 1
             best = None
             for y in range(n):
                 if clique and np.max(m[[y], list(clique)]) > TOL_EQ:
@@ -222,16 +183,15 @@ def _explicit_exhaustive(st: SPStructure, report: ValidationReport) -> None:
                 best = gap if best is None else min(best, gap)
                 if gap <= TOL_EQ:
                     break
-            if best is None or best > TOL_EQ:
-                oproj.max_residual = max(oproj.max_residual, best if best is not None else 1.0)
-                if oproj.witness is None:
-                    oproj.status = FAIL
-                    oproj.witness = {"point": st.labels[x],
-                                     "ortho_set": [st.labels[i] for i in clique],
-                                     "similarity_sum": sxa}
-    report.verdicts["o_projection"] = oproj
+            if best is not None and best <= TOL_EQ:
+                oproj.hit(True)
+            else:
+                oproj.hit(False, 1.0 if best is None else best,
+                          {"point": labels[x],
+                           "ortho_set": [labels[i] for i in clique],
+                           "similarity_sum": sxa})
 
-    fact = AxiomVerdict(status=PASS)
+    fact = Check("factorization")
     for clique in cliques:
         if not clique:
             continue
@@ -243,73 +203,45 @@ def _explicit_exhaustive(st: SPStructure, report: ValidationReport) -> None:
                 if abs(m[x, y] - sxa) > TOL_EQ:
                     continue
                 for z in carrier:
-                    fact.checks += 1
                     res = abs(m[x, z] - m[x, y] * m[y, z])
-                    fact.max_residual = max(fact.max_residual, res)
-                    if res > TOL_EQ and fact.witness is None:
-                        fact.status = FAIL
-                        fact.witness = {
-                            "point": st.labels[x],
-                            "projection": st.labels[y],
-                            "member": st.labels[z],
-                            "ortho_set": [st.labels[i] for i in clique],
-                            "residual": res,
-                        }
-    report.verdicts["factorization"] = fact
+                    fact.hit(res <= TOL_EQ, res,
+                             {"point": labels[x], "projection": labels[y],
+                              "member": labels[z],
+                              "ortho_set": [labels[i] for i in clique],
+                              "residual": res} if res > TOL_EQ else None)
 
-
-def _argmax_pair(m: np.ndarray, st: SPStructure) -> dict:
-    i, j = np.unravel_index(int(np.argmax(m)), m.shape)
-    return {"points": [st.labels[int(i)], st.labels[int(j)]],
-            "residual": float(m[i, j])}
+    return [_matrix_law(st, "symmetry", np.abs(m - m.T)),
+            _matrix_law(st, "non_negativity", -m),
+            std, bound, oproj, fact]
 
 
 # ---------------------------------------------------------------------------
 # explicit model, sampled (only for models past the enumeration cap)
 
 
-def _explicit_sampled(st: SPStructure, report: ValidationReport,
-                      budget: ValidationBudget) -> None:
+def _explicit_sampled(st: SPStructure, budget: ValidationBudget) -> list[Check]:
     rng = np.random.default_rng(budget.seed)
     m = st.matrix
     n = st.n
 
-    asym = float(np.max(np.abs(m - m.T)))
-    report.verdicts["symmetry"] = AxiomVerdict(
-        status=PASS if asym <= core.TOL_UNIT else FAIL, checks=n * n,
-        max_residual=asym)
-    neg = float(max(0.0, -m.min()))
-    report.verdicts["non_negativity"] = AxiomVerdict(
-        status=PASS if neg <= core.TOL_UNIT else FAIL, checks=n * n,
-        max_residual=neg)
-    report.verdicts["standardness"] = AxiomVerdict(status=PASS, checks=n * (n - 1) // 2)
-
-    bound = AxiomVerdict(status=SAMPLED_PASS)
-    oproj = AxiomVerdict(status=SAMPLED_PASS)
+    bound = Check("boundedness", status=SAMPLED_PASS)
+    oproj = Check("o_projection", status=SAMPLED_PASS)
     for _ in range(budget.samples):
         clique = _random_clique(m, n, rng)
         x = int(rng.integers(n))
         sxa = float(m[x, list(clique)].sum()) if clique else 0.0
-        bound.checks += 1
-        bound.max_residual = max(bound.max_residual, max(0.0, sxa - 1.0))
-        if sxa - 1.0 > TOL_EQ and bound.witness is None:
-            bound.status = FAIL
-            bound.witness = {"point": st.labels[x],
-                             "ortho_set": [st.labels[i] for i in clique]}
+        witness = {"point": st.labels[x],
+                   "ortho_set": [st.labels[i] for i in clique]}
+        bound.hit(sxa - 1.0 <= TOL_EQ, max(0.0, sxa - 1.0), witness)
         if sxa < 1.0 - _STRICT_GAP:
-            oproj.checks += 1
-            ok = any(all(m[y, a] <= TOL_EQ for a in clique)
-                     and abs(sxa + m[x, y] - 1.0) <= TOL_EQ
-                     for y in range(n))
-            if not ok and oproj.witness is None:
-                oproj.status = FAIL
-                oproj.witness = {"point": st.labels[x],
-                                 "ortho_set": [st.labels[i] for i in clique]}
-    report.verdicts["boundedness"] = bound
-    report.verdicts["o_projection"] = oproj
-    report.verdicts["factorization"] = AxiomVerdict(
-        status=SAMPLED_PASS, checks=0,
-        witness=None)
+            oproj.hit(any(all(m[y, a] <= TOL_EQ for a in clique)
+                          and abs(sxa + m[x, y] - 1.0) <= TOL_EQ
+                          for y in range(n)), witness=witness)
+
+    return [_matrix_law(st, "symmetry", np.abs(m - m.T)),
+            _matrix_law(st, "non_negativity", -m),
+            Check("standardness", trials=n * (n - 1) // 2),
+            bound, oproj, Check("factorization", status=SAMPLED_PASS)]
 
 
 def _random_clique(m: np.ndarray, n: int, rng: np.random.Generator) -> tuple[int, ...]:
@@ -327,67 +259,52 @@ def _random_clique(m: np.ndarray, n: int, rng: np.random.Generator) -> tuple[int
 # ray model, seeded spot checks
 
 
-def _ray_sampled(st: SPStructure, report: ValidationReport,
-                 budget: ValidationBudget) -> None:
+def _ray_sampled(st: SPStructure, budget: ValidationBudget) -> list[Check]:
     d = st.d
     rng = np.random.default_rng(budget.seed)
 
     # Symmetry, non-negativity and standardness hold by construction for
     # squared dot products of canonicalized rays; record them as analytic.
-    report.verdicts["symmetry"] = AxiomVerdict(status=PASS, checks=0)
-    report.verdicts["non_negativity"] = AxiomVerdict(status=PASS, checks=0)
-    report.verdicts["standardness"] = AxiomVerdict(status=PASS, checks=0)
-
-    bound = AxiomVerdict(status=SAMPLED_PASS)
-    oproj = AxiomVerdict(status=SAMPLED_PASS)
-    fact = AxiomVerdict(status=SAMPLED_PASS)
+    bound = Check("boundedness", status=SAMPLED_PASS)
+    oproj = Check("o_projection", status=SAMPLED_PASS)
+    fact = Check("factorization", status=SAMPLED_PASS)
 
     for _ in range(budget.samples):
         k = int(rng.integers(0, d))  # leave room for a deficient sum
         frame = random_frame(d, k, rng)
         pts = [as_point(st, frame[:, i]) for i in range(k)]
         x = as_point(st, random_unit_vector(d, rng))
+        basis = core.ensure_ortho_set(st, pts)
 
-        sxa = core.similarity_to_ortho_set(st, x, pts)
-        raw = core._raw_ortho_sum(st, x, pts)
-        bound.checks += 1
-        bound.max_residual = max(bound.max_residual, max(0.0, raw - 1.0))
-        if raw - 1.0 > TOL_EQ and bound.witness is None:
-            bound.status = FAIL
-            bound.witness = {"point": x.tolist(),
-                             "ortho_set": [p.tolist() for p in pts]}
+        sxa = core.similarity_to_basis(st, x, basis)
+        excess = core._raw_ortho_sum(st, x, pts) - 1.0
+        bound.hit(excess <= TOL_EQ, max(0.0, excess),
+                  {"point": x.tolist(), "ortho_set": [p.tolist() for p in pts]}
+                  if excess > TOL_EQ else None)
 
         if sxa < 1.0 - _STRICT_GAP:
-            y = o_projection_point(st, x, pts)
+            y = _o_witness(st, x, basis, sxa)
             r_orth = core._raw_ortho_sum(st, y, pts)
             r_sum = abs(sxa + similarity(st, x, y) - 1.0)
             res = max(r_orth, r_sum)
-            oproj.checks += 1
-            oproj.max_residual = max(oproj.max_residual, res)
-            if res > TOL_EQ and oproj.witness is None:
-                oproj.status = FAIL
-                oproj.witness = {"point": x.tolist(),
-                                 "ortho_set": [p.tolist() for p in pts],
-                                 "residual": res}
+            oproj.hit(res <= TOL_EQ, res,
+                      {"point": x.tolist(), "ortho_set": [p.tolist() for p in pts],
+                       "residual": res} if res > TOL_EQ else None)
 
         kb = int(rng.integers(1, d + 1))
         bframe = random_frame(d, kb, rng)
         bpts = [as_point(st, bframe[:, i]) for i in range(kb)]
         mix = rng.standard_normal(kb)
         z = as_point(st, bframe @ mix)  # a point inside the span
-        sxb = core.similarity_to_ortho_set(st, x, bpts)
-        if sxb > TOL_EQ:
-            t = core.project_point(st, x, bpts)
+        bbasis = core.ensure_ortho_set(st, bpts)
+        if core.similarity_to_basis(st, x, bbasis) > TOL_EQ:
+            t = core.project_onto_basis(st, x, bbasis)
             res = abs(similarity(st, x, z)
                       - similarity(st, x, t) * similarity(st, t, z))
-            fact.checks += 1
-            fact.max_residual = max(fact.max_residual, res)
-            if res > TOL_EQ and fact.witness is None:
-                fact.status = FAIL
-                fact.witness = {"point": x.tolist(), "member": z.tolist(),
-                                "ortho_set": [p.tolist() for p in bpts],
-                                "residual": res}
+            fact.hit(res <= TOL_EQ, res,
+                     {"point": x.tolist(), "member": z.tolist(),
+                      "ortho_set": [p.tolist() for p in bpts],
+                      "residual": res} if res > TOL_EQ else None)
 
-    report.verdicts["boundedness"] = bound
-    report.verdicts["o_projection"] = oproj
-    report.verdicts["factorization"] = fact
+    return [Check("symmetry"), Check("non_negativity"), Check("standardness"),
+            bound, oproj, fact]

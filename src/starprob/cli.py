@@ -7,7 +7,9 @@ fields), ``prob`` (measures), ``rv`` (random variables) and ``suite``
 
 Exit codes: 0 all checks passed (or a value was computed), 1 at least one
 check failed with a witness, 2 bad usage or malformed input, 3 nothing
-failed but some result rests on sampling and could not be certified.
+failed but some result rests on sampling and could not be certified, 4 an
+internal error (an exception that is not a typed ``SPError``; a bug, never
+a verdict).
 
 ``--json`` reports are deterministic: sorted keys, two-space indent, no
 timestamps or timings, so identical invocations are byte-identical.
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from . import __version__
 from . import io as spio
@@ -36,6 +39,7 @@ OK = 0
 CHECK_FAILED = 1
 USAGE = 2
 UNCERTIFIED = 3
+INTERNAL = 4
 
 # exit code of a report's overall verdict
 _EXIT = {PASS: OK, SAMPLED_PASS: UNCERTIFIED, INCONCLUSIVE: UNCERTIFIED,
@@ -59,6 +63,9 @@ def main(argv=None) -> int:
     except SPError as exc:
         print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
         return USAGE
+    except Exception as exc:  # a bug, not a verdict: exit 1 needs a witness
+        print(f"error: internal: {exc.__class__.__name__}: {exc}", file=sys.stderr)
+        return INTERNAL
 
 
 def run_command(argv) -> int:
@@ -74,6 +81,18 @@ def _emit(args, payload: dict, lines, code: int) -> int:
         for line in lines:
             print(line)
     return code
+
+
+def _emit_report(args, payload: dict, report) -> int:
+    """Emit a validator's report: one ``law: status`` line per check, its
+    first witness, and the overall verdict, which also sets the exit code."""
+    lines = []
+    for c in report.checks:
+        lines.append(f"{c.law}: {c.status}")
+        if c.witness is not None:
+            lines.append(f"  witness: {json.dumps(c.witness, sort_keys=True, default=str)}")
+    lines.append(f"overall: {report.overall}")
+    return _emit(args, payload, lines, _EXIT[report.overall])
 
 
 def _literal(raw: str):
@@ -128,14 +147,8 @@ def _cmd_validate(args) -> int:
     report = validate_sp_axioms(st, budget)
     payload = {"command": "validate",
                "structure": spio.structure_to_dict(st),
-               "report": report.as_dict()}
-    lines = []
-    for name, verdict in report.verdicts.items():
-        lines.append(f"{name}: {verdict.status}")
-        if verdict.witness is not None:
-            lines.append(f"  witness: {json.dumps(verdict.witness, sort_keys=True)}")
-    lines.append(f"overall: {report.overall}")
-    return _emit(args, payload, lines, _EXIT[report.overall])
+               "report": spio.validate_report_to_dict(st, report)}
+    return _emit_report(args, payload, report)
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +243,8 @@ def _cmd_sigma(args) -> int:
     if op == "validate":
         report = sig.validate_sigma_star(fld)
         payload = {"command": "sigma.validate", "size": len(fld.events),
-                   "report": report.as_dict()}
-        lines = [f"{c.name}: {'pass' if c.ok else 'fail'}"
-                 for c in report.checks]
-        lines.append(f"overall: {'pass' if report.ok else 'fail'}")
-        return _emit(args, payload, lines, OK if report.ok else CHECK_FAILED)
+                   "report": spio.field_report_to_dict(report)}
+        return _emit_report(args, payload, report)
     if op == "atoms":
         ats = sig.atoms(fld)
         decomp = {}
@@ -297,15 +307,10 @@ def _cmd_prob(args) -> int:
         fld = spio.load_field(st, args.field) if args.field else None
         report = meas.validate_measure(p, fld, _sampler(args),
                                        event_samples=args.event_samples)
-        payload = {"command": "prob.validate", "report": report.as_dict(),
+        payload = {"command": "prob.validate",
+                   "report": spio.measure_report_to_dict(report),
                    "measure": p.describe()}
-        lines = []
-        for c in report.checks:
-            lines.append(f"{c.name}: {c.status}")
-            if c.witness is not None:
-                lines.append(f"  witness: {json.dumps(c.witness, sort_keys=True, default=str)}")
-        lines.append(f"overall: {report.overall}")
-        return _emit(args, payload, lines, _EXIT[report.overall])
+        return _emit_report(args, payload, report)
     # equal
     p = spio.load_measure(st, args.measure)
     q = spio.load_measure(st, args.other)
@@ -344,7 +349,11 @@ def _cmd_rv(args) -> int:
             lines = ["value: undefined at this point"]
         return _emit(args, payload, lines, OK)
     if op == "preimage":
-        wanted = [float(v) for v in args.values.split(",")] if args.values else []
+        try:
+            wanted = [float(v) for v in args.values.split(",")] if args.values else []
+        except ValueError:
+            raise FormatError(f"--values {args.values!r} is not a comma-separated "
+                              "list of numbers") from None
         result = rv_mod.preimage(x_rv, wanted)
         payload = {"command": "rv.preimage", "dim": result.dim,
                    "subspace": result.to_literal()}
@@ -379,8 +388,11 @@ def _cmd_rv(args) -> int:
 
 
 def _cmd_suite(args) -> int:
+    start = time.perf_counter()
     report = run_property_suite(args.suite, seed=args.seed, scale=args.scale)
-    payload = {"command": "suite", "report": report.as_dict()}
+    wall = time.perf_counter() - start
+    payload = {"command": "suite", "report": spio.suite_report_to_dict(
+        args.suite, args.seed, args.scale, report)}
     lines = []
     for check in report.checks:
         lines.append(
@@ -390,7 +402,7 @@ def _cmd_suite(args) -> int:
         for w in check.witnesses:
             lines.append(f"  witness: {json.dumps(w, sort_keys=True, default=str)}")
     lines.append(f"overall: {report.overall}")
-    lines.append(f"wall time: {report.wall_time:.2f}s")
+    lines.append(f"wall time: {wall:.2f}s")
     return _emit(args, payload, lines, _EXIT[report.overall])
 
 

@@ -13,6 +13,13 @@ Schemas:
   "components": [[weight, literal], ...]}``
 * random variable -- ``{"outcomes": [{"value": v, "event": literal}, ...]}``
 * sampler -- ``{"samples": n, "refine_top": k, "seed": s}``
+
+Reports (one :class:`~starprob.structures.Report` of
+:class:`~starprob.structures.Check` records) are written in four shapes:
+``validate_report_to_dict`` (structure axioms, keyed by law),
+``field_report_to_dict`` (sigma*-field closure, ``ok`` flags),
+``measure_report_to_dict`` (measure axioms) and ``suite_report_to_dict``
+(property suites, with counts).
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from .lattice import Subspace
 from .sigma import DEFAULT_CAP, SigmaStarField, generate_sigma_star
 from .randomvars import RealRandomVariable, make_rv
 from .similarity import SamplerConfig
-from .structures import SPStructure
+from .structures import PASS, Report, SPStructure
 
 
 def _load_json(source) -> Any:
@@ -214,6 +221,55 @@ def load_sampler(doc) -> SamplerConfig:
     return SamplerConfig(samples=budget("samples", 20_000),
                          refine_top=budget("refine_top", 50),
                          seed=budget("seed", 0))
+
+
+def _with_witness(check, out: dict) -> dict:
+    if check.witness is not None:
+        out["witness"] = check.witness
+    return out
+
+
+def validate_report_to_dict(st: SPStructure, report: Report) -> dict:
+    """The structure-axiom report: one verdict per axiom, sorted by name."""
+    return {
+        "structure": ({"kind": st.kind, "d": st.d} if st.kind == core.RAY
+                      else {"kind": st.kind, "n": st.n}),
+        "verdicts": {c.law: _with_witness(c, {"status": c.status,
+                                              "checks": c.trials,
+                                              "max_residual": c.max_residual})
+                     for c in sorted(report.checks, key=lambda c: c.law)},
+        "overall": report.overall,
+        "checks_performed": sum(c.trials for c in report.checks),
+    }
+
+
+def field_report_to_dict(report: Report) -> dict:
+    """The sigma*-field report: each closure law holds (``ok``) or not."""
+    return {"checks": [_with_witness(c, {"name": c.law, "ok": c.status == PASS})
+                       for c in report.checks],
+            "ok": report.ok}
+
+
+def measure_report_to_dict(report: Report) -> dict:
+    """The measure-axiom report: one direction-aware status per axiom."""
+    return {"checks": [_with_witness(c, {"name": c.law, "status": c.status})
+                       for c in report.checks],
+            "overall": report.overall}
+
+
+def suite_report_to_dict(suite: str, seed: int, scale: int,
+                         report: Report) -> dict:
+    """A property-suite report: per-law counts and up to three witnesses."""
+    return {
+        "suite": suite,
+        "seed": seed,
+        "scale": scale,
+        "checks": [{"law": c.law, "trials": c.trials, "failures": c.failures,
+                    "inconclusive": c.inconclusive,
+                    "max_residual": c.max_residual, "status": c.status,
+                    "witnesses": c.witnesses} for c in report.checks],
+        "overall": report.overall,
+    }
 
 
 def dump_json(payload: dict) -> str:

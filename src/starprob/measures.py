@@ -29,7 +29,8 @@ from .similarity import (
     subspace_similarity,
 )
 from .structures import TOL_EQ, TOL_UNIT, Point, SPStructure, as_point, ensure_same_structure
-from .structures import FAIL_CERTIFIED, INCONCLUSIVE, PASS, worst
+from .structures import FAIL_CERTIFIED, INCONCLUSIVE, Check, Report
+from .structures import PASS  # noqa: F401 - verdicts re-exported with the validator
 
 TABLE = "table"
 PURE = "pure"
@@ -145,48 +146,19 @@ def evaluate(p: ProbabilityMeasure, event: Subspace) -> float:
 # validation
 
 
-@dataclass
-class MeasureCheck:
-    name: str
-    status: str
-    witness: dict | None = None
-
-    def as_dict(self) -> dict:
-        out = {"name": self.name, "status": self.status}
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
-
-    @property
-    def ok(self) -> bool:
-        return self.status == PASS
-
-
-@dataclass
-class MeasureReport:
-    checks: list[MeasureCheck]
-
-    @property
-    def overall(self) -> str:
-        return worst(c.status for c in self.checks)
-
-    def as_dict(self) -> dict:
-        return {"checks": [c.as_dict() for c in self.checks],
-                "overall": self.overall}
-
-
 def validate_measure(p: ProbabilityMeasure,
                      fld: SigmaStarField | None = None,
                      cfg: SamplerConfig | None = None,
-                     event_samples: int = 200) -> MeasureReport:
+                     event_samples: int = 200) -> Report:
     """Check the four measure axioms over a field (or a sampled domain).
 
     Normalization and the empty event are exact checks; additivity runs over
     every orthogonal pair plus greedily-extended maximal orthogonal
     families; continuity runs over every event pair with direction-aware
     verdicts, so a sampled subspace similarity can never certify a spurious
-    failure.
+    failure.  Every check that is not ``pass`` carries a witness.
     """
+    _check_event_samples(event_samples)
     cfg = cfg or SamplerConfig()
     st = p.structure
     fld = fld or p.field
@@ -194,23 +166,26 @@ def validate_measure(p: ProbabilityMeasure,
         events = list(fld.events)
     else:
         events = _sampled_events(st, cfg, event_samples)
-    checks: list[MeasureCheck] = []
-
     v_empty = evaluate(p, lat.empty(st))
-    checks.append(MeasureCheck(
-        "empty_event_zero",
-        PASS if abs(v_empty) <= TOL_EQ else FAIL_CERTIFIED,
-        None if abs(v_empty) <= TOL_EQ else {"value": v_empty}))
-
     v_full = evaluate(p, lat.full(st))
-    checks.append(MeasureCheck(
-        "full_event_one",
-        PASS if abs(v_full - 1.0) <= TOL_EQ else FAIL_CERTIFIED,
-        None if abs(v_full - 1.0) <= TOL_EQ else {"value": v_full}))
+    return Report([
+        _exact_check("empty_event_zero", abs(v_empty), {"value": v_empty}),
+        _exact_check("full_event_one", abs(v_full - 1.0), {"value": v_full}),
+        _additivity_check(p, events),
+        _continuity_check(p, events, cfg),
+    ])
 
-    checks.append(_additivity_check(p, events))
-    checks.append(_continuity_check(p, events, cfg))
-    return MeasureReport(checks)
+
+def _exact_check(law: str, residual: float, witness: dict) -> Check:
+    """``pass``, or ``fail-certified`` with ``witness`` past ``TOL_EQ``."""
+    if residual <= TOL_EQ:
+        return Check(law)
+    return Check(law, FAIL_CERTIFIED, witnesses=[witness])
+
+
+def _check_event_samples(count: int) -> None:
+    if count < 0:
+        raise FormatError(f"event samples must be >= 0, got {count}")
 
 
 def _sampled_events(st: SPStructure, cfg: SamplerConfig,
@@ -233,7 +208,7 @@ def _sampled_events(st: SPStructure, cfg: SamplerConfig,
     return events
 
 
-def _additivity_check(p: ProbabilityMeasure, events: list[Subspace]) -> MeasureCheck:
+def _additivity_check(p: ProbabilityMeasure, events: list[Subspace]) -> Check:
     worst = 0.0
     witness = None
     nonzero = [e for e in events if not e.is_empty]
@@ -271,16 +246,12 @@ def _additivity_check(p: ProbabilityMeasure, events: list[Subspace]) -> MeasureC
         if res > worst:
             worst = res
             witness = {"family_size": len(family), "residual": res}
-    ok = worst <= TOL_EQ
-    return MeasureCheck("orthogonal_additivity",
-                        PASS if ok else FAIL_CERTIFIED,
-                        witness if not ok else None)
+    return _exact_check("orthogonal_additivity", worst, witness)
 
 
 def _continuity_check(p: ProbabilityMeasure, events: list[Subspace],
-                      cfg: SamplerConfig) -> MeasureCheck:
-    status = PASS
-    witness = None
+                      cfg: SamplerConfig) -> Check:
+    uncertified = None
     for a in events:
         pa = evaluate(p, a)
         for b in events:
@@ -291,18 +262,15 @@ def _continuity_check(p: ProbabilityMeasure, events: list[Subspace],
             if pa <= lo + TOL_EQ:
                 continue
             if s_ab.is_exact:
-                status = FAIL_CERTIFIED
-                witness = {"events": [a.to_literal(), b.to_literal()],
-                           "p_A": pa, "p_B": evaluate(p, b),
-                           "similarity": s_ab.value,
-                           "bound": lo}
-                return MeasureCheck("continuity_bound", status, witness)
-            if status == PASS:
-                status = INCONCLUSIVE
-                witness = {"events": [a.to_literal(), b.to_literal()],
-                           "note": "sampled similarity cannot certify"}
-    return MeasureCheck("continuity_bound", status,
-                        witness if status != PASS else None)
+                return Check("continuity_bound", FAIL_CERTIFIED, witnesses=[{
+                    "events": [a.to_literal(), b.to_literal()],
+                    "p_A": pa, "p_B": evaluate(p, b),
+                    "similarity": s_ab.value, "bound": lo}])
+            if uncertified is None:
+                uncertified = Check("continuity_bound", INCONCLUSIVE, witnesses=[{
+                    "events": [a.to_literal(), b.to_literal()],
+                    "note": "sampled similarity cannot certify"}])
+    return uncertified or Check("continuity_bound")
 
 
 def measures_equal(p: ProbabilityMeasure, q: ProbabilityMeasure,
@@ -310,6 +278,7 @@ def measures_equal(p: ProbabilityMeasure, q: ProbabilityMeasure,
                    samples: int = 1000, seed: int = 0,
                    tol: float = TOL_UNIT) -> bool:
     """Agreement within ``tol`` on a field (or on seeded subspaces)."""
+    _check_event_samples(samples)
     ensure_same_structure(p.structure, q.structure)
     st = p.structure
     if fld is not None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from . import lattice as lat
 from .errors import ClosureCapExceeded, EventNotInField, TripleEnumerationTooLarge
 from .lattice import Subspace
-from .structures import SPStructure, ensure_same_structure
+from .structures import Check, Report, SPStructure, ensure_same_structure
 
 DEFAULT_CAP = 4096
 BOOLEAN_CAP = 512
@@ -140,49 +140,32 @@ def _as_subspace(st: SPStructure, g) -> Subspace:
     return lat.from_points(st, g)
 
 
-@dataclass
-class FieldCheck:
-    name: str
-    ok: bool
-    witness: dict | None = None
+def validate_sigma_star(fld: SigmaStarField) -> Report:
+    """Re-verify the closure properties and the lattice laws on the members.
 
-    def as_dict(self) -> dict:
-        out = {"name": self.name, "ok": self.ok}
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
-
-
-@dataclass
-class FieldReport:
-    checks: list[FieldCheck]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def as_dict(self) -> dict:
-        return {"checks": [c.as_dict() for c in self.checks], "ok": self.ok}
-
-
-def validate_sigma_star(fld: SigmaStarField) -> FieldReport:
-    """Re-verify the closure properties and the lattice laws on the members."""
+    Each check is ``pass`` or ``fail``; a failed closure or member law names
+    the offending events.
+    """
     if fld.capped:
         raise ClosureCapExceeded("capped family is not valid for downstream use",
                                  partial=fld)
     st = fld.structure
     events = fld.events
-    checks: list[FieldCheck] = []
+    checks: list[Check] = []
 
-    checks.append(FieldCheck("contains_empty", lat.empty(st) in fld))
-    checks.append(FieldCheck("contains_full", lat.full(st) in fld))
+    def record(law: str, ok: bool, witness: dict | None = None) -> None:
+        checks.append(Check(law))
+        checks[-1].hit(ok, witness=witness)
+
+    record("contains_empty", lat.empty(st) in fld)
+    record("contains_full", lat.full(st) in fld)
 
     missing = None
     for i, a in enumerate(events):
         if lat.ortho_complement(a) not in fld:
             missing = {"event_index": i, "op": "complement"}
             break
-    checks.append(FieldCheck("complement_closed", missing is None, missing))
+    record("complement_closed", missing is None, missing)
 
     missing = None
     for i, a in enumerate(events):
@@ -193,7 +176,7 @@ def validate_sigma_star(fld: SigmaStarField) -> FieldReport:
                 break
         if missing:
             break
-    checks.append(FieldCheck("orthogonal_sum_closed", missing is None, missing))
+    record("orthogonal_sum_closed", missing is None, missing)
 
     missing = None
     for i, a in enumerate(events):
@@ -203,7 +186,7 @@ def validate_sigma_star(fld: SigmaStarField) -> FieldReport:
                 break
         if missing:
             break
-    checks.append(FieldCheck("intersection_closed", missing is None, missing))
+    record("intersection_closed", missing is None, missing)
 
     bad = None
     for i, a in enumerate(events):
@@ -212,7 +195,7 @@ def validate_sigma_star(fld: SigmaStarField) -> FieldReport:
                 and lat.meet(a, comp) == lat.empty(st)):
             bad = {"event_index": i}
             break
-    checks.append(FieldCheck("complement_partition", bad is None, bad))
+    record("complement_partition", bad is None, bad)
 
     bad = None
     for i, a in enumerate(events):
@@ -222,9 +205,9 @@ def validate_sigma_star(fld: SigmaStarField) -> FieldReport:
                 break
         if bad:
             break
-    checks.append(FieldCheck("orthomodular_members", bad is None, bad))
+    record("orthomodular_members", bad is None, bad)
 
-    return FieldReport(checks)
+    return Report(checks)
 
 
 def atoms(fld: SigmaStarField) -> list[Subspace]:

@@ -40,7 +40,7 @@ from .lattice import (
     similarity_to_subspace,
 )
 from .structures import TOL_EQ, Point, SPStructure, as_point, ensure_same_structure, similarity
-from .structures import FAIL_CERTIFIED, INCONCLUSIVE, PASS, worst
+from .structures import FAIL_CERTIFIED, INCONCLUSIVE, PASS, Check, Report, worst
 
 EXACT = "exact"
 SAMPLED = "upper-bound-sampled"
@@ -73,6 +73,8 @@ class SamplerConfig:
             raise FormatError(f"sampler needs samples >= 1, got {self.samples}")
         if self.refine_top < 0:
             raise FormatError(f"sampler needs refine_top >= 0, got {self.refine_top}")
+        if self.seed < 0:
+            raise FormatError(f"sampler needs seed >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -400,31 +402,8 @@ def continuity_rhs(base: float, link: SimilarityEstimate | float) -> tuple[float
 # theorem checks
 
 
-@dataclass
-class TheoremCheck:
-    law: str
-    status: str
-    detail: dict
-
-    def as_dict(self) -> dict:
-        return {"law": self.law, "status": self.status, "detail": self.detail}
-
-
-@dataclass
-class SimilarityTheoremsReport:
-    entries: list[TheoremCheck]
-
-    @property
-    def overall(self) -> str:
-        return worst(e.status for e in self.entries)
-
-    def as_dict(self) -> dict:
-        return {"entries": [e.as_dict() for e in self.entries],
-                "overall": self.overall}
-
-
 def check_similarity_theorems(a: Subspace, b: Subspace, c: Subspace,
-                              cfg: SamplerConfig | None = None) -> SimilarityTheoremsReport:
+                              cfg: SamplerConfig | None = None) -> Report:
     """Exercise the subspace-similarity laws on one triple.
 
     Checks, with direction-aware verdicts: the vantage bound (a member of
@@ -433,8 +412,6 @@ def check_similarity_theorems(a: Subspace, b: Subspace, c: Subspace,
     continuity bound ``s(A,B) <= s(A,C) + sqrt(1 - s(B,C))/2 + (1 - s(B,C))``.
     """
     cfg = cfg or SamplerConfig()
-    entries: list[TheoremCheck] = []
-
     s_ab = subspace_similarity(a, b, cfg)
     s_ac = subspace_similarity(a, c, cfg)
     s_bc = subspace_similarity(b, c, cfg)
@@ -444,9 +421,8 @@ def check_similarity_theorems(a: Subspace, b: Subspace, c: Subspace,
     for x in a.basis_points():
         sxb = similarity_to_subspace(x, b)
         detail["pairs"].append({"s_xB": sxb, "verdict": compare_leq(s_ab, sxb)})
-    entries.append(TheoremCheck(
-        "similarity.vantage_bound",
-        worst(pair["verdict"] for pair in detail["pairs"]), detail))
+    vantage = Check("similarity.vantage_bound",
+                    worst(pair["verdict"] for pair in detail["pairs"]), detail=detail)
 
     # identity characterization
     equal = a == b
@@ -459,9 +435,8 @@ def check_similarity_theorems(a: Subspace, b: Subspace, c: Subspace,
         status = FAIL_CERTIFIED  # distinct subspaces with similarity 1
     else:
         status = INCONCLUSIVE
-    entries.append(TheoremCheck(
-        "similarity.identity_iff_equal", status,
-        {"equal": equal, "value": s_ab.value, "certainty": s_ab.certainty}))
+    identity = Check("similarity.identity_iff_equal", status, detail={
+        "equal": equal, "value": s_ab.value, "certainty": s_ab.certainty})
 
     # triangle-like bound through C
     rhs = continuity_rhs(s_ac.interval()[0], s_bc)
@@ -475,12 +450,11 @@ def check_similarity_theorems(a: Subspace, b: Subspace, c: Subspace,
         status = PASS if s_ab.value <= rhs_hi + TOL_EQ else FAIL_CERTIFIED
     else:
         status = INCONCLUSIVE
-    entries.append(TheoremCheck(
-        "similarity.triangle_bound", status,
-        {"s_AB": s_ab.value, "s_AC": s_ac.value, "s_BC": s_bc.value,
-         "rhs_interval": list(rhs)}))
+    triangle = Check("similarity.triangle_bound", status, detail={
+        "s_AB": s_ab.value, "s_AC": s_ac.value, "s_BC": s_bc.value,
+        "rhs_interval": list(rhs)})
 
-    return SimilarityTheoremsReport(entries)
+    return Report([vantage, identity, triangle])
 
 
 # ---------------------------------------------------------------------------

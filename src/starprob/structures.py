@@ -62,6 +62,83 @@ def worst(statuses) -> str:
     return max(statuses, key=_VERDICT_RANK.__getitem__, default=PASS)
 
 
+MAX_WITNESSES = 3  # witnesses kept per check
+
+
+@dataclass
+class Check:
+    """The record of one law, as every validator and suite reports it.
+
+    ``status`` starts where the law's evidence starts (``pass`` for exact
+    checks, ``sampled-pass`` for seeded ones) and moves up the ladder as
+    trials come in; a validator that decides a law in one step sets it
+    directly.  ``witnesses`` keeps the first few failures, so a ``fail``
+    can be re-checked by hand.
+    """
+
+    law: str
+    status: str = PASS
+    trials: int = 0
+    failures: int = 0
+    inconclusive: int = 0
+    max_residual: float = 0.0
+    witnesses: list = field(default_factory=list)
+    detail: dict | None = None
+
+    @property
+    def witness(self):
+        """The first witness, or ``None``."""
+        return self.witnesses[0] if self.witnesses else None
+
+    def hit(self, ok: bool, residual: float = 0.0, witness=None,
+            trials: int = 1) -> None:
+        """Record ``trials`` trials that held (``ok``) or failed together."""
+        self.trials += trials
+        if residual > self.max_residual:
+            self.max_residual = residual
+        if not ok:
+            self.fail(witness)
+
+    def soft(self, verdict: str, witness=None) -> None:
+        """Record one direction-aware verdict; ``fail-certified`` counts as
+        a failure and ``inconclusive`` as an uncertified trial."""
+        self.trials += 1
+        if verdict == FAIL_CERTIFIED:
+            self.fail(witness)
+        elif verdict == INCONCLUSIVE:
+            self.inconclusive += 1
+            self.status = worst((self.status, INCONCLUSIVE))
+
+    def fail(self, witness=None, count: int = 1) -> None:
+        """Count ``count`` failures (trials are counted by the caller)."""
+        self.failures += count
+        self.status = FAIL
+        if witness is not None and len(self.witnesses) < MAX_WITNESSES:
+            self.witnesses.append(witness)
+
+
+@dataclass
+class Report:
+    """The checks of one validator or suite, in the order they ran."""
+
+    checks: list[Check] = field(default_factory=list)
+
+    @property
+    def overall(self) -> str:
+        return worst(c.status for c in self.checks)
+
+    @property
+    def ok(self) -> bool:
+        return self.overall == PASS
+
+    def check(self, law: str) -> Check:
+        """The check recorded for ``law``; ``KeyError`` if there is none."""
+        for c in self.checks:
+            if c.law == law:
+                return c
+        raise KeyError(law)
+
+
 Point = Union[int, np.ndarray]
 
 CLASSICAL = "classical"

@@ -1,9 +1,10 @@
 """Seeded property suites over the whole stack.
 
-Each suite runs a family of law checks and reports one record per law:
-trials, failures, worst residual, and up to three witnesses.  Everything is
-driven by one seed, so identical invocations produce identical reports
-(wall time is kept out of the JSON form on purpose).
+Each suite runs a family of law checks and reports one
+:class:`~starprob.structures.Check` per law: trials, failures, worst
+residual, and up to three witnesses.  Everything is driven by one seed, so
+identical invocations produce identical reports (the command line times a
+run, but keeps wall time out of the JSON form on purpose).
 
 Law identifiers are stable strings used by the command-line reports and the
 acceptance tests.
@@ -12,20 +13,29 @@ acceptance tests.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field as dc_field
 from itertools import chain, combinations
 
 import numpy as np
 
+from . import io as spio
 from . import lattice as lat
 from . import measures as meas
 from . import randomvars as rv_mod
 from . import sigma as sig
 from . import similarity as sim
 from . import structures as core
-from .structures import SPStructure, as_point, random_frame, random_unit_vector
-from .structures import FAIL, FAIL_CERTIFIED, INCONCLUSIVE, PASS, worst
+from .errors import FormatError
+from .structures import (
+    FAIL_CERTIFIED,
+    INCONCLUSIVE,
+    PASS,
+    Check,
+    Report,
+    SPStructure,
+    as_point,
+    random_frame,
+    random_unit_vector,
+)
 
 DEFAULT_SCALE = 200
 _LATTICE_DIMS = (2, 3, 4, 5)
@@ -33,89 +43,14 @@ _LATTICE_DIMS = (2, 3, 4, 5)
 SUITE_IDS = ("lattice", "similarity", "sigma", "prob", "rv", "all")
 
 
-@dataclass
-class CheckRecord:
-    law: str
-    trials: int = 0
-    failures: int = 0
-    inconclusive: int = 0
-    max_residual: float = 0.0
-    witnesses: list = dc_field(default_factory=list)
-
-    @property
-    def status(self) -> str:
-        if self.failures:
-            return FAIL
-        if self.inconclusive:
-            return INCONCLUSIVE
-        return PASS
-
-    def hit(self, ok: bool, residual: float = 0.0, witness=None) -> None:
-        self.trials += 1
-        if residual > self.max_residual:
-            self.max_residual = residual
-        if not ok:
-            self.failures += 1
-            if witness is not None and len(self.witnesses) < 3:
-                self.witnesses.append(witness)
-
-    def soft(self, verdict: str, witness=None) -> None:
-        """Record a direction-aware verdict (pass / fail-certified / inconclusive)."""
-        self.trials += 1
-        if verdict == FAIL_CERTIFIED:
-            self.failures += 1
-            if witness is not None and len(self.witnesses) < 3:
-                self.witnesses.append(witness)
-        elif verdict == INCONCLUSIVE:
-            self.inconclusive += 1
-
-    def as_dict(self) -> dict:
-        return {
-            "law": self.law,
-            "trials": self.trials,
-            "failures": self.failures,
-            "inconclusive": self.inconclusive,
-            "max_residual": self.max_residual,
-            "status": self.status,
-            "witnesses": self.witnesses,
-        }
-
-
-@dataclass
-class SuiteReport:
-    suite: str
-    seed: int
-    scale: int
-    checks: list[CheckRecord]
-    wall_time: float = 0.0
-
-    @property
-    def overall(self) -> str:
-        return worst(c.status for c in self.checks)
-
-    def as_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "seed": self.seed,
-            "scale": self.scale,
-            "checks": [c.as_dict() for c in self.checks],
-            "overall": self.overall,
-        }
-
-
 def run_property_suite(suite_id: str, seed: int,
-                       scale: int = DEFAULT_SCALE) -> SuiteReport:
+                       scale: int = DEFAULT_SCALE) -> Report:
     if suite_id not in SUITE_IDS:
         raise ValueError(f"unknown suite {suite_id!r}; choose from {SUITE_IDS}")
-    start = time.perf_counter()
-    if suite_id == "all":
-        checks = []
-        for part in ("lattice", "similarity", "sigma", "prob", "rv"):
-            checks.extend(_SUITES[part](seed, scale))
-    else:
-        checks = _SUITES[suite_id](seed, scale)
-    return SuiteReport(suite=suite_id, seed=seed, scale=scale, checks=checks,
-                       wall_time=time.perf_counter() - start)
+    if seed < 0:
+        raise FormatError(f"suites need seed >= 0, got {seed}")
+    parts = tuple(_SUITES) if suite_id == "all" else (suite_id,)
+    return Report([c for part in parts for c in _SUITES[part](seed, scale)])
 
 
 # ---------------------------------------------------------------------------
@@ -153,14 +88,14 @@ def _explicit_subspaces(st: SPStructure) -> list[lat.Subspace]:
 # lattice suite
 
 
-def lattice_suite(seed: int, scale: int) -> list[CheckRecord]:
+def lattice_suite(seed: int, scale: int) -> list[Check]:
     rng = np.random.default_rng(seed)
-    comp = CheckRecord("lattice.complement_partition")
-    invol = CheckRecord("lattice.involution")
-    dims = CheckRecord("lattice.dimension_partition")
-    ortho = CheckRecord("lattice.orthomodular")
-    demorgan = CheckRecord("lattice.de_morgan")
-    algebra = CheckRecord("lattice.absorption_idempotence")
+    comp = Check("lattice.complement_partition")
+    invol = Check("lattice.involution")
+    dims = Check("lattice.dimension_partition")
+    ortho = Check("lattice.orthomodular")
+    demorgan = Check("lattice.de_morgan")
+    algebra = Check("lattice.absorption_idempotence")
 
     def exercise(st, a, b, c, total_dim):
         ca = lat.ortho_complement(a)
@@ -204,7 +139,7 @@ def lattice_suite(seed: int, scale: int) -> list[CheckRecord]:
             for c in wheel_subs:
                 exercise(wheel, a, b, c, 2)
 
-    witness_check = CheckRecord("lattice.nondistributive_witness")
+    witness_check = Check("lattice.nondistributive_witness")
     st2 = SPStructure.ray(2)
     line0 = lat.from_span(st2, [[1.0, 0.0]])
     line45 = lat.from_span(st2, [[1.0, 1.0]])
@@ -218,7 +153,7 @@ def lattice_suite(seed: int, scale: int) -> list[CheckRecord]:
     witness_check.hit(not lat.distributes(a0, a45, a90),
                       witness={"points": ["r0", "r45", "r90"]})
 
-    boolean = CheckRecord("lattice.classical_boolean")
+    boolean = Check("lattice.classical_boolean")
     for a in subsets:
         for b in subsets:
             for c in subsets:
@@ -231,20 +166,20 @@ def lattice_suite(seed: int, scale: int) -> list[CheckRecord]:
 # similarity suite
 
 
-def similarity_suite(seed: int, scale: int) -> list[CheckRecord]:
+def similarity_suite(seed: int, scale: int) -> list[Check]:
     rng = np.random.default_rng(seed)
-    singleton = CheckRecord("similarity.singleton_reduction")
-    line_formula = CheckRecord("similarity.exact_line_formula")
-    identity = CheckRecord("similarity.identity_iff_equal")
-    vantage = CheckRecord("similarity.vantage_bound")
-    triangle = CheckRecord("similarity.triangle_bound_discrete")
-    triangle_ray = CheckRecord("similarity.triangle_bound_ray_lines")
-    triangle_planes = CheckRecord("similarity.triangle_bound_ray_planes")
-    continuity = CheckRecord("similarity.point_continuity_discrete")
-    continuity_ray = CheckRecord("similarity.point_continuity_ray")
-    continuity_unit = CheckRecord("similarity.point_continuity_unit_coefficient")
-    monotone = CheckRecord("similarity.monotone_sampling")
-    symmetric = CheckRecord("similarity.symmetric_estimates")
+    singleton = Check("similarity.singleton_reduction")
+    line_formula = Check("similarity.exact_line_formula")
+    identity = Check("similarity.identity_iff_equal")
+    vantage = Check("similarity.vantage_bound")
+    triangle = Check("similarity.triangle_bound_discrete")
+    triangle_ray = Check("similarity.triangle_bound_ray_lines")
+    triangle_planes = Check("similarity.triangle_bound_ray_planes")
+    continuity = Check("similarity.point_continuity_discrete")
+    continuity_ray = Check("similarity.point_continuity_ray")
+    continuity_unit = Check("similarity.point_continuity_unit_coefficient")
+    monotone = Check("similarity.monotone_sampling")
+    symmetric = Check("similarity.symmetric_estimates")
 
     # singleton reduction, every model
     st4 = SPStructure.classical(4)
@@ -355,10 +290,9 @@ def similarity_suite(seed: int, scale: int) -> list[CheckRecord]:
         a = lat.from_span(st4r, random_frame(4, 2, rng).T)
         b = lat.from_span(st4r, random_frame(4, 2, rng).T)
         c = lat.from_span(st4r, random_frame(4, 2, rng).T)
-        report = sim.check_similarity_theorems(a, b, c, small_cfg)
-        for entry in report.entries:
-            if entry.law == "similarity.triangle_bound":
-                triangle_planes.soft(entry.status, witness=entry.detail)
+        bound = sim.check_similarity_theorems(a, b, c, small_cfg).check(
+            "similarity.triangle_bound")
+        triangle_planes.soft(bound.status, witness=bound.detail)
 
     # pointwise continuity: the ray model violates the half-coefficient
     # bound (tight coefficient on the square root is 1), so the ray record
@@ -379,20 +313,17 @@ def similarity_suite(seed: int, scale: int) -> list[CheckRecord]:
         excess_half = lhs - (szy + 0.5 * gap + (1 - sxy))
         excess_unit = lhs - (szy + gap)
         bad = int(np.sum(excess_half > core.TOL_EQ))
-        continuity_ray.trials += n
-        continuity_ray.failures += bad
-        continuity_ray.max_residual = max(continuity_ray.max_residual,
-                                          float(np.max(excess_half)))
-        if bad and len(continuity_ray.witnesses) < 3:
+        continuity_ray.hit(True, float(np.max(excess_half)), trials=n)
+        if bad:
             worst_at = int(np.argmax(excess_half))
-            continuity_ray.witnesses.append({
+            continuity_ray.fail({
                 "x": xs[worst_at].tolist(), "y": ys[worst_at].tolist(),
                 "z": zs[worst_at].tolist(),
-                "excess": float(excess_half[worst_at])})
-        continuity_unit.trials += n
-        continuity_unit.failures += int(np.sum(excess_unit > core.TOL_EQ))
-        continuity_unit.max_residual = max(
-            continuity_unit.max_residual, max(0.0, float(np.max(excess_unit))))
+                "excess": float(excess_half[worst_at])}, count=bad)
+        bad = int(np.sum(excess_unit > core.TOL_EQ))
+        continuity_unit.hit(True, max(0.0, float(np.max(excess_unit))), trials=n)
+        if bad:
+            continuity_unit.fail(count=bad)
     for st in (st4, wheel):
         pts = range(st.n)
         for x in pts:
@@ -429,14 +360,14 @@ def similarity_suite(seed: int, scale: int) -> list[CheckRecord]:
 # sigma suite
 
 
-def sigma_suite(seed: int, scale: int) -> list[CheckRecord]:
-    powerset = CheckRecord("sigma.powerset_equivalence")
-    line_field = CheckRecord("sigma.single_line_field")
-    idempotent = CheckRecord("sigma.idempotent_generation")
-    intersections = CheckRecord("sigma.intersection_closure")
-    members = CheckRecord("sigma.member_laws")
-    atoms_check = CheckRecord("sigma.atomic_decomposition")
-    boolean = CheckRecord("sigma.boolean_classification")
+def sigma_suite(seed: int, scale: int) -> list[Check]:
+    powerset = Check("sigma.powerset_equivalence")
+    line_field = Check("sigma.single_line_field")
+    idempotent = Check("sigma.idempotent_generation")
+    intersections = Check("sigma.intersection_closure")
+    members = Check("sigma.member_laws")
+    atoms_check = Check("sigma.atomic_decomposition")
+    boolean = Check("sigma.boolean_classification")
 
     fields = []
 
@@ -496,7 +427,7 @@ def sigma_suite(seed: int, scale: int) -> list[CheckRecord]:
 
         report = sig.validate_sigma_star(fld)
         members.hit(report.ok,
-                    witness=None if report.ok else report.as_dict())
+                    witness=None if report.ok else spio.field_report_to_dict(report))
 
         ats = sig.atoms(fld)
         for event in fld.events:
@@ -512,14 +443,14 @@ def sigma_suite(seed: int, scale: int) -> list[CheckRecord]:
 # probability suite
 
 
-def prob_suite(seed: int, scale: int) -> list[CheckRecord]:
+def prob_suite(seed: int, scale: int) -> list[Check]:
     rng = np.random.default_rng(seed)
-    pure_axioms = CheckRecord("prob.pure_state_axioms")
-    detection = CheckRecord("prob.additivity_violation_detected")
-    affine = CheckRecord("prob.mixing_affine")
-    nonfree = CheckRecord("prob.nonfree_mixture_identity")
-    classical_red = CheckRecord("prob.classical_reduction")
-    gleason = CheckRecord("prob.d2_table_beyond_mixtures")
+    pure_axioms = Check("prob.pure_state_axioms")
+    detection = Check("prob.additivity_violation_detected")
+    affine = Check("prob.mixing_affine")
+    nonfree = Check("prob.nonfree_mixture_identity")
+    classical_red = Check("prob.classical_reduction")
+    gleason = Check("prob.d2_table_beyond_mixtures")
 
     st2 = SPStructure.ray(2)
     fld_line = sig.generate_sigma_star(st2, [lat.from_span(st2, [[1.0, 0.0]])])
@@ -541,8 +472,8 @@ def prob_suite(seed: int, scale: int) -> list[CheckRecord]:
         for raw in points:
             report = meas.validate_measure(meas.pure_state(st, raw), fld)
             pure_axioms.soft(report.overall,
-                             witness=None if report.overall == PASS
-                             else report.as_dict())
+                             witness=None if report.ok
+                             else spio.measure_report_to_dict(report))
 
     # a broken table is caught with a witness
     vals = [0.0] * len(fld_line.events)
@@ -551,8 +482,7 @@ def prob_suite(seed: int, scale: int) -> list[CheckRecord]:
     vals[fld_line.index_of(lat.from_span(st2, [[0.0, 1.0]]))] = 0.6
     bad = meas.table_measure(fld_line, vals)
     report = meas.validate_measure(bad, fld_line)
-    additivity = next(c for c in report.checks
-                      if c.name == "orthogonal_additivity")
+    additivity = report.check("orthogonal_additivity")
     detection.hit(additivity.status == FAIL_CERTIFIED
                   and additivity.witness is not None,
                   witness={"status": additivity.status})
@@ -632,14 +562,13 @@ def _gleason_fixture(st2: SPStructure, fld_two: sig.SigmaStarField):
     values[fld_two.index_of(lat.ortho_complement(line2))] = 0.7
     table = meas.table_measure(fld_two, values)
     report = meas.validate_measure(table, fld_two)
-    by_name = {c.name: c for c in report.checks}
+    continuity = report.check("continuity_bound")
     checks = []
-    checks.append((by_name["empty_event_zero"].status == PASS
-                   and by_name["full_event_one"].status == PASS
-                   and by_name["orthogonal_additivity"].status == PASS,
+    checks.append((all(report.check(law).status == PASS for law in (
+        "empty_event_zero", "full_event_one", "orthogonal_additivity")),
                    {"note": "pointwise and additivity axioms hold"}))
-    checks.append((by_name["continuity_bound"].status == FAIL_CERTIFIED,
-                   {"witness": by_name["continuity_bound"].witness}))
+    checks.append((continuity.status == FAIL_CERTIFIED,
+                   {"witness": continuity.witness}))
 
     # brute grid over two-point mixtures w * p_theta + (1-w) * p_phi
     thetas = np.linspace(0.0, math.pi, 61)
@@ -666,14 +595,14 @@ def _gleason_fixture(st2: SPStructure, fld_two: sig.SigmaStarField):
 # random-variable suite
 
 
-def rv_suite(seed: int, scale: int) -> list[CheckRecord]:
+def rv_suite(seed: int, scale: int) -> list[Check]:
     rng = np.random.default_rng(seed)
-    expect_id = CheckRecord("rv.expectation_identity")
-    die = CheckRecord("rv.classical_die")
-    pre = CheckRecord("rv.preimage_orthogonality")
-    partial = CheckRecord("rv.partiality_dichotomy")
-    compat = CheckRecord("rv.compatibility")
-    affine = CheckRecord("rv.expectation_affine")
+    expect_id = Check("rv.expectation_identity")
+    die = Check("rv.classical_die")
+    pre = Check("rv.preimage_orthogonality")
+    partial = Check("rv.partiality_dichotomy")
+    compat = Check("rv.compatibility")
+    affine = Check("rv.expectation_affine")
 
     # seeded ray cases for the expectation identity
     cases = max(10, 5 * scale // 2)

@@ -14,9 +14,11 @@ companion unit-coefficient check passing on the very same triples shows
 the failure is analytic, not numerical.
 """
 
+import hashlib
 import itertools
 import json
 import math
+import pathlib
 import time
 
 import numpy as np
@@ -53,6 +55,8 @@ from starprob.structures import as_point, similarity as point_sim
 
 SEED = 42
 SCALE = 200
+# sha256 of `suite all --seed 42 --json`; a deliberate output change rewrites it
+SUITE_ALL_SHA256 = pathlib.Path(__file__).resolve().parent / "golden" / "suite_all_seed42.sha256"
 
 
 def record(log, number, title, ok, detail):
@@ -248,9 +252,7 @@ def test_c05_measure_axioms(acceptance_log, fixture_dir):
 
     bad = load_measure(r2, fixture_dir / "measure_table_bad_additivity.json")
     bad_report = validate_measure(bad)
-    bad_check = next(
-        c for c in bad_report.checks if c.name == "orthogonal_additivity"
-    )
+    bad_check = bad_report.check("orthogonal_additivity")
     rejected = (
         bad_report.overall == "fail-certified"
         and bad_check.witness is not None
@@ -350,7 +352,7 @@ def test_c08_axiom_validator(acceptance_log, fixture_dir):
 
     bad = load_structure(fixture_dir / "bad3x3.json")
     bad_report = validate_sp_axioms(bad)
-    witness = bad_report.verdicts["o_projection"].witness
+    witness = bad_report.check("o_projection").witness
     # re-verify the witness exhaustively: 0 < s(b, {a}) < 1 and no point
     # of the table is orthogonal to `a`, so no orthogonal witness exists
     b_idx, a_idx = bad.label_index("b"), bad.label_index("a")
@@ -370,7 +372,7 @@ def test_c08_axiom_validator(acceptance_log, fixture_dir):
         for d in (2, 3)
     ]
     ray_ok = all(r.overall == SAMPLED_PASS for r in ray_reports) and all(
-        v.max_residual <= 1e-9 for r in ray_reports for v in r.verdicts.values()
+        c.max_residual <= 1e-9 for r in ray_reports for c in r.checks
     )
 
     ok = classical_ok and witness_ok and ray_ok
@@ -468,11 +470,15 @@ def test_c10_deterministic_suite(acceptance_log, capsys):
     out_b = capsys.readouterr().out
 
     identical = out_a == out_b and code_a == code_b
+    digest = hashlib.sha256(out_a.encode()).hexdigest()
+    pinned = digest == SUITE_ALL_SHA256.read_text().strip()
     payload = json.loads(out_a)
-    ok = identical and wall < 60.0 and payload["report_version"] == 1
+    ok = identical and pinned and wall < 60.0 and payload["report_version"] == 1
     record(
         acceptance_log, 10, "suite all --seed 42 is byte-identical",
-        ok, f"{len(out_a)} bytes, one run {wall:.1f}s (budget 60s)",
+        ok, f"{len(out_a)} bytes, sha256 {digest[:12]}, one run {wall:.1f}s "
+            "(budget 60s)",
     )
     assert identical
+    assert pinned, f"suite all --seed 42 --json digest {digest} is not the pinned one"
     assert wall < 60.0, f"full suite took {wall:.1f}s, budget is 60s"

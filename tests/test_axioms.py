@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 from starprob import AXIOMS, SPStructure, ValidationBudget, validate_sp_axioms
+from starprob import structures as core
 from starprob.axioms import FAIL, PASS, SAMPLED_PASS, o_projection_point
 from starprob.errors import BudgetRequired
-from starprob.io import load_structure
+from starprob.io import load_structure, validate_report_to_dict
 from starprob.structures import as_point
 
 
@@ -35,12 +36,12 @@ class TestClassicalModel:
         report = validate_sp_axioms(classical4)
         assert report.overall == PASS
         for name in AXIOMS:
-            assert report.verdicts[name].status == PASS, name
+            assert report.check(name).status == PASS, name
 
     def test_residuals_are_zero(self, classical4):
         report = validate_sp_axioms(classical4)
         for name in AXIOMS:
-            assert report.verdicts[name].max_residual <= 1e-15
+            assert report.check(name).max_residual <= 1e-15
 
 
 class TestRayModel:
@@ -49,17 +50,31 @@ class TestRayModel:
     def test_overall_is_sampled_pass(self, ray3):
         report = validate_sp_axioms(ray3, ValidationBudget(samples=200, seed=7))
         assert report.overall == SAMPLED_PASS
-        assert all(v.status in (PASS, SAMPLED_PASS) for v in report.verdicts.values())
+        assert all(v.status in (PASS, SAMPLED_PASS) for v in report.checks)
 
     def test_sampled_residuals_tiny(self, ray3):
         report = validate_sp_axioms(ray3, ValidationBudget(samples=200, seed=7))
-        worst = max(v.max_residual for v in report.verdicts.values())
+        worst = max(v.max_residual for v in report.checks)
         assert worst <= 1e-9
 
+    def test_each_sampled_set_is_validated_once(self, ray3, monkeypatch):
+        """Two orthogonal sets per sample, each pair-checked exactly once."""
+        calls = []
+        pair_check = core.ensure_ortho_set
+
+        def counting(st, points):
+            calls.append(len(points))
+            return pair_check(st, points)
+
+        monkeypatch.setattr(core, "ensure_ortho_set", counting)
+        validate_sp_axioms(ray3, ValidationBudget(samples=50, seed=7))
+        assert len(calls) == 2 * 50
+
     def test_deterministic_given_seed(self, ray2):
-        a = validate_sp_axioms(ray2, ValidationBudget(samples=100, seed=3)).as_dict()
-        b = validate_sp_axioms(ray2, ValidationBudget(samples=100, seed=3)).as_dict()
-        assert a == b
+        a = validate_sp_axioms(ray2, ValidationBudget(samples=100, seed=3))
+        b = validate_sp_axioms(ray2, ValidationBudget(samples=100, seed=3))
+        assert (validate_report_to_dict(ray2, a)
+                == validate_report_to_dict(ray2, b))
 
 
 class TestExplicitModel:
@@ -79,7 +94,7 @@ class TestExplicitModel:
         bad = load_structure(fixture_dir / "bad3x3.json")
         report = validate_sp_axioms(bad)
         assert report.overall == FAIL
-        verdict = report.verdicts["o_projection"]
+        verdict = report.check("o_projection")
         assert verdict.status == FAIL
         assert verdict.witness == {
             "point": "b",
@@ -87,8 +102,8 @@ class TestExplicitModel:
             "similarity_sum": 0.5,
         }
         # the other laws are genuinely fine on this table
-        assert report.verdicts["symmetry"].status == PASS
-        assert report.verdicts["boundedness"].status == PASS
+        assert report.check("symmetry").status == PASS
+        assert report.check("boundedness").status == PASS
 
     def test_large_explicit_needs_explicit_opt_in(self):
         n = 16
@@ -119,7 +134,7 @@ class TestOrthogonalWitness:
 
 
 def test_report_round_trips_to_dict(classical4):
-    d = validate_sp_axioms(classical4).as_dict()
+    d = validate_report_to_dict(classical4, validate_sp_axioms(classical4))
     assert d["overall"] == "pass"
     assert set(d["verdicts"]) == set(AXIOMS)
     assert d["structure"]["kind"] == "classical"

@@ -5,6 +5,7 @@ Exit code contract:
   1  check failed with a certified witness
   2  usage error or unreadable input
   3  sampled evidence only (nothing failed, nothing fully proved)
+  4  internal error (an exception that is not a typed SPError)
 """
 
 import json
@@ -82,12 +83,36 @@ def test_validate_missing_file_is_usage_error(capsys):
     (["prob", "mix"], "ray2.json",
      ["--component", "abc", FIXTURES / "measure_pure_e1.json"],
      "component weight 'abc' is not a number"),
+    (["rv", "preimage"], "classical6.json",
+     [FIXTURES / "rv_die6.json", "--values", "2,abc"],
+     "is not a comma-separated list of numbers"),
+    # a negative seed is rejected before numpy's generator can fail on it
+    (["validate"], "ray2.json", ["--seed", -1, "--samples", 5], "seed >= 0"),
+    (["sim", "subspace"], "ray3.json",
+     ["[[1, 0, 0], [0, 1, 0]]", "[[1, 0, 0], [0, 1, 1e-7]]", "--seed", -1],
+     "seed >= 0"),
+    (["prob", "equal"], "ray2.json",
+     [FIXTURES / "measure_mix_axes.json", FIXTURES / "measure_mix_diagonals.json",
+      "--seed", -1], "seed >= 0"),
+    (["prob", "validate"], "ray2.json",
+     [FIXTURES / "measure_pure_e1.json", "--seed", -1], "seed >= 0"),
+    (["suite", "rv"], None, ["--seed", -1], "seed >= 0"),
+    # and so is a negative count of sampled events
+    (["prob", "validate"], "ray2.json",
+     [FIXTURES / "measure_pure_e1.json", "--event-samples", -1],
+     "event samples must be >= 0"),
+    (["prob", "equal"], "ray2.json",
+     [FIXTURES / "measure_mix_axes.json", FIXTURES / "measure_mix_diagonals.json",
+      "--event-samples", -1], "event samples must be >= 0"),
 ], ids=["validate-samples", "sim-samples", "sim-refine-top",
         "validate-structure-dimension", "validate-explicit-entries",
-        "prob-measure-key", "rv-value", "sigma-cap", "prob-mix-weight"])
+        "prob-measure-key", "rv-value", "sigma-cap", "prob-mix-weight",
+        "rv-preimage-values", "validate-seed", "sim-seed", "prob-equal-seed", "prob-validate-seed",
+        "suite-seed", "prob-validate-event-samples", "prob-equal-event-samples"])
 def test_bad_sampler_budget_is_usage_error(capsys, fixture_dir, cmd, fixture,
                                            rest, message):
-    code = run_command([str(a) for a in [*cmd, fixture_dir / fixture, *rest]])
+    files = [fixture_dir / fixture] if fixture else []
+    code = run_command([str(a) for a in [*cmd, *files, *rest]])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
@@ -105,6 +130,22 @@ def test_lattice_sum_of_lines(capsys, fixture_dir):
     )
     assert code == 0
     assert payload["dim"] == 2
+
+
+def test_internal_error_is_not_a_verdict(capsys, fixture_dir, monkeypatch):
+    """A stray exception exits 4, never 1 (which needs a witness)."""
+    from starprob import lattice
+
+    def broken_join(*operands):
+        raise RuntimeError("join is broken")
+
+    monkeypatch.setattr(lattice, "join", broken_join)
+    code = run_command(["lattice", "sum", str(fixture_dir / "ray2.json"),
+                        "[[1.0, 0.0]]", "[[0.0, 1.0]]"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err == "error: internal: RuntimeError: join is broken\n"
 
 
 def test_lattice_complement(capsys, fixture_dir):

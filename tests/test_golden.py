@@ -10,6 +10,10 @@ replay well under five seconds.
 
 After a deliberate output change, rewrite the expected fields with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+
+The exit-code contract is checked on the recorded reports themselves,
+without running anything: exit 1 needs a failed check that carries a
+witness, and exit 3 needs checks that actually ran.
 """
 
 import contextlib
@@ -37,6 +41,43 @@ def _resolve(argv):
 def test_cli_output_is_unchanged(capsys, case):
     code = run_command(_resolve(case["argv"]))
     assert (code, capsys.readouterr().out) == (case["exit"], case["stdout"])
+
+
+# the golden --json outputs that carry a validator or suite report
+REPORTS = [c for c in CASES if c["stdout"].startswith("{")
+           and "report" in json.loads(c["stdout"])]
+_EXIT = {"pass": 0, "sampled-pass": 3, "inconclusive": 3,
+         "fail": 1, "fail-certified": 1}
+
+
+def _checks(report):
+    """``(status, witnesses)`` per check, whichever report shape it is."""
+    rows = (report["verdicts"].values() if "verdicts" in report
+            else report["checks"])
+    for row in rows:
+        status = row.get("status") or ("pass" if row["ok"] else "fail")
+        witnesses = row.get("witnesses") or (
+            [row["witness"]] if "witness" in row else [])
+        yield status, witnesses
+
+
+@pytest.mark.parametrize("case", REPORTS,
+                         ids=[" ".join(c["argv"]).replace("fixtures/", "")
+                              for c in REPORTS])
+def test_exit_code_follows_the_report(case):
+    report = json.loads(case["stdout"])["report"]
+    checks = list(_checks(report))
+    overall = report.get("overall") or ("pass" if report["ok"] else "fail")
+    assert case["exit"] == _EXIT[overall]
+    if case["exit"] == 1:
+        assert any(status in ("fail", "fail-certified") and witnesses
+                   for status, witnesses in checks)
+    if case["exit"] == 3:
+        assert checks and report.get("checks_performed", 1) > 0
+
+
+def test_report_goldens_cover_every_verdict_exit():
+    assert {c["exit"] for c in REPORTS} == {0, 1, 3}
 
 
 if __name__ == "__main__":

@@ -208,8 +208,9 @@ def test_rv_outcomes_must_be_objects(ray2, tmp_path):
 
 @pytest.mark.parametrize("doc", [
     {"samples": "100"}, {"samples": 1.5}, {"refine_top": True}, {"seed": None},
-    [100, 50, 0],
-], ids=["samples-string", "samples-float", "refine-bool", "seed-null", "list"])
+    {"seed": -1}, [100, 50, 0],
+], ids=["samples-string", "samples-float", "refine-bool", "seed-null",
+        "seed-negative", "list"])
 def test_sampler_budget_must_be_integers(tmp_path, doc):
     with pytest.raises(FormatError):
         load_sampler(_write(tmp_path, "s.json", doc))

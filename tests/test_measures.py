@@ -25,7 +25,7 @@ from starprob import (
     validate_measure,
 )
 from starprob.errors import EventNotInField, WeightsNotConvex
-from starprob.io import load_field, load_measure
+from starprob.io import load_field, load_measure, measure_report_to_dict
 from starprob.measures import FAIL_CERTIFIED, PASS, evaluate
 from starprob.structures import as_point
 
@@ -58,8 +58,8 @@ class TestPureStates:
         ]
         for _, p in cases:
             report = validate_measure(p)
-            assert report.overall == PASS, report.as_dict()
-            assert [c.name for c in report.checks] == [
+            assert report.overall == PASS, measure_report_to_dict(report)
+            assert [c.law for c in report.checks] == [
                 "empty_event_zero",
                 "full_event_one",
                 "orthogonal_additivity",
@@ -87,7 +87,7 @@ class TestTableMeasures:
         m = load_measure(ray2, fixture_dir / "measure_table_bad_additivity.json")
         report = validate_measure(m)
         assert report.overall == FAIL_CERTIFIED
-        check = next(c for c in report.checks if c.name == "orthogonal_additivity")
+        check = report.check("orthogonal_additivity")
         assert check.status == FAIL_CERTIFIED
         assert check.witness["events"] == [[[0.0, 1.0]], [[1.0, 0.0]]]
         assert check.witness["residual"] == pytest.approx(0.2, abs=1e-12)

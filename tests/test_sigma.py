@@ -85,7 +85,7 @@ def test_validator_accepts_generated_fields(ray2, fixture_dir):
     fld = load_field(ray2, fixture_dir / "field_ray2_line.json")
     report = validate_sigma_star(fld)
     assert report.ok
-    assert [c.name for c in report.checks] == [
+    assert [c.law for c in report.checks] == [
         "contains_empty",
         "contains_full",
         "complement_closed",
@@ -94,7 +94,7 @@ def test_validator_accepts_generated_fields(ray2, fixture_dir):
         "complement_partition",
         "orthomodular_members",
     ]
-    assert all(c.ok for c in report.checks)
+    assert all(c.status == "pass" for c in report.checks)
 
 
 def test_validator_rejects_truncated_family(ray2):
@@ -110,7 +110,7 @@ def test_validator_rejects_truncated_family(ray2):
     )
     report = validate_sigma_star(broken)
     assert not report.ok
-    bad = {c.name for c in report.checks if not c.ok}
+    bad = {c.law for c in report.checks if c.status != "pass"}
     assert "complement_closed" in bad
 
 

@@ -296,7 +296,7 @@ def test_theorem_report_on_pinned_triple():
     b = from_span(st, [[1, 0, 1, 0], [0, 1, 0, 1]])
     c = from_span(st, [[0, 0, 1, 0], [0, 1, 0, 0]])
     report = check_similarity_theorems(a, b, c)
-    by_law = {e.law: e.status for e in report.entries}
+    by_law = {c.law: c.status for c in report.checks}
     assert by_law == {
         "similarity.vantage_bound": "pass",
         "similarity.identity_iff_equal": "pass",
@@ -308,7 +308,7 @@ def test_identity_detects_equal_subspaces(ray3):
     a = from_span(ray3, [[1.0, 1.0, 0.0]])
     b = from_span(ray3, [[-2.0, -2.0, 0.0]])
     report = check_similarity_theorems(a, b, ortho_complement(a))
-    entry = {e.law: e for e in report.entries}["similarity.identity_iff_equal"]
+    entry = report.check("similarity.identity_iff_equal")
     assert entry.status == "pass"
     assert entry.detail["equal"] is True
     assert entry.detail["value"] == 1.0

@@ -16,6 +16,8 @@ from starprob.errors import (
     NotOrthoSet,
 )
 from starprob.structures import (
+    Check,
+    Report,
     closure_of_ortho_set,
     ensure_ortho_set,
     ensure_same_structure,
@@ -242,3 +244,37 @@ def test_ray_similarity_bounds_and_symmetry(u, v):
     syx = point_similarity(st_, y, x)
     assert sxy == pytest.approx(syx, abs=1e-12)
     assert -1e-12 <= sxy <= 1.0 + 1e-12
+
+
+def test_check_records_trials_failures_and_the_first_witnesses():
+    check = Check("law")
+    check.hit(True, 1e-12)
+    assert (check.status, check.trials, check.witness) == ("pass", 1, None)
+    for i in range(5):
+        check.hit(False, 0.5 * i, {"i": i}, trials=2)
+    assert check.status == "fail"
+    assert (check.trials, check.failures, check.max_residual) == (11, 5, 2.0)
+    assert check.witnesses == [{"i": 0}, {"i": 1}, {"i": 2}]
+    assert check.witness == {"i": 0}
+
+
+def test_check_soft_verdicts_climb_the_ladder():
+    check = Check("law")
+    check.soft("pass")
+    check.soft("inconclusive")
+    assert (check.status, check.trials, check.inconclusive) == ("inconclusive", 2, 1)
+    check.soft("fail-certified", {"w": 1})
+    check.soft("inconclusive")
+    assert (check.status, check.failures, check.witness) == ("fail", 1, {"w": 1})
+    sampled = Check("law", status="sampled-pass")
+    sampled.hit(True)
+    assert sampled.status == "sampled-pass"
+
+
+def test_report_overall_ok_and_lookup():
+    report = Report([Check("a"), Check("b", status="sampled-pass")])
+    assert (report.overall, report.ok) == ("sampled-pass", False)
+    assert report.check("b") is report.checks[1]
+    with pytest.raises(KeyError):
+        report.check("c")
+    assert Report().ok
