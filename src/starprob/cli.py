@@ -54,10 +54,7 @@ def main(argv=None) -> int:
         return OK if not exc.code else USAGE
     try:
         return args.handler(args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
-    except ClosureCapExceeded as exc:
+    except (FormatError, ClosureCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     except SPError as exc:
@@ -134,6 +131,17 @@ def _add_sampler_flags(p: argparse.ArgumentParser) -> None:
 def _add_json_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true",
                    help="emit a deterministic JSON report")
+
+
+def _command(sub, name: str, text: str, positionals: str, handler,
+             **defaults) -> argparse.ArgumentParser:
+    """A subcommand with the given positional arguments and ``--json``."""
+    q = sub.add_parser(name, help=text)
+    for arg in positionals.split():
+        q.add_argument(arg)
+    _add_json_flag(q)
+    q.set_defaults(handler=handler, **defaults)
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -439,27 +447,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sim", help="similarity between points and subspaces")
     sim_sub = p.add_subparsers(dest="sim_op", required=True)
-    q = sim_sub.add_parser("tau", help="single-vantage comparison")
-    q.add_argument("structure")
-    q.add_argument("point")
-    q.add_argument("a")
-    q.add_argument("b")
-    _add_json_flag(q)
-    q.set_defaults(handler=_cmd_sim_tau)
-    q = sim_sub.add_parser("subspace", help="similarity of two subspaces")
-    q.add_argument("structure")
-    q.add_argument("a")
-    q.add_argument("b")
-    _add_sampler_flags(q)
-    _add_json_flag(q)
-    q.set_defaults(handler=_cmd_sim_subspace)
-    q = sim_sub.add_parser("continuity", help="pointwise continuity bound")
-    q.add_argument("structure")
-    q.add_argument("x")
-    q.add_argument("y")
-    q.add_argument("z")
-    _add_json_flag(q)
-    q.set_defaults(handler=_cmd_sim_continuity)
+    _command(sim_sub, "tau", "single-vantage comparison", "structure point a b",
+             _cmd_sim_tau)
+    _add_sampler_flags(_command(sim_sub, "subspace", "similarity of two subspaces",
+                                "structure a b", _cmd_sim_subspace))
+    _command(sim_sub, "continuity", "pointwise continuity bound", "structure x y z",
+             _cmd_sim_continuity)
 
     p = sub.add_parser("sigma", help="event fields")
     p.add_argument("op", choices=["generate", "validate", "atoms", "boolean"])
@@ -472,79 +465,37 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prob", help="probability measures")
     prob_sub = p.add_subparsers(dest="op", required=True)
-    q = prob_sub.add_parser("pure", help="evaluate a point state")
-    q.add_argument("structure")
-    q.add_argument("point")
-    q.add_argument("event")
-    _add_json_flag(q)
-    q.set_defaults(handler=_cmd_prob, op="pure")
-    q = prob_sub.add_parser("evaluate", help="evaluate a measure file")
-    q.add_argument("structure")
-    q.add_argument("measure")
-    q.add_argument("event")
-    _add_json_flag(q)
-    q.set_defaults(handler=_cmd_prob, op="evaluate")
-    q = prob_sub.add_parser("mix", help="convex mixture of measures")
-    q.add_argument("structure")
+    _command(prob_sub, "pure", "evaluate a point state", "structure point event",
+             _cmd_prob, op="pure")
+    _command(prob_sub, "evaluate", "evaluate a measure file",
+             "structure measure event", _cmd_prob, op="evaluate")
+    q = _command(prob_sub, "mix", "convex mixture of measures", "structure",
+                 _cmd_prob, op="mix")
     q.add_argument("--component", nargs=2, metavar=("WEIGHT", "MEASURE"),
                    action="append", required=True)
-    _add_json_flag(q)
-    q.set_defaults(handler=_cmd_prob, op="mix")
-    q = prob_sub.add_parser("validate", help="check the measure axioms")
-    q.add_argument("structure")
-    q.add_argument("measure")
+    q = _command(prob_sub, "validate", "check the measure axioms",
+                 "structure measure", _cmd_prob, op="validate")
     q.add_argument("--field", default=None)
     q.add_argument("--event-samples", type=int, default=200)
     _add_sampler_flags(q)
-    _add_json_flag(q)
-    q.set_defaults(handler=_cmd_prob, op="validate")
-    q = prob_sub.add_parser("equal", help="compare two measures")
-    q.add_argument("structure")
-    q.add_argument("measure")
-    q.add_argument("other")
+    q = _command(prob_sub, "equal", "compare two measures",
+                 "structure measure other", _cmd_prob, op="equal")
     q.add_argument("--field", default=None)
     q.add_argument("--event-samples", type=int, default=200)
     q.add_argument("--seed", type=int, default=0)
-    _add_json_flag(q)
-    q.set_defaults(handler=_cmd_prob, op="equal")
 
     p = sub.add_parser("rv", help="partial real random variables")
     rv_sub = p.add_subparsers(dest="op", required=True)
-    q = rv_sub.add_parser("make", help="load and echo a random variable")
-    q.add_argument("structure")
-    q.add_argument("rv")
-    _add_json_flag(q)
-    q.set_defaults(handler=_cmd_rv, op="make")
-    q = rv_sub.add_parser("eval", help="evaluate at a point (may be undefined)")
-    q.add_argument("structure")
-    q.add_argument("rv")
-    q.add_argument("point")
-    _add_json_flag(q)
-    q.set_defaults(handler=_cmd_rv, op="eval")
-    q = rv_sub.add_parser("preimage", help="event of a value set")
-    q.add_argument("structure")
-    q.add_argument("rv")
-    q.add_argument("--values", default="", help="comma-separated values")
-    _add_json_flag(q)
-    q.set_defaults(handler=_cmd_rv, op="preimage")
-    q = rv_sub.add_parser("expect", help="expectation under a measure")
-    q.add_argument("structure")
-    q.add_argument("rv")
-    q.add_argument("measure")
-    _add_json_flag(q)
-    q.set_defaults(handler=_cmd_rv, op="expect")
-    q = rv_sub.add_parser("theorem", help="expectation identity at a point")
-    q.add_argument("structure")
-    q.add_argument("rv")
-    q.add_argument("point")
-    _add_json_flag(q)
-    q.set_defaults(handler=_cmd_rv, op="theorem")
-    q = rv_sub.add_parser("compatible", help="joint refinement test")
-    q.add_argument("structure")
-    q.add_argument("rv")
-    q.add_argument("other")
-    _add_json_flag(q)
-    q.set_defaults(handler=_cmd_rv, op="compatible")
+    for op, text, args in (
+            ("make", "load and echo a random variable", ""),
+            ("eval", "evaluate at a point (may be undefined)", "point"),
+            ("preimage", "event of a value set", ""),
+            ("expect", "expectation under a measure", "measure"),
+            ("theorem", "expectation identity at a point", "point"),
+            ("compatible", "joint refinement test", "other")):
+        q = _command(rv_sub, op, text, f"structure rv {args}", _cmd_rv, op=op)
+        if op == "preimage":
+            q.add_argument("--values", default="", help="comma-separated values")
 
     p = sub.add_parser("suite", help="seeded property suites")
     p.add_argument("suite", choices=list(SUITE_IDS))

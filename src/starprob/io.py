@@ -64,7 +64,10 @@ def load_structure(source) -> SPStructure:
     if kind == core.EXPLICIT:
         if "matrix" not in doc:
             raise FormatError("explicit structure needs 'matrix'")
-        return SPStructure.explicit(doc["matrix"], labels=doc.get("points"))
+        labels = doc.get("points")
+        if labels is not None:
+            _json_list(labels, "an explicit structure's 'points' must be a list")
+        return SPStructure.explicit(doc["matrix"], labels=labels)
     raise FormatError(f"unknown structure kind {kind!r}")
 
 
@@ -78,6 +81,13 @@ def _integer(doc: dict, kind: str, key: str) -> int:
 def _json_int(value, what: str) -> int:
     """``value`` if it is a JSON integer (not a bool, not a float)."""
     if isinstance(value, bool) or not isinstance(value, int):
+        raise FormatError(f"{what}, got {value!r}")
+    return value
+
+
+def _json_list(value, what: str) -> list:
+    """``value`` if it is a JSON list."""
+    if not isinstance(value, list):
         raise FormatError(f"{what}, got {value!r}")
     return value
 
@@ -100,8 +110,6 @@ def structure_to_dict(st: SPStructure) -> dict:
 
 
 def parse_point(st: SPStructure, literal):
-    if st.kind == core.RAY and not isinstance(literal, (list, tuple)):
-        raise FormatError("ray points are vectors")
     try:
         return core.as_point(st, literal)
     except core.InvalidPoint as exc:
@@ -124,7 +132,8 @@ def load_field(st: SPStructure, source, cap: int | None = None) -> SigmaStarFiel
     doc = _load_json(source)
     if not isinstance(doc, dict) or "generators" not in doc:
         raise FormatError("field document needs 'generators'")
-    gens = [parse_subspace(st, g) for g in doc["generators"]]
+    gens = [parse_subspace(st, g) for g in _json_list(
+        doc["generators"], "a field's 'generators' must be a list")]
     use_cap = cap if cap is not None else _json_int(
         doc.get("cap", DEFAULT_CAP), "a field's 'cap' must be an integer")
     return generate_sigma_star(st, gens, cap=use_cap)
@@ -147,6 +156,8 @@ def load_measure(st: SPStructure, source,
         raise FormatError("measure document needs a 'kind' key")
     fld = None
     ref = doc.get("field", "all")
+    if not isinstance(ref, str):
+        raise FormatError("a measure's 'field' must be a file path or \"all\"")
     if ref != "all":
         path = ref if os.path.isabs(ref) else os.path.join(base_dir or ".", ref)
         fld = load_field(st, path)
@@ -195,7 +206,7 @@ def load_rv(st: SPStructure, source) -> RealRandomVariable:
     if not isinstance(doc, dict) or "outcomes" not in doc:
         raise FormatError("random-variable document needs 'outcomes'")
     pairs = []
-    for item in doc["outcomes"]:
+    for item in _json_list(doc["outcomes"], "'outcomes' must be a list"):
         if not isinstance(item, dict) or "value" not in item or "event" not in item:
             raise FormatError("each outcome needs 'value' and 'event'")
         value = _json_number(item["value"], "outcome values must be finite numbers")

@@ -201,10 +201,7 @@ def _sampled_events(st: SPStructure, cfg: SamplerConfig,
         for _ in range(count):
             size = int(rng.integers(0, st.n + 1))
             pts = sorted(rng.permutation(st.n)[:size].tolist())
-            try:
-                events.append(lat.from_points(st, pts))
-            except core.FormatError:  # pragma: no cover
-                continue
+            events.append(lat.from_points(st, pts))
     return events
 
 

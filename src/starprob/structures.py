@@ -212,13 +212,6 @@ class SPStructure:
                               for q in range(n))
         return st
 
-    # -- basic interrogation ----------------------------------------------
-
-    @property
-    def point_count(self) -> int | None:
-        """Number of points, or None for the (infinite) ray model."""
-        return None if self.kind == RAY else self.n
-
     def label_index(self, label: str) -> int:
         try:
             return self.labels.index(str(label))
@@ -256,14 +249,12 @@ def as_point(st: SPStructure, raw) -> Point:
     compare equal entrywise.
     """
     if st.kind == RAY:
-        v = np.asarray(raw, dtype=float)
-        if v.shape != (st.d,):
-            raise InvalidPoint(f"expected a vector of length {st.d}, got shape {v.shape}")
+        v = _ray_vector(st, raw)
         if not np.all(np.isfinite(v)):
             raise InvalidPoint("vector has non-finite entries")
         norm = float(np.linalg.norm(v))
-        if norm < TOL_UNIT:
-            raise InvalidPoint("zero vector does not define a ray")
+        if not TOL_UNIT <= norm < np.inf:
+            raise InvalidPoint("a zero or overflowing vector does not define a ray")
         v = v / norm
         v = _canonical_sign(v)
         v.flags.writeable = False
@@ -273,11 +264,24 @@ def as_point(st: SPStructure, raw) -> Point:
     else:
         try:
             idx = int(raw)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise InvalidPoint(f"not a point of a discrete model: {raw!r}") from None
     if not 0 <= idx < st.n:
         raise InvalidPoint(f"point index {idx} out of range [0, {st.n})")
     return idx
+
+
+def _ray_vector(st: SPStructure, raw) -> np.ndarray:
+    """``raw`` as ``d`` floats (ray model), not yet normalized.  Finiteness is
+    the caller's check, so a span checks its whole stack of vectors at once."""
+    try:
+        v = np.asarray(raw)
+        ok = v.dtype.kind in "iuf" and v.shape == (st.d,)
+    except ValueError:  # ragged nesting
+        ok = False
+    if not ok:
+        raise InvalidPoint(f"expected a vector of {st.d} numbers, got {raw!r}")
+    return v.astype(float, copy=False)
 
 
 def _canonical_sign(v: np.ndarray) -> np.ndarray:
@@ -553,18 +557,12 @@ def explicit_lattice(st: SPStructure) -> dict:
     grow((), 0)
 
     carriers: dict[frozenset, tuple[int, ...]] = {}
-    sizes_ok = True
     for clique in cliques:
-        carrier = closure_of_ortho_set(st, clique)
-        if carrier not in carriers:
-            carriers[carrier] = clique
-        elif len(carriers[carrier]) != len(clique):
-            sizes_ok = False
+        carriers.setdefault(closure_of_ortho_set(st, clique), clique)
     cache = {
         "cliques": tuple(cliques),
         "carriers": carriers,
         "carrier_list": sorted(carriers, key=lambda c: (len(c), sorted(c))),
-        "uniform_dimensions": sizes_ok,
     }
     st._cache = cache
     return cache

@@ -182,21 +182,14 @@ def similarity_suite(seed: int, scale: int) -> list[Check]:
     symmetric = Check("similarity.symmetric_estimates")
 
     # singleton reduction, every model
-    st4 = SPStructure.classical(4)
-    for x in range(4):
-        for y in range(4):
-            got = sim.subspace_similarity(lat.from_points(st4, [x]),
-                                          lat.from_points(st4, [y])).value
-            want = core.similarity(st4, x, y)
-            singleton.hit(abs(got - want) <= core.TOL_EQ, abs(got - want))
-    wheel = wheel_structure()
-    for x in range(4):
-        for y in range(4):
-            got = sim.subspace_similarity(
-                lat.from_points(wheel, [wheel.labels[x]]),
-                lat.from_points(wheel, [wheel.labels[y]])).value
-            want = core.similarity(wheel, x, y)
-            singleton.hit(abs(got - want) <= core.TOL_EQ, abs(got - want))
+    st4, wheel = SPStructure.classical(4), wheel_structure()
+    for st in (st4, wheel):
+        for x in range(4):
+            for y in range(4):
+                got = sim.subspace_similarity(lat.from_points(st, [x]),
+                                              lat.from_points(st, [y])).value
+                want = core.similarity(st, x, y)
+                singleton.hit(abs(got - want) <= core.TOL_EQ, abs(got - want))
     for d in (2, 3):
         st = SPStructure.ray(d)
         for _ in range(max(4, scale // 8)):

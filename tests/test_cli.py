@@ -104,11 +104,21 @@ def test_validate_missing_file_is_usage_error(capsys):
     (["prob", "equal"], "ray2.json",
      [FIXTURES / "measure_mix_axes.json", FIXTURES / "measure_mix_diagonals.json",
       "--event-samples", -1], "event samples must be >= 0"),
+    # a ray vector must be d finite numbers, in literals and in field files
+    (["lattice", "sum"], "ray2.json", ["[1]", "[0]"], "expected a vector of 2 numbers"),
+    (["lattice", "sum"], "ray2.json", ["[[1, NaN]]"], "non-finite entries"),
+    (["sigma", "generate"], "ray2.json", [FIXTURES / "field_bad_vector.json"],
+     "expected a vector of 2 numbers"),
+    # a measure's field reference is a path or "all"
+    (["prob", "validate"], "ray2.json", [FIXTURES / "measure_bad_field.json"],
+     "'field' must be a file path"),
 ], ids=["validate-samples", "sim-samples", "sim-refine-top",
         "validate-structure-dimension", "validate-explicit-entries",
         "prob-measure-key", "rv-value", "sigma-cap", "prob-mix-weight",
         "rv-preimage-values", "validate-seed", "sim-seed", "prob-equal-seed", "prob-validate-seed",
-        "suite-seed", "prob-validate-event-samples", "prob-equal-event-samples"])
+        "suite-seed", "prob-validate-event-samples", "prob-equal-event-samples",
+        "lattice-scalar-vectors", "lattice-nan-vector", "sigma-field-vector",
+        "prob-measure-field"])
 def test_bad_sampler_budget_is_usage_error(capsys, fixture_dir, cmd, fixture,
                                            rest, message):
     files = [fixture_dir / fixture] if fixture else []

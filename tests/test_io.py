@@ -90,6 +90,12 @@ def test_parse_subspace_literals():
     assert sub.dim == 2
     with pytest.raises(FormatError):
         parse_subspace(ray, "not-a-list")
+    # every ray vector must be three finite numbers
+    for bad in ([1], [[1.0, 0.0]], [[1.0, float("nan"), 0.0]],
+                [[1.0, float("inf"), 0.0]], [["r0", 1, 0]], [["1", "0", "0"]],
+                [[1.0, 0.0, 0.0], [1.0]], [[[1.0, 0.0, 0.0]]], [None], [{}]):
+        with pytest.raises(FormatError, match="bad subspace literal"):
+            parse_subspace(ray, bad)
 
 
 def test_parse_subspace_rejects_a_point_set_no_subspace_contains(fixture_dir):
@@ -115,6 +121,33 @@ def test_measure_resolves_field_relative_to_its_file(ray2, fixture_dir):
     m = load_measure(ray2, fixture_dir / "measure_table_bad_additivity.json")
     assert m.kind == "table"
     assert len(m.field.events) == 4
+
+
+@pytest.mark.parametrize("field", [3, None, ["field_ray2_line.json"], {}])
+def test_measure_field_must_be_a_path(ray2, tmp_path, field):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"kind": "pure", "field": field, "point": [1, 0]}))
+    with pytest.raises(FormatError, match="'field' must be a file path"):
+        load_measure(ray2, path)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"generators": None}, "'generators' must be a list"),
+    ({"generators": 3}, "'generators' must be a list"),
+])
+def test_field_generators_must_be_a_list(ray2, tmp_path, doc, message):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match=message):
+        load_field(ray2, path)
+
+
+def test_explicit_points_must_be_a_list(tmp_path):
+    path = tmp_path / "st.json"
+    path.write_text(json.dumps({"kind": "explicit", "points": False,
+                                "matrix": [[1.0, 0.0], [0.0, 1.0]]}))
+    with pytest.raises(FormatError, match="'points' must be a list"):
+        load_structure(path)
 
 
 def test_measure_requires_known_kind(ray2, tmp_path):
@@ -204,6 +237,11 @@ def test_rv_outcomes_must_be_objects(ray2, tmp_path):
     path = _write(tmp_path, "rv.json", {"outcomes": [[1.0, [[1.0, 0.0]]]]})
     with pytest.raises(FormatError):
         load_rv(ray2, path)
+    # and the outcomes themselves a list of them
+    for outcomes in (None, 3):
+        path = _write(tmp_path, "rv.json", {"outcomes": outcomes})
+        with pytest.raises(FormatError, match="'outcomes' must be a list"):
+            load_rv(ray2, path)
 
 
 @pytest.mark.parametrize("doc", [

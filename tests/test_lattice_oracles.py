@@ -10,6 +10,7 @@ The superseded implementations live here as oracles:
   and must agree on dimension and, within ``TOL_EQ``, on the projector.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -31,6 +32,7 @@ from starprob import (
 )
 from starprob import lattice
 from starprob import structures as core
+from starprob.errors import SPError
 from starprob.structures import TOL_EQ, as_point, random_frame
 
 
@@ -216,13 +218,34 @@ def test_complement_memo_does_not_leak_between_equal_objects(ray3):
 # a subspace's own basis is not re-validated
 
 
-def test_lattice_point_queries_skip_the_pair_check(monkeypatch, ray3, wheel):
+def _outcome(fn, *args):
+    """``fn``'s result, or the class of the error it raised."""
+    try:
+        return fn(*args)
+    except SPError as exc:
+        return type(exc)
+
+
+def test_lattice_point_queries_skip_the_pair_check(monkeypatch, ray3, wheel,
+                                                   classical4):
     plane = from_span(ray3, [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
     x = as_point(ray3, [1.0, 2.0, 2.0])
     want_s = core.similarity_to_ortho_set(ray3, x, plane.basis_points())
     want_t = core.project_point(ray3, x, plane.basis_points())
-    line = from_points(wheel, ["r0"])
-    want_w = core.project_point(wheel, 1, line.basis_points(), carrier=line.points)
+    # every subspace of the wheel and of classical(4), from every point: the
+    # validating structures functions are the oracle for the lattice queries
+    discrete = []
+    subsets = [c for r in range(5) for c in itertools.combinations(range(4), r)]
+    for st, carriers in ((wheel, core.explicit_lattice(wheel)["carrier_list"]),
+                         (classical4, subsets)):
+        for carrier in carriers:
+            sub = from_points(st, sorted(carrier))
+            for p in range(st.n):
+                discrete.append((
+                    sub, p,
+                    _outcome(core.similarity_to_ortho_set, st, p, sub.basis_points()),
+                    _outcome(core.project_point, st, p, sub.basis_points())))
+    assert len(discrete) == 4 * 6 + 4 * 16  # six wheel carriers, 16 subsets
 
     def no_pair_check(st, points):
         raise AssertionError("a subspace's own basis was re-validated")
@@ -231,4 +254,6 @@ def test_lattice_point_queries_skip_the_pair_check(monkeypatch, ray3, wheel):
     # same bits as the validating path
     assert similarity_to_subspace(x, plane) == want_s
     assert project(x, plane).tobytes() == want_t.tobytes()
-    assert project(1, line) == want_w
+    for sub, p, want_s, want_t in discrete:
+        assert _outcome(similarity_to_subspace, p, sub) == want_s, (sub, p)
+        assert _outcome(project, p, sub) == want_t, (sub, p)

@@ -64,6 +64,16 @@ def test_nonfinite_vector_rejected(ray2):
         as_point(ray2, [1.0, float("nan")])
 
 
+def test_malformed_ray_vectors_rejected(ray2):
+    # not numbers, ragged, the wrong shape, or a norm that overflows to inf
+    for bad in (["r0", 1], ["1", "0"], [[1.0, 0.0], [1.0]], [True, False],
+                [None, 1.0], [1.0], 1.0, [1e300, 1e300]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(InvalidPoint):
+                as_point(ray2, bad)
+
+
 def test_classical_point_by_label():
     st_ = SPStructure.explicit([[1.0, 0.0], [0.0, 1.0]], labels=["left", "right"])
     assert as_point(st_, "left") == 0
@@ -75,6 +85,8 @@ def test_classical_point_by_label():
 def test_classical_index_out_of_range(classical4):
     with pytest.raises(InvalidPoint):
         as_point(classical4, 4)
+    with pytest.raises(InvalidPoint):
+        as_point(classical4, float("inf"))
 
 
 def test_explicit_table_lookup(wheel):
