@@ -14,6 +14,7 @@ from .lattice import (
     Subspace,
     check_de_morgan,
     check_orthomodular,
+    commutes,
     distributes,
     empty,
     from_basis,
@@ -91,6 +92,7 @@ __all__ = [
     "check_orthomodular",
     "check_point_continuity",
     "check_similarity_theorems",
+    "commutes",
     "compare_leq",
     "compatible",
     "distributes",

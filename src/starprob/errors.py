@@ -80,10 +80,6 @@ class ClosureCapExceeded(SPError):
         self.partial = partial
 
 
-class TripleEnumerationTooLarge(SPError):
-    """The family has too many events for exhaustive triple enumeration."""
-
-
 class EventNotInField(SPError):
     """A table-backed measure was evaluated outside its field."""
 

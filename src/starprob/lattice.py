@@ -194,6 +194,11 @@ def distributes(a: Subspace, b: Subspace, c: Subspace) -> bool:
     return meet(a, join(b, c)) == join(meet(a, b), meet(a, c))
 
 
+def commutes(a: Subspace, b: Subspace) -> bool:
+    """Whether ``a = (a & b) + (a & b')``; symmetric in an orthomodular lattice."""
+    return a == join(meet(a, b), meet(a, ortho_complement(b)))
+
+
 # ---------------------------------------------------------------------------
 # discrete models: subspaces carried by point sets (classical and explicit)
 

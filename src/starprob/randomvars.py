@@ -122,10 +122,4 @@ def check_expect_theorem(rv: RealRandomVariable, x) -> float:
 
 def compatible(x_rv: RealRandomVariable, y_rv: RealRandomVariable) -> bool:
     """Whether every pair of level sets commutes: E = (E & F) + (E & F')."""
-    for _, e in x_rv.outcomes:
-        for _, f in y_rv.outcomes:
-            split = lat.join(lat.meet(e, f),
-                             lat.meet(e, lat.ortho_complement(f)))
-            if not (split == e):
-                return False
-    return True
+    return all(lat.commutes(e, f) for e in x_rv.events for f in y_rv.events)

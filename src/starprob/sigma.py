@@ -7,6 +7,14 @@ classical models this reduces to an ordinary finite field of sets.
 
 Events are kept in a canonical order (by dimension, then canonical form),
 and downstream consumers address them by index into that order.
+
+The structure of a field is decided by two theorems of orthomodular
+lattices rather than by search.  Foulis-Holland: a triple distributes when
+one of its events commutes with the other two, so a field is Boolean
+exactly when its events commute pairwise (:func:`distributivity_witness`).
+The orthomodular law ``e = f + (f' & e)`` for ``f <= e``: a maximal
+pairwise-orthogonal choice of atoms below an event sums to that event
+(:func:`atomic_decomposition`).
 """
 
 from __future__ import annotations
@@ -14,20 +22,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import lattice as lat
-from .errors import ClosureCapExceeded, EventNotInField, TripleEnumerationTooLarge
+from .errors import ClosureCapExceeded, EventNotInField
 from .lattice import Subspace
 from .structures import Check, Report, SPStructure, ensure_same_structure
 
 DEFAULT_CAP = 4096
-BOOLEAN_CAP = 512
 
 
 class _EventSet:
-    """Insertion-ordered set of subspaces with tolerance-aware membership."""
+    """Insertion-ordered subspaces, found by canonical key or else by ``==``."""
 
-    def __init__(self) -> None:
+    def __init__(self, items=()) -> None:
         self.items: list[Subspace] = []
         self._index: dict = {}
+        for sub in items:
+            self._append(sub)
 
     def __len__(self) -> int:
         return len(self.items)
@@ -48,9 +57,12 @@ class _EventSet:
     def add(self, sub: Subspace) -> bool:
         if self.index_of(sub) is not None:
             return False
-        self._index[sub.canonical_key()] = len(self.items)
-        self.items.append(sub)
+        self._append(sub)
         return True
+
+    def _append(self, sub: Subspace) -> None:
+        self._index.setdefault(sub.canonical_key(), len(self.items))
+        self.items.append(sub)
 
 
 @dataclass
@@ -63,22 +75,22 @@ class SigmaStarField:
     capped: bool = False
     closure_meta: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        self._lookup = _EventSet(self.events)
+
     def __len__(self) -> int:
         return len(self.events)
 
     def index_of(self, event: Subspace) -> int:
         ensure_same_structure(self.structure, event.structure)
-        for i, existing in enumerate(self.events):
-            if existing == event:
-                return i
-        raise EventNotInField(f"{event!r} is not an event of this field")
+        i = self._lookup.index_of(event)
+        if i is None:
+            raise EventNotInField(f"{event!r} is not an event of this field")
+        return i
 
     def __contains__(self, event: Subspace) -> bool:
-        try:
-            self.index_of(event)
-            return True
-        except EventNotInField:
-            return False
+        ensure_same_structure(self.structure, event.structure)
+        return self._lookup.index_of(event) is not None
 
     def to_literals(self) -> list:
         return [e.to_literal() for e in self.events]
@@ -92,8 +104,7 @@ def generate_sigma_star(st: SPStructure, generators, cap: int = DEFAULT_CAP) -> 
     the event count passes ``cap``.
     """
     gens = tuple(_as_subspace(st, g) for g in generators)
-    events = _EventSet()
-    events.add(lat.empty(st))
+    events = _EventSet([lat.empty(st)])
     for g in gens:
         events.add(g)
 
@@ -157,55 +168,35 @@ def validate_sigma_star(fld: SigmaStarField) -> Report:
         checks.append(Check(law))
         checks[-1].hit(ok, witness=witness)
 
-    record("contains_empty", lat.empty(st) in fld)
-    record("contains_full", lat.full(st) in fld)
+    def first(law: str, witnesses) -> None:
+        """Pass when ``witnesses`` yields nothing, else fail on the first."""
+        witness = next(witnesses, None)
+        record(law, witness is None, witness)
 
-    missing = None
-    for i, a in enumerate(events):
-        if lat.ortho_complement(a) not in fld:
-            missing = {"event_index": i, "op": "complement"}
-            break
-    record("complement_closed", missing is None, missing)
+    def pairs():
+        return ((i, a, j, b) for i, a in enumerate(events)
+                for j, b in enumerate(events[i + 1:], i + 1))
 
-    missing = None
-    for i, a in enumerate(events):
-        for b in events[i + 1:]:
-            if lat.is_orthogonal(a, b) and lat.join(a, b) not in fld:
-                missing = {"op": "orthogonal_sum",
-                           "events": [i, fld.index_of(b)]}
-                break
-        if missing:
-            break
-    record("orthogonal_sum_closed", missing is None, missing)
-
-    missing = None
-    for i, a in enumerate(events):
-        for b in events[i + 1:]:
-            if lat.meet(a, b) not in fld:
-                missing = {"op": "intersection", "events": [i, fld.index_of(b)]}
-                break
-        if missing:
-            break
-    record("intersection_closed", missing is None, missing)
-
-    bad = None
-    for i, a in enumerate(events):
-        comp = lat.ortho_complement(a)
-        if not (lat.join(a, comp) == lat.full(st)
-                and lat.meet(a, comp) == lat.empty(st)):
-            bad = {"event_index": i}
-            break
-    record("complement_partition", bad is None, bad)
-
-    bad = None
-    for i, a in enumerate(events):
-        for j, c in enumerate(events):
-            if i != j and lat.is_subset(a, c) and not lat.check_orthomodular(a, c):
-                bad = {"events": [i, j]}
-                break
-        if bad:
-            break
-    record("orthomodular_members", bad is None, bad)
+    empty, full = lat.empty(st), lat.full(st)
+    record("contains_empty", empty in fld)
+    record("contains_full", full in fld)
+    first("complement_closed", ({"event_index": i, "op": "complement"}
+                                for i, a in enumerate(events)
+                                if lat.ortho_complement(a) not in fld))
+    first("orthogonal_sum_closed", ({"op": "orthogonal_sum", "events": [i, j]}
+                                    for i, a, j, b in pairs()
+                                    if lat.is_orthogonal(a, b)
+                                    and lat.join(a, b) not in fld))
+    first("intersection_closed", ({"op": "intersection", "events": [i, j]}
+                                  for i, a, j, b in pairs()
+                                  if lat.meet(a, b) not in fld))
+    first("complement_partition", (
+        {"event_index": i} for i, a in enumerate(events)
+        if not (lat.join(a, lat.ortho_complement(a)) == full
+                and lat.meet(a, lat.ortho_complement(a)) == empty)))
+    first("orthomodular_members", (
+        {"events": [i, j]} for i, a in enumerate(events) for j, c in enumerate(events)
+        if i != j and lat.is_subset(a, c) and not lat.check_orthomodular(a, c)))
 
     return Report(checks)
 
@@ -213,49 +204,51 @@ def validate_sigma_star(fld: SigmaStarField) -> Report:
 def atoms(fld: SigmaStarField) -> list[Subspace]:
     """Minimal non-empty events, in canonical order."""
     nonzero = [e for e in fld.events if not e.is_empty]
-    out = []
-    for e in nonzero:
-        if not any(lat.is_subset(o, e) and not (o == e) for o in nonzero):
-            out.append(e)
-    return out
+    return [e for e in nonzero
+            if not any(lat.is_subset(o, e) and not (o == e) for o in nonzero)]
 
 
 def atomic_decomposition(fld: SigmaStarField, event: Subspace,
                          atom_list: list[Subspace] | None = None) -> list[int] | None:
     """Indices of pairwise-orthogonal atoms summing to ``event``, if any.
 
-    Greedy first; for small atom sets an exhaustive subset search backs it
-    up, so a decomposition is only reported missing when none exists among
-    the field's atoms.
+    One greedy pass takes, in canonical order, each atom below ``event`` that
+    is orthogonal to the atoms already taken.  On a closed field the sum
+    ``f`` of the taken atoms is an event, and so is ``f' & event``; an atom
+    below that would have been taken, so it has none and is empty.  The
+    orthomodular law ``event = f + (f' & event)`` then gives ``event = f``.
+    The sum is re-checked all the same, and ``None`` means it misses
+    ``event``: the family is not closed, or (on an explicit table) its
+    lattice breaks the orthomodular law and :func:`validate_sigma_star` fails.
     """
-    ats = atom_list if atom_list is not None else atoms(fld)
-    below = [(i, a) for i, a in enumerate(ats) if lat.is_subset(a, event)]
     if event.is_empty:
         return []
+    ats = atom_list if atom_list is not None else atoms(fld)
     chosen: list[tuple[int, Subspace]] = []
-    for i, a in below:
-        if all(lat.is_orthogonal(a, c) for _, c in chosen):
+    for i, a in enumerate(ats):
+        if lat.is_subset(a, event) and all(lat.is_orthogonal(a, c) for _, c in chosen):
             chosen.append((i, a))
     if chosen and lat.join(*[c for _, c in chosen]) == event:
         return [i for i, _ in chosen]
-    if len(below) <= 16:
-        for mask in range(1, 1 << len(below)):
-            sel = [below[k] for k in range(len(below)) if mask >> k & 1]
-            if all(lat.is_orthogonal(sel[i][1], sel[j][1])
-                   for i in range(len(sel)) for j in range(i + 1, len(sel))):
-                if lat.join(*[s for _, s in sel]) == event:
-                    return [i for i, _ in sel]
     return None
 
 
 def distributivity_witness(fld: SigmaStarField) -> tuple[int, int, int] | None:
-    """The first event triple violating the distributive law, if any."""
-    if len(fld.events) > BOOLEAN_CAP:
-        raise TripleEnumerationTooLarge(
-            f"{len(fld.events)} events exceed the triple-enumeration cap "
-            f"of {BOOLEAN_CAP}")
+    """The first event triple ``(i, j, k)`` violating the distributive law, if any.
+
+    Rows are scanned in order, but a row whose event commutes with every
+    event is skipped: by Foulis-Holland no triple starting with it can fail,
+    so a Boolean field costs O(n^2) commutation tests and no triple.  An
+    event ``a`` that does not commute with ``b`` fails on ``(a, b, b')``,
+    because ``a & (b + b') = a`` while ``(a & b) + (a & b')`` is not ``a``;
+    on a closed field the first non-commuting row therefore holds the first
+    failing triple.  A hand-built family may lack ``b'``, so the scan then
+    goes on to the next non-commuting row.
+    """
     events = fld.events
     for i, a in enumerate(events):
+        if all(lat.commutes(a, b) for b in events):
+            continue
         for j, b in enumerate(events):
             for k, c in enumerate(events):
                 if not lat.distributes(a, b, c):

@@ -265,7 +265,10 @@ def as_point(st: SPStructure, raw) -> Point:
         try:
             idx = int(raw)
         except (TypeError, ValueError, OverflowError):
-            raise InvalidPoint(f"not a point of a discrete model: {raw!r}") from None
+            idx = None
+        # an index is an integral number; int() would truncate 2.7 and take True
+        if idx is None or isinstance(raw, (bool, np.bool_)) or idx != raw:
+            raise InvalidPoint(f"not a point of a discrete model: {raw!r}")
     if not 0 <= idx < st.n:
         raise InvalidPoint(f"point index {idx} out of range [0, {st.n})")
     return idx

@@ -49,6 +49,8 @@ def run_property_suite(suite_id: str, seed: int,
         raise ValueError(f"unknown suite {suite_id!r}; choose from {SUITE_IDS}")
     if seed < 0:
         raise FormatError(f"suites need seed >= 0, got {seed}")
+    if scale < 0:
+        raise FormatError(f"suites need scale >= 0, got {scale}")
     parts = tuple(_SUITES) if suite_id == "all" else (suite_id,)
     return Report([c for part in parts for c in _SUITES[part](seed, scale)])
 

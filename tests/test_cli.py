@@ -112,13 +112,24 @@ def test_validate_missing_file_is_usage_error(capsys):
     # a measure's field reference is a path or "all"
     (["prob", "validate"], "ray2.json", [FIXTURES / "measure_bad_field.json"],
      "'field' must be a file path"),
+    # a discrete point is an integral number or a label: never truncated,
+    # never read from a boolean
+    (["prob", "pure"], "classical4.json", ["2.7", "[2]"],
+     "not a point of a discrete model: 2.7"),
+    (["prob", "pure"], "classical4.json", ["true", "[1]"],
+     "not a point of a discrete model: True"),
+    (["lattice", "sum"], "classical4.json", ["[0.5, 1.9]"],
+     "not a point of a discrete model: 0.5"),
+    # and a suite's scale is a count
+    (["suite", "rv"], None, ["--scale", -3, "--json"], "scale >= 0"),
 ], ids=["validate-samples", "sim-samples", "sim-refine-top",
         "validate-structure-dimension", "validate-explicit-entries",
         "prob-measure-key", "rv-value", "sigma-cap", "prob-mix-weight",
         "rv-preimage-values", "validate-seed", "sim-seed", "prob-equal-seed", "prob-validate-seed",
         "suite-seed", "prob-validate-event-samples", "prob-equal-event-samples",
         "lattice-scalar-vectors", "lattice-nan-vector", "sigma-field-vector",
-        "prob-measure-field"])
+        "prob-measure-field", "prob-pure-fractional-point", "prob-pure-boolean-point",
+        "lattice-fractional-points", "suite-scale"])
 def test_bad_sampler_budget_is_usage_error(capsys, fixture_dir, cmd, fixture,
                                            rest, message):
     files = [fixture_dir / fixture] if fixture else []

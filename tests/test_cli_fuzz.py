@@ -1,17 +1,20 @@
 """The CLI boundary under mutated inputs.
 
-Each example takes one bundled invocation, mutates one JSON input file (one
-node replaced by another JSON value, or one key or item dropped) and runs the
-command.  Whatever the input, the exit code must keep the contract of
-``starprob.cli``:
+Each example takes one bundled invocation and mutates one of its inputs: a
+JSON input file (one node replaced by another JSON value, or one key or item
+dropped), a flag value (``--seed``, ``--samples``, ``--scale``, ``--cap``,
+``--event-samples``) or a point or subspace literal of ``lattice sum`` and
+``prob pure``.  Then it runs the command.  Whatever the input, the exit code
+must keep the contract of ``starprob.cli``:
 
 * it is one of 0, 1, 2 and 3; an internal error (4) fails the test;
+* 2 prints nothing on stdout and an ``error:`` line on stderr (argparse's
+  usage message when a flag value is no integer);
 * 1 comes with a failed check that carries a witness;
 * 3 comes with checks that actually ran.
 
-Budgets are small (``--samples``, ``--event-samples``) so the whole fuzz stays
-within a few seconds; the hypothesis profile in ``conftest.py`` derandomizes
-it.
+Budgets and flag values are small so the whole fuzz stays within a few
+seconds; the hypothesis profile in ``conftest.py`` derandomizes it.
 """
 
 import contextlib
@@ -22,7 +25,7 @@ import pathlib
 import shutil
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from starprob.cli import run_command
@@ -48,12 +51,40 @@ INVOCATIONS = [
     ["rv", "compatible", "classical6.json", "rv_die6.json", "rv_die6.json"],
 ]
 
+# invocations whose flag values and literal arguments are mutated
+ARGUMENT_INVOCATIONS = [
+    ["validate", "ray2.json", "--samples", "20", "--seed", "0"],
+    ["validate", "explicit4.json", "--samples", "20", "--seed", "0"],
+    ["sim", "subspace", "ray3.json", "[[1, 0, 0], [0, 1, 0]]", "[[1, 0, 1]]",
+     "--samples", "20", "--seed", "0"],
+    ["sigma", "boolean", "ray2.json", "field_ray2_twolines.json", "--cap", "10"],
+    ["sigma", "atoms", "explicit4.json", "field_explicit4_twopoints.json",
+     "--cap", "10"],
+    ["prob", "validate", "ray2.json", "measure_pure_e1.json", "--event-samples",
+     "5", "--samples", "50", "--refine-top", "1", "--seed", "0"],
+    ["suite", "rv", "--seed", "0", "--scale", "2"],
+    ["lattice", "sum", "classical4.json", "[0, 1]", "[2]"],
+    ["lattice", "sum", "explicit4.json", "[\"r0\"]", "[\"r90\"]"],
+    ["lattice", "sum", "ray2.json", "[[1, 0]]", "[[1, 1]]"],
+    ["prob", "pure", "classical4.json", "2", "[1, 2]"],
+    ["prob", "pure", "explicit4.json", "r0", "[\"r0\", \"r45\"]"],
+    ["prob", "pure", "ray2.json", "[1, 0]", "[[1, 1]]"],
+]
+FLAGS = ("--seed", "--samples", "--scale", "--cap", "--event-samples")
+LITERAL_COMMANDS = (("lattice", "sum"), ("prob", "pure"))
+
 LEAVES = hs.one_of(
     hs.none(), hs.booleans(), hs.integers(min_value=-2, max_value=6),
     hs.sampled_from([0.5, -1.0, 1e300, math.nan, math.inf]),
     hs.sampled_from(["", "r0", "all", "abc"]),
     hs.just([]), hs.just({}))
 VALUES = hs.one_of(LEAVES, hs.lists(LEAVES, min_size=1, max_size=3))
+# small counts only: a huge --samples or --scale is slow, not wrong
+FLAG_VALUES = hs.one_of(
+    hs.integers(min_value=-3, max_value=12).map(str),
+    hs.sampled_from(["", "abc", "1.5", "1e3", "0x10", "nan", " 7", "-0"]))
+SEED_VALUES = hs.one_of(FLAG_VALUES, hs.just(str(2 ** 64)))
+RAW_LITERALS = hs.sampled_from(["", "abc", "r0", "[1, 0", "NaN", "true", "{}"])
 
 
 def _paths(node, prefix=()):
@@ -95,7 +126,8 @@ def _failed_with_witness(payload) -> bool:
     rows = (report["verdicts"].values() if "verdicts" in report
             else report["checks"])
     return any((row.get("status") in ("fail", "fail-certified")
-                or row.get("ok") is False) and row.get("witness") is not None
+                or row.get("ok") is False)
+               and (row.get("witness") is not None or row.get("witnesses"))
                for row in rows)
 
 
@@ -118,12 +150,59 @@ def test_mutated_inputs_keep_the_exit_contract(workdir, case, data, value, drop)
     (workdir / "mutated.json").write_text(json.dumps(mutated))
     argv = [str(workdir / a) if a.endswith(".json") else a for a in case]
     argv[target] = str(workdir / "mutated.json")
+    _assert_exit_contract(argv)
 
+
+def _argument_targets(case):
+    """Indices of the flag values and literal arguments of an invocation."""
+    literals = tuple(case[:2]) in LITERAL_COMMANDS
+    return [i for i, a in enumerate(case)
+            if case[i - 1] in FLAGS or (literals and i >= 3)]
+
+
+def _is_int(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("case", ARGUMENT_INVOCATIONS,
+                         ids=[" ".join(c[:3]).replace(".json", "")
+                              for c in ARGUMENT_INVOCATIONS])
+@settings(max_examples=25)  # one to three targets per invocation
+@given(data=hs.data(), value=VALUES, drop=hs.booleans())
+def test_mutated_arguments_keep_the_exit_contract(workdir, case, data, value, drop):
+    target = data.draw(hs.sampled_from(_argument_targets(case)), label="argument")
+    argv = [str(workdir / a) if a.endswith(".json") else a for a in case]
+    flag = case[target - 1] if case[target - 1] in FLAGS else None
+    if flag:
+        argv[target] = data.draw(SEED_VALUES if flag == "--seed" else FLAG_VALUES,
+                                 label=flag)
+    elif data.draw(hs.booleans(), label="raw text"):
+        argv[target] = data.draw(RAW_LITERALS, label="literal")
+    else:
+        try:
+            doc = json.loads(case[target])
+        except json.JSONDecodeError:  # a bare point label
+            doc = case[target]
+        path = data.draw(hs.sampled_from(list(_paths(doc))), label="path")
+        argv[target] = json.dumps(_mutate(doc, path, value, drop and bool(path)))
+    _assert_exit_contract(argv, usage=flag is not None and not _is_int(argv[target]))
+
+
+def _assert_exit_contract(argv, usage=False):
+    """Run the command; ``usage`` says argparse must reject a flag value."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run_command(argv + ["--json"])
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 1, 2, 3), err
+    if usage:
+        assert code == 2 and out == "" and err.startswith("usage: ")
+        assert "error: argument" in err
+        return
     if code == 2:
         assert out == "" and err.startswith("error: ")
         return

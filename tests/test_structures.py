@@ -89,6 +89,21 @@ def test_classical_index_out_of_range(classical4):
         as_point(classical4, float("inf"))
 
 
+@pytest.mark.parametrize("raw", [2.7, 0.5, -0.5, True, False, np.bool_(True),
+                                 np.float64(1.5)])
+def test_discrete_point_is_an_integral_number(classical4, wheel, raw):
+    # neither truncated nor read from a boolean
+    for st_ in (classical4, wheel):
+        with pytest.raises(InvalidPoint):
+            as_point(st_, raw)
+
+
+def test_discrete_point_accepts_integral_numbers(classical4):
+    assert as_point(classical4, 2.0) == 2
+    assert as_point(classical4, np.int64(3)) == 3
+    assert as_point(classical4, np.float64(1.0)) == 1
+
+
 def test_explicit_table_lookup(wheel):
     # four planar lines at 45-degree steps: squared cosines 1, 1/2, 0
     expected = [

@@ -11,6 +11,7 @@ import pytest
 
 from starprob import run_property_suite
 from starprob.cli import run_command
+from starprob.errors import FormatError
 from starprob.io import suite_report_to_dict
 from starprob.suites import SUITE_IDS, wheel_structure
 
@@ -26,6 +27,11 @@ def test_suite_ids():
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_property_suite("telepathy", seed=1, scale=4)
+
+
+def test_negative_scale_rejected():
+    with pytest.raises(FormatError, match="scale >= 0"):
+        run_property_suite("rv", seed=1, scale=-3)
 
 
 @pytest.mark.parametrize("suite_id", ["lattice", "sigma", "prob", "rv"])
