@@ -29,12 +29,8 @@ from .structures import (
     Point,
     Report,
     SPStructure,
-    as_point,
-    check_point,
-    explicit_lattice,
     random_frame,
     random_unit_vector,
-    similarity,
 )
 from .structures import FAIL, PASS  # noqa: F401 - verdicts re-exported with the validator
 
@@ -77,26 +73,11 @@ def o_projection_point(st: SPStructure, x: Point, ortho) -> Point:
     itself).
     """
     pts = core.ensure_ortho_set(st, ortho)
-    x = check_point(st, x)
-    sxa = core.similarity_to_basis(st, x, pts)
+    x = st.check_point(x)
+    sxa = st.similarity_to_basis(x, pts)
     if sxa >= 1.0 - TOL_EQ:
         raise core.OrthogonalProjectionUndefined  # pragma: no cover - guarded by callers
-    return _o_witness(st, x, pts, sxa)
-
-
-def _o_witness(st: SPStructure, x: Point, pts, sxa: float) -> Point:
-    """:func:`o_projection_point` for a checked point, a validated
-    orthogonal set and ``sxa = s(x, A) < 1``."""
-    if st.kind == core.RAY:
-        v = np.asarray(x, dtype=float)
-        for a in pts:
-            v = v - np.dot(a, v) * a
-        return as_point(st, v)
-    for y in sorted(core.orthogonal_points(st, pts)):
-        if abs(sxa + similarity(st, x, y) - 1.0) <= TOL_EQ:
-            return y
-    raise core.ProjectionNotFound(
-        "no orthogonal witness completes the similarity sum to one")
+    return st.o_witness(x, pts, sxa)
 
 
 def validate_sp_axioms(st: SPStructure,
@@ -142,61 +123,44 @@ def _argmax_pair(m: np.ndarray, st: SPStructure) -> dict:
 
 
 def _explicit_exhaustive(st: SPStructure) -> list[Check]:
+    """Every law over every pairwise-orthogonal point set.
+
+    Standardness needs no scan: ``SPStructure.explicit`` already rejects
+    two rows within ``TOL_UNIT`` of each other, the same test at the same
+    tolerance, so the constructor is its guard.
+    """
     m = st.matrix
     n = st.n
     labels = st.labels
-
-    dup = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            if np.max(np.abs(m[i] - m[j])) <= TOL_UNIT:
-                dup = {"points": [labels[i], labels[j]]}
-    std = Check("standardness")
-    std.hit(dup is None, witness=dup, trials=n * (n - 1) // 2)
-
-    cliques = explicit_lattice(st)["cliques"]
+    std = Check("standardness", trials=n * (n - 1) // 2)
 
     bound = Check("boundedness")
-    for clique in cliques:
-        if not clique:
-            continue
-        sums = m[:, list(clique)].sum(axis=1)
-        excess = float(np.max(sums) - 1.0)
-        x = int(np.argmax(sums))
-        bound.hit(excess <= TOL_EQ, max(0.0, excess),
-                  {"point": labels[x], "ortho_set": [labels[i] for i in clique],
-                   "similarity_sum": float(sums[x])} if excess > TOL_EQ else None,
-                  trials=n)
-
     oproj = Check("o_projection")
-    for clique in cliques:
+    fact = Check("factorization")
+    for clique in st.explicit_lattice()["cliques"]:
         sums = m[:, list(clique)].sum(axis=1) if clique else np.zeros(n)
+        ortho_set = [labels[i] for i in clique]
+        if clique:
+            excess = float(np.max(sums) - 1.0)
+            x = int(np.argmax(sums))
+            bound.hit(excess <= TOL_EQ, max(0.0, excess),
+                      {"point": labels[x], "ortho_set": ortho_set,
+                       "similarity_sum": float(sums[x])} if excess > TOL_EQ else None,
+                      trials=n)
+
+        candidates = st.orthogonal_points(clique)
         for x in range(n):
             sxa = float(sums[x])
             if sxa >= 1.0 - TOL_EQ:
                 continue
-            best = None
-            for y in range(n):
-                if clique and np.max(m[[y], list(clique)]) > TOL_EQ:
-                    continue
-                gap = abs(sxa + m[x, y] - 1.0)
-                best = gap if best is None else min(best, gap)
-                if gap <= TOL_EQ:
-                    break
-            if best is not None and best <= TOL_EQ:
+            best = min((abs(sxa + m[x, y] - 1.0) for y in candidates), default=1.0)
+            if best <= TOL_EQ:
                 oproj.hit(True)
             else:
-                oproj.hit(False, 1.0 if best is None else best,
-                          {"point": labels[x],
-                           "ortho_set": [labels[i] for i in clique],
-                           "similarity_sum": sxa})
+                oproj.hit(False, best, {"point": labels[x], "ortho_set": ortho_set,
+                                        "similarity_sum": sxa})
 
-    fact = Check("factorization")
-    for clique in cliques:
-        if not clique:
-            continue
-        carrier = sorted(core.closure_of_ortho_set(st, clique))
-        sums = m[:, list(clique)].sum(axis=1)
+        carrier = sorted(st.closure(clique))  # empty for the empty clique
         for x in range(n):
             sxa = float(min(1.0, sums[x]))
             for y in carrier:
@@ -206,8 +170,7 @@ def _explicit_exhaustive(st: SPStructure) -> list[Check]:
                     res = abs(m[x, z] - m[x, y] * m[y, z])
                     fact.hit(res <= TOL_EQ, res,
                              {"point": labels[x], "projection": labels[y],
-                              "member": labels[z],
-                              "ortho_set": [labels[i] for i in clique],
+                              "member": labels[z], "ortho_set": ortho_set,
                               "residual": res} if res > TOL_EQ else None)
 
     return [_matrix_law(st, "symmetry", np.abs(m - m.T)),
@@ -234,9 +197,8 @@ def _explicit_sampled(st: SPStructure, budget: ValidationBudget) -> list[Check]:
                    "ortho_set": [st.labels[i] for i in clique]}
         bound.hit(sxa - 1.0 <= TOL_EQ, max(0.0, sxa - 1.0), witness)
         if sxa < 1.0 - _STRICT_GAP:
-            oproj.hit(any(all(m[y, a] <= TOL_EQ for a in clique)
-                          and abs(sxa + m[x, y] - 1.0) <= TOL_EQ
-                          for y in range(n)), witness=witness)
+            oproj.hit(any(abs(sxa + m[x, y] - 1.0) <= TOL_EQ
+                          for y in st.orthogonal_points(clique)), witness=witness)
 
     return [_matrix_law(st, "symmetry", np.abs(m - m.T)),
             _matrix_law(st, "non_negativity", -m),
@@ -272,20 +234,20 @@ def _ray_sampled(st: SPStructure, budget: ValidationBudget) -> list[Check]:
     for _ in range(budget.samples):
         k = int(rng.integers(0, d))  # leave room for a deficient sum
         frame = random_frame(d, k, rng)
-        pts = [as_point(st, frame[:, i]) for i in range(k)]
-        x = as_point(st, random_unit_vector(d, rng))
+        pts = [st.as_point(frame[:, i]) for i in range(k)]
+        x = st.as_point(random_unit_vector(d, rng))
         basis = core.ensure_ortho_set(st, pts)
 
-        sxa = core.similarity_to_basis(st, x, basis)
-        excess = core._raw_ortho_sum(st, x, pts) - 1.0
+        sxa = st.similarity_to_basis(x, basis)
+        excess = st.raw_ortho_sum(x, pts) - 1.0
         bound.hit(excess <= TOL_EQ, max(0.0, excess),
                   {"point": x.tolist(), "ortho_set": [p.tolist() for p in pts]}
                   if excess > TOL_EQ else None)
 
         if sxa < 1.0 - _STRICT_GAP:
-            y = _o_witness(st, x, basis, sxa)
-            r_orth = core._raw_ortho_sum(st, y, pts)
-            r_sum = abs(sxa + similarity(st, x, y) - 1.0)
+            y = st.o_witness(x, basis, sxa)
+            r_orth = st.raw_ortho_sum(y, pts)
+            r_sum = abs(sxa + st.similarity(x, y) - 1.0)
             res = max(r_orth, r_sum)
             oproj.hit(res <= TOL_EQ, res,
                       {"point": x.tolist(), "ortho_set": [p.tolist() for p in pts],
@@ -293,14 +255,14 @@ def _ray_sampled(st: SPStructure, budget: ValidationBudget) -> list[Check]:
 
         kb = int(rng.integers(1, d + 1))
         bframe = random_frame(d, kb, rng)
-        bpts = [as_point(st, bframe[:, i]) for i in range(kb)]
+        bpts = [st.as_point(bframe[:, i]) for i in range(kb)]
         mix = rng.standard_normal(kb)
-        z = as_point(st, bframe @ mix)  # a point inside the span
+        z = st.as_point(bframe @ mix)  # a point inside the span
         bbasis = core.ensure_ortho_set(st, bpts)
-        if core.similarity_to_basis(st, x, bbasis) > TOL_EQ:
-            t = core.project_onto_basis(st, x, bbasis)
-            res = abs(similarity(st, x, z)
-                      - similarity(st, x, t) * similarity(st, t, z))
+        if st.similarity_to_basis(x, bbasis) > TOL_EQ:
+            t = st.project_onto_basis(x, bbasis)
+            res = abs(st.similarity(x, z)
+                      - st.similarity(x, t) * st.similarity(t, z))
             fact.hit(res <= TOL_EQ, res,
                      {"point": x.tolist(), "member": z.tolist(),
                       "ortho_set": [p.tolist() for p in bpts],

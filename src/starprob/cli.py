@@ -323,11 +323,17 @@ def _cmd_prob(args) -> int:
     p = spio.load_measure(st, args.measure)
     q = spio.load_measure(st, args.other)
     fld = spio.load_field(st, args.field) if args.field else None
-    same = meas.measures_equal(p, q, fld, samples=args.event_samples,
-                               seed=args.seed)
-    payload = {"command": "prob.equal", "equal": same}
-    lines = [f"equal: {str(same).lower()}"]
-    return _emit(args, payload, lines, OK if same else CHECK_FAILED)
+    diff = meas.first_difference(p, q, fld, samples=args.event_samples,
+                                 seed=args.seed)
+    payload = {"command": "prob.equal", "equal": diff is None}
+    lines = [f"equal: {str(diff is None).lower()}"]
+    if diff is None:
+        return _emit(args, payload, lines, OK)
+    payload["witness"] = {"event": diff.to_literal(),
+                          "measure": meas.evaluate(p, diff),
+                          "other": meas.evaluate(q, diff)}
+    lines.append(f"witness: {json.dumps(payload['witness'], sort_keys=True)}")
+    return _emit(args, payload, lines, CHECK_FAILED)
 
 
 # ---------------------------------------------------------------------------

@@ -101,12 +101,7 @@ def _json_number(value, what: str) -> float:
 
 
 def structure_to_dict(st: SPStructure) -> dict:
-    if st.kind == core.CLASSICAL:
-        return {"kind": st.kind, "n": st.n}
-    if st.kind == core.RAY:
-        return {"kind": st.kind, "d": st.d}
-    return {"kind": st.kind, "points": list(st.labels),
-            "matrix": [[float(v) for v in row] for row in st.matrix]}
+    return st.to_dict()
 
 
 def parse_point(st: SPStructure, literal):
@@ -243,8 +238,7 @@ def _with_witness(check, out: dict) -> dict:
 def validate_report_to_dict(st: SPStructure, report: Report) -> dict:
     """The structure-axiom report: one verdict per axiom, sorted by name."""
     return {
-        "structure": ({"kind": st.kind, "d": st.d} if st.kind == core.RAY
-                      else {"kind": st.kind, "n": st.n}),
+        "structure": st.summary(),
         "verdicts": {c.law: _with_witness(c, {"status": c.status,
                                               "checks": c.trials,
                                               "max_residual": c.max_residual})

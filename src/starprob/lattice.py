@@ -6,10 +6,10 @@ subspace is built; the public functions check that their operands share one
 sample space and make one method call.  A :class:`DiscreteSubspace` carries
 its point set (its carrier) plus a canonical basis, and every discrete
 operation computes a carrier.  The classical model is the Kronecker case of
-that route, in which every point set is its own closure; the three places
-where it differs from an explicit table (a carrier's basis, the least
-carrier over a point set, the points orthogonal to a set) live in
-:mod:`starprob.structures`.  A :class:`RaySubspace` carries a canonical
+that route, in which every point set is its own closure; where it differs
+from an explicit table (a carrier's basis and literal, the least carrier
+over a point set, the points orthogonal to a set) the structure's class
+answers.  A :class:`RaySubspace` carries a canonical
 orthonormal frame (column-pivoted, largest-residual-first, sign-canonical),
 so equal subspaces have byte-identical canonical forms after rounding to 12
 decimal places.  Equality is additionally backed by projector comparison.
@@ -38,7 +38,6 @@ from .structures import (
     TOL_EQ,
     Point,
     SPStructure,
-    as_point,
     ensure_same_structure,
 )
 
@@ -211,7 +210,7 @@ class DiscreteSubspace(Subspace):
     def __init__(self, st: SPStructure, points: frozenset, basis=None):
         self.structure = st
         self.points = points
-        self.basis = core.carrier_basis(st, points) if basis is None else basis
+        self.basis = st.carrier_basis(points) if basis is None else basis
         self.dim = len(self.basis)
         self.is_full = len(points) == st.n
         self._complement = None
@@ -226,11 +225,11 @@ class DiscreteSubspace(Subspace):
 
     @staticmethod
     def from_basis(st, pts):
-        return DiscreteSubspace(st, core.closure_of_ortho_set(st, pts))
+        return DiscreteSubspace(st, st.closure(pts))
 
     @staticmethod
     def span(st, points):
-        pts = frozenset(as_point(st, p) for p in points)
+        pts = frozenset(st.as_point(p) for p in points)
         return _least_containing(st, pts, "the given points")
 
     def basis_points(self) -> tuple[Point, ...]:
@@ -245,10 +244,7 @@ class DiscreteSubspace(Subspace):
 
     def to_literal(self):
         """Point labels: indices for the classical model."""
-        st = self.structure
-        if st.kind == core.CLASSICAL:
-            return sorted(int(p) for p in self.points)
-        return [st.labels[p] for p in sorted(self.points)]
+        return self.structure.carrier_literal(self.points)
 
     def __repr__(self) -> str:
         names = ",".join(self.structure.labels[p] for p in sorted(self.points))
@@ -256,7 +252,7 @@ class DiscreteSubspace(Subspace):
 
     def complement(self):
         st = self.structure
-        return DiscreteSubspace(st, core.orthogonal_points(st, self.points))
+        return DiscreteSubspace(st, st.orthogonal_points(self.points))
 
     def join(self, rest):
         union = self.points.union(*(s.points for s in rest))
@@ -267,23 +263,22 @@ class DiscreteSubspace(Subspace):
                                 self.points.intersection(*(s.points for s in rest)))
 
     def is_orthogonal_to(self, other) -> bool:
-        return self.points <= core.orthogonal_points(self.structure, other.points)
+        return self.points <= self.structure.orthogonal_points(other.points)
 
     def is_subset_of(self, other) -> bool:
         return self.points <= other.points
 
     # the basis is orthogonal by construction: no pairwise check
     def similarity_to(self, x: Point) -> float:
-        return core.similarity_to_basis(self.structure, x, self.basis)
+        return self.structure.similarity_to_basis(x, self.basis)
 
     def project(self, x: Point) -> Point:
-        return core.project_onto_basis(self.structure, x, self.basis,
-                                       carrier=self.points)
+        return self.structure.project_onto_basis(x, self.basis, self.points)
 
 
 def _least_containing(st: SPStructure, pts: frozenset, what: str) -> DiscreteSubspace:
     """The least discrete subspace containing ``pts``."""
-    carrier = core.least_carrier(st, pts)
+    carrier = st.least_carrier(pts)
     if carrier is None:
         raise NotASubspace(f"no subspace contains {what}")
     return DiscreteSubspace(st, carrier)
@@ -323,7 +318,7 @@ class RaySubspace(Subspace):
 
     @staticmethod
     def span(st, vectors):
-        rows = [core._ray_vector(st, v) for v in vectors]
+        rows = [st.vector(v) for v in vectors]
         m = np.stack(rows, axis=1) if rows else np.zeros((st.d, 0))
         if not np.isfinite(m).all():
             raise core.InvalidPoint("vectors have non-finite entries")
@@ -331,7 +326,7 @@ class RaySubspace(Subspace):
 
     def basis_points(self) -> tuple[Point, ...]:
         """The frame's columns as points."""
-        return tuple(as_point(self.structure, self.frame[:, i])
+        return tuple(self.structure.as_point(self.frame[:, i])
                      for i in range(self.dim))
 
     def projector(self) -> np.ndarray:
@@ -381,13 +376,13 @@ class RaySubspace(Subspace):
     def _own_basis(self) -> tuple[Point, ...]:
         # orthogonal by construction: no pairwise check.  as_point runs again
         # on basis_points, which fixes the last bits of what is computed here
-        return tuple(as_point(self.structure, p) for p in self.basis_points())
+        return tuple(self.structure.as_point(p) for p in self.basis_points())
 
     def similarity_to(self, x: Point) -> float:
-        return core.similarity_to_basis(self.structure, x, self._own_basis())
+        return self.structure.similarity_to_basis(x, self._own_basis())
 
     def project(self, x: Point) -> Point:
-        return core.project_onto_basis(self.structure, x, self._own_basis())
+        return self.structure.project_onto_basis(x, self._own_basis())
 
 
 def _column_span(st: SPStructure, m: np.ndarray) -> RaySubspace:

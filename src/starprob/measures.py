@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lattice as lat
-from . import structures as core
 from .errors import EventNotInField, FormatError, WeightsNotConvex
 from .lattice import Subspace, similarity_to_subspace
 from .sigma import SigmaStarField
@@ -52,16 +51,10 @@ class ProbabilityMeasure:
         if self.kind == TABLE:
             return {"kind": TABLE, "values": list(self.values)}
         if self.kind == PURE:
-            return {"kind": PURE, "point": _point_literal(self.structure, self.point)}
+            return {"kind": PURE, "point": self.structure.point_literal(self.point)}
         return {"kind": MIXED,
-                "components": [[w, _point_literal(self.structure, x)]
+                "components": [[w, self.structure.point_literal(x)]
                                for w, x in self.components]}
-
-
-def _point_literal(st: SPStructure, x: Point):
-    if st.kind == core.RAY:
-        return [float(v) for v in x]
-    return st.labels[int(x)]
 
 
 def pure_state(st: SPStructure, x, field: SigmaStarField | None = None) -> ProbabilityMeasure:
@@ -191,18 +184,8 @@ def _check_event_samples(count: int) -> None:
 def _sampled_events(st: SPStructure, cfg: SamplerConfig,
                     count: int) -> list[Subspace]:
     rng = np.random.default_rng(cfg.seed)
-    events = [lat.empty(st), lat.full(st)]
-    if st.kind == core.RAY:
-        for _ in range(count):
-            k = int(rng.integers(0, st.d + 1))
-            events.append(lat.from_span(
-                st, core.random_frame(st.d, k, rng).T))
-    else:
-        for _ in range(count):
-            size = int(rng.integers(0, st.n + 1))
-            pts = sorted(rng.permutation(st.n)[:size].tolist())
-            events.append(lat.from_points(st, pts))
-    return events
+    return [lat.empty(st), lat.full(st)] + [
+        lat.from_span(st, st.random_span(rng)) for _ in range(count)]
 
 
 def _additivity_check(p: ProbabilityMeasure, events: list[Subspace]) -> Check:
@@ -270,16 +253,25 @@ def _continuity_check(p: ProbabilityMeasure, events: list[Subspace],
     return uncertified or Check("continuity_bound")
 
 
+def first_difference(p: ProbabilityMeasure, q: ProbabilityMeasure,
+                     fld: SigmaStarField | None = None,
+                     samples: int = 1000, seed: int = 0,
+                     tol: float = TOL_UNIT) -> Subspace | None:
+    """The first event of a field (or of seeded subspaces) where ``p`` and
+    ``q`` differ by more than ``tol``; ``None`` when they agree on all."""
+    _check_event_samples(samples)
+    ensure_same_structure(p.structure, q.structure)
+    if fld is not None:
+        events = list(fld.events)
+    else:
+        events = _sampled_events(p.structure, SamplerConfig(seed=seed), samples)
+    return next((e for e in events
+                 if not abs(evaluate(p, e) - evaluate(q, e)) <= tol), None)
+
+
 def measures_equal(p: ProbabilityMeasure, q: ProbabilityMeasure,
                    fld: SigmaStarField | None = None,
                    samples: int = 1000, seed: int = 0,
                    tol: float = TOL_UNIT) -> bool:
     """Agreement within ``tol`` on a field (or on seeded subspaces)."""
-    _check_event_samples(samples)
-    ensure_same_structure(p.structure, q.structure)
-    st = p.structure
-    if fld is not None:
-        events = list(fld.events)
-    else:
-        events = _sampled_events(st, SamplerConfig(seed=seed), samples)
-    return all(abs(evaluate(p, e) - evaluate(q, e)) <= tol for e in events)
+    return first_difference(p, q, fld, samples, seed, tol) is None

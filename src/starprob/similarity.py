@@ -39,7 +39,7 @@ from .lattice import (
     project,
     similarity_to_subspace,
 )
-from .structures import TOL_EQ, Point, SPStructure, as_point, ensure_same_structure, similarity
+from .structures import TOL_EQ, Point, SPStructure, ensure_same_structure, similarity
 from .structures import FAIL_CERTIFIED, INCONCLUSIVE, PASS, Check, Report, worst
 
 EXACT = "exact"
@@ -135,7 +135,7 @@ def tau(x: Point, a: Subspace, b: Subspace) -> float:
         return 1.0 - sxa
     ta = project(x, a)
     tb = project(x, b)
-    return similarity(st, ta, tb)
+    return st.similarity(ta, tb)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +232,7 @@ def _zero_witness(a: Subspace, b: Subspace) -> Point | None:
             x /= np.linalg.norm(x)
             if min(np.sum((x @ fa) ** 2), np.sum((x @ fb) ** 2)) <= TOL_EQ:
                 continue
-            pt = as_point(a.structure, x)
+            pt = a.structure.as_point(x)
             if tau(pt, a, b) <= TOL_EQ:
                 return pt
     return None
@@ -285,7 +285,7 @@ def sampled_similarity(a: Subspace, b: Subspace,
         certainty=SAMPLED,
         samples=cfg.samples,
         seed=cfg.seed,
-        witness=as_point(st, best_x).tolist(),
+        witness=st.as_point(best_x).tolist(),
     )
 
 

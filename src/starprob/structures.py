@@ -2,14 +2,22 @@
 
 A sample space here is a set of points together with a similarity function
 ``s(x, y)`` taking values in ``[0, 1]``, with ``s(x, y) = 1`` exactly when
-the points coincide.  Three models are provided:
+the points coincide.  Three models are provided, one class each:
 
-* ``classical`` -- ``n`` labelled points, similarity is the Kronecker delta.
-* ``ray``       -- rays of ``R^d`` (unit vectors modulo sign), similarity is
-  the squared dot product.
-* ``explicit``  -- ``n`` labelled points with the full similarity matrix
-  given up front.  Nothing beyond the matrix shape is assumed; deeper
-  structural properties are checked by :mod:`starprob.axioms`.
+* :class:`ClassicalStructure` -- ``n`` labelled points, similarity is the
+  Kronecker delta.
+* :class:`RayStructure` -- rays of ``R^d`` (unit vectors modulo sign),
+  similarity is the squared dot product.
+* :class:`ExplicitStructure` -- ``n`` labelled points with the full
+  similarity matrix given up front.  Nothing beyond the matrix shape is
+  assumed; deeper structural properties are checked by
+  :mod:`starprob.axioms`.
+
+The model is decided once, by the constructors on :class:`SPStructure`,
+and its class owns every model-specific step of the point layer; the module
+functions do what the models share and make one method call.  Classical is
+the Kronecker case of explicit: both are a :class:`DiscreteStructure`, and
+classical answers each table scan in closed form.
 
 Points are plain values: an ``int`` index for the discrete models, a
 canonicalized unit ``numpy`` vector for the ray model.  Structures are
@@ -146,36 +154,26 @@ RAY = "ray"
 EXPLICIT = "explicit"
 
 
-@dataclass(eq=False)
 class SPStructure:
-    """One sample space.  Use the ``classical`` / ``ray`` / ``explicit`` constructors."""
-
-    kind: str
-    n: int = 0
-    d: int = 0
-    labels: tuple[str, ...] = ()
-    matrix: np.ndarray | None = None
-    _cache: dict | None = field(default=None, init=False, repr=False)
-    # explicit models: for each point, the points orthogonal to it
-    orthogonal: tuple[frozenset, ...] = field(default=(), init=False, repr=False)
+    """One sample space.  The ``classical`` / ``ray`` / ``explicit``
+    constructors return the model's subclass; ``kind`` names the model."""
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def classical(n: int) -> "SPStructure":
+    def classical(n: int) -> "ClassicalStructure":
         if n < 1:
             raise FormatError("classical model needs at least one point")
-        return SPStructure(kind=CLASSICAL, n=int(n),
-                           labels=tuple(str(i) for i in range(n)))
+        return ClassicalStructure(int(n), tuple(str(i) for i in range(n)))
 
     @staticmethod
-    def ray(d: int) -> "SPStructure":
+    def ray(d: int) -> "RayStructure":
         if d < 1:
             raise FormatError("ray model needs dimension >= 1")
-        return SPStructure(kind=RAY, d=int(d))
+        return RayStructure(int(d))
 
     @staticmethod
-    def explicit(matrix, labels: Sequence[str] | None = None) -> "SPStructure":
+    def explicit(matrix, labels: Sequence[str] | None = None) -> "ExplicitStructure":
         try:
             m = np.asarray(matrix, dtype=float)
         except (TypeError, ValueError):
@@ -207,10 +205,38 @@ class SPStructure:
                 raise FormatError("labels must be distinct and match the matrix size")
         m = m.copy()
         m.flags.writeable = False
-        st = SPStructure(kind=EXPLICIT, n=n, labels=labels, matrix=m)
-        st.orthogonal = tuple(frozenset(np.flatnonzero(m[:, q] <= TOL_EQ).tolist())
-                              for q in range(n))
-        return st
+        return ExplicitStructure(n, labels, m, tuple(
+            frozenset(np.flatnonzero(m[:, q] <= TOL_EQ).tolist()) for q in range(n)))
+
+    # -- steps the models share --------------------------------------------
+
+    def project_onto_basis(self, x: Point, pts: Sequence[Point],
+                           carrier: frozenset | None = None) -> Point:
+        """:func:`project_point` for canonical points already known to be
+        pairwise orthogonal, such as a subspace's own basis: no pair check."""
+        x = self.check_point(x)
+        if not pts:
+            raise EmptySubspace("cannot project onto the empty subspace")
+        sxa = self.similarity_to_basis(x, pts)
+        if sxa <= TOL_EQ:
+            raise OrthogonalProjectionUndefined(
+                "the point is orthogonal to the subspace")
+        return self._project(x, pts, sxa, carrier)
+
+    def explicit_lattice(self) -> dict:
+        raise FormatError("subspace enumeration applies to explicit models only")
+
+
+# ---------------------------------------------------------------------------
+# discrete models: indexed, labelled points
+
+
+@dataclass(eq=False)
+class DiscreteStructure(SPStructure):
+    """``n`` labelled points, addressed by index or label."""
+
+    n: int
+    labels: tuple[str, ...]
 
     def label_index(self, label: str) -> int:
         try:
@@ -218,17 +244,321 @@ class SPStructure:
         except ValueError:
             raise InvalidPoint(f"unknown point label {label!r}") from None
 
+    def as_point(self, raw) -> int:
+        if isinstance(raw, str):
+            idx = self.label_index(raw)
+        else:
+            try:
+                idx = int(raw)
+            except (TypeError, ValueError, OverflowError):
+                idx = None
+            # an index is an integral number; int() would truncate 2.7 and take True
+            if idx is None or isinstance(raw, (bool, np.bool_)) or idx != raw:
+                raise InvalidPoint(f"not a point of a discrete model: {raw!r}")
+        return self.check_point(idx)
+
+    def check_point(self, x) -> int:
+        if isinstance(x, (bool, float)) or not isinstance(x, (int, np.integer)):
+            raise InvalidPoint(f"expected a point index, got {x!r}")
+        if not 0 <= int(x) < self.n:
+            raise InvalidPoint(f"point index {int(x)} out of range [0, {self.n})")
+        return int(x)
+
+    def o_witness(self, x: int, pts, sxa: float) -> int:
+        """The witness of :func:`starprob.axioms.o_projection_point`: the
+        first point orthogonal to ``pts`` that completes ``sxa`` to one."""
+        for y in sorted(self.orthogonal_points(pts)):
+            if abs(sxa + self.similarity(x, y) - 1.0) <= TOL_EQ:
+                return y
+        raise ProjectionNotFound(
+            "no orthogonal witness completes the similarity sum to one")
+
+    def point_literal(self, x: int) -> str:
+        return self.labels[int(x)]
+
+    def carrier_literal(self, points: frozenset) -> list:
+        """A subspace literal: the labels of its points."""
+        return [self.labels[p] for p in sorted(points)]
+
+    def summary(self) -> dict:
+        """Kind and size, as a validation report names the structure."""
+        return {"kind": self.kind, "n": self.n}
+
+    to_dict = summary  # the JSON document; explicit adds its table
+
+    def random_span(self, rng: np.random.Generator) -> list[int]:
+        """Seeded points whose least subspace is a random event."""
+        size = int(rng.integers(0, self.n + 1))
+        return sorted(rng.permutation(self.n)[:size].tolist())
+
+
+@dataclass(eq=False)
+class ClassicalStructure(DiscreteStructure):
+    """Similarity is the Kronecker delta: every point set is a subspace
+    carrier, with its sorted points as basis."""
+
+    kind = CLASSICAL
+
+    def similarity(self, x, y) -> float:
+        return 1.0 if self.check_point(x) == self.check_point(y) else 0.0
+
+    def similarity_to_basis(self, x, pts) -> float:
+        return 1.0 if self.check_point(x) in pts else 0.0
+
+    def _project(self, x: int, pts, sxa: float, carrier) -> int:
+        return x  # s(x, A) > 0 only for the members of A
+
+    def closure(self, pts) -> frozenset:
+        return frozenset(int(p) for p in pts)
+
+    def complete_basis(self, pts) -> tuple[int, ...]:
+        return tuple(range(self.n))  # the only basis is the whole point set
+
+    def carrier_basis(self, carrier: frozenset) -> tuple[int, ...]:
+        return tuple(sorted(carrier))
+
+    def least_carrier(self, points: frozenset) -> frozenset:
+        return points
+
+    def orthogonal_points(self, points) -> frozenset:
+        return frozenset(range(self.n)).difference(points)
+
+    def carrier_literal(self, points: frozenset) -> list[int]:
+        """A subspace literal: indices (a point literal is its label)."""
+        return sorted(int(p) for p in points)
+
+
+@dataclass(eq=False)
+class ExplicitStructure(DiscreteStructure):
+    """Similarity is read off a tabulated matrix."""
+
+    kind = EXPLICIT
+    matrix: np.ndarray
+    # for each point, the points orthogonal to it
+    orthogonal: tuple[frozenset, ...] = field(repr=False)
+    _lattice: dict | None = field(default=None, init=False, repr=False)
+
+    def similarity(self, x, y) -> float:
+        x = self.check_point(x)
+        y = self.check_point(y)
+        i, j = (x, y) if x <= y else (y, x)  # one code path for both orders
+        return float(min(1.0, max(0.0, self.matrix[i, j])))
+
+    def raw_ortho_sum(self, x: int, pts) -> float:
+        return float(np.sum(self.matrix[x, list(pts)])) if pts else 0.0
+
+    def similarity_to_basis(self, x, pts) -> float:
+        raw = self.raw_ortho_sum(self.check_point(x), pts)
+        if raw > 1.0 + TOL_EQ:
+            raise BoundednessViolated(
+                f"similarity to orthogonal set sums to {raw:.6g} > 1")
+        return float(min(1.0, max(0.0, raw)))
+
+    def _project(self, x: int, pts, sxa: float, carrier) -> int:
+        for p in sorted(carrier if carrier is not None else self.closure(pts)):
+            if abs(self.similarity(x, p) - sxa) <= TOL_EQ:
+                return p
+        raise ProjectionNotFound(
+            "no member of the subspace attains the projection similarity; "
+            "the matrix is not a similarity-projection space")
+
+    def closure(self, pts) -> frozenset:
+        return frozenset(p for p in range(self.n)
+                         if abs(self.raw_ortho_sum(p, pts) - 1.0) <= TOL_EQ)
+
+    def complete_basis(self, pts) -> tuple[int, ...]:
+        base = tuple(sorted(int(p) for p in pts))
+        candidates = sorted(self.orthogonal_points(base))
+        nodes = 0
+
+        def is_basis(sel: tuple[int, ...]) -> bool:
+            sums = self.matrix[:, list(sel)].sum(axis=1)
+            return bool(np.all(np.abs(sums - 1.0) <= TOL_EQ))
+
+        def search(sel: tuple[int, ...], start: int):
+            nonlocal nodes
+            nodes += 1
+            if nodes > COMPLETION_MAX_NODES:
+                raise CompletionNotFound(
+                    "basis completion search budget exhausted", exhausted=False)
+            if is_basis(sel):
+                return sel
+            for k in range(start, len(candidates)):
+                p = candidates[k]
+                if all(p in self.orthogonal[q] for q in sel):
+                    found = search(sel + (p,), k + 1)
+                    if found is not None:
+                        return found
+            return None
+
+        found = search(base, 0)
+        if found is None:
+            raise CompletionNotFound(
+                "no orthogonal completion spans the whole space; "
+                "the matrix is not a similarity-projection space", exhausted=True)
+        return found
+
+    def explicit_lattice(self) -> dict:
+        if self._lattice is not None:
+            return self._lattice
+        if self.n > EXPLICIT_ENUM_MAX:
+            raise BudgetRequired(
+                f"explicit model has {self.n} > {EXPLICIT_ENUM_MAX} points; "
+                "exhaustive subspace enumeration is out of budget")
+        cliques: list[tuple[int, ...]] = [()]
+
+        def grow(clique: tuple[int, ...], start: int) -> None:
+            for v in range(start, self.n):
+                if self.orthogonal[v].issuperset(clique):
+                    nxt = clique + (v,)
+                    cliques.append(nxt)
+                    grow(nxt, v + 1)
+
+        grow((), 0)
+
+        # a clique is pairwise orthogonal by construction: no pair check
+        carriers: dict[frozenset, tuple[int, ...]] = {}
+        for clique in cliques:
+            carriers.setdefault(self.closure(clique), clique)
+        self._lattice = {
+            "cliques": tuple(cliques),
+            "carriers": carriers,
+            "carrier_list": sorted(carriers, key=lambda c: (len(c), sorted(c))),
+        }
+        return self._lattice
+
+    def carrier_basis(self, carrier: frozenset) -> tuple[int, ...]:
+        """The canonical basis of a carrier, the point set of a subspace;
+        :class:`NotASubspace` when the set is no closure."""
+        basis = self.explicit_lattice()["carriers"].get(carrier)
+        if basis is None:
+            raise NotASubspace(
+                f"point set {sorted(carrier)} is not the closure of any "
+                "orthogonal set")
+        return basis
+
+    def least_carrier(self, points: frozenset) -> frozenset | None:
+        """The least carrier containing ``points``; None when no carrier does."""
+        carriers = [c for c in self.explicit_lattice()["carrier_list"] if points <= c]
+        return frozenset.intersection(*carriers) if carriers else None
+
+    def orthogonal_points(self, points) -> frozenset:
+        return frozenset(range(self.n)).intersection(*(self.orthogonal[q] for q in points))
+
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, "points": list(self.labels),
+                "matrix": [[float(v) for v in row] for row in self.matrix]}
+
+
+# ---------------------------------------------------------------------------
+# the ray model
+
+
+@dataclass(eq=False)
+class RayStructure(SPStructure):
+    """Rays of ``R^d``: unit vectors modulo sign, similarity the squared dot
+    product.  Subspaces are carried by frames (see :mod:`starprob.lattice`)."""
+
+    kind = RAY
+    d: int
+
+    def vector(self, raw) -> np.ndarray:
+        """``raw`` as ``d`` floats, not yet normalized.  Finiteness is the
+        caller's check, so a span checks its whole stack of vectors at once."""
+        try:
+            v = np.asarray(raw)
+            ok = v.dtype.kind in "iuf" and v.shape == (self.d,)
+        except ValueError:  # ragged nesting
+            ok = False
+        if not ok:
+            raise InvalidPoint(f"expected a vector of {self.d} numbers, got {raw!r}")
+        return v.astype(float, copy=False)
+
+    def as_point(self, raw) -> np.ndarray:
+        v = self.vector(raw)
+        if not np.all(np.isfinite(v)):
+            raise InvalidPoint("vector has non-finite entries")
+        norm = float(np.linalg.norm(v))
+        if not TOL_UNIT <= norm < np.inf:
+            raise InvalidPoint("a zero or overflowing vector does not define a ray")
+        v = v / norm
+        v = _canonical_sign(v)
+        v.flags.writeable = False
+        return v
+
+    def check_point(self, x) -> np.ndarray:
+        if not isinstance(x, np.ndarray) or x.shape != (self.d,):
+            raise InvalidPoint(f"expected a length-{self.d} vector")
+        if abs(float(np.linalg.norm(x)) - 1.0) > TOL_EQ:
+            raise InvalidPoint("ray points must be unit vectors")
+        return x
+
+    def similarity(self, x, y) -> float:
+        dot = float(np.dot(self.check_point(x), self.check_point(y)))
+        return min(1.0, dot * dot)
+
+    def raw_ortho_sum(self, x: np.ndarray, pts) -> float:
+        if not pts:
+            return 0.0
+        mat = np.stack(pts)  # k x d
+        return float(np.sum((mat @ x) ** 2))
+
+    def similarity_to_basis(self, x, pts) -> float:
+        return float(min(1.0, max(0.0, self.raw_ortho_sum(self.check_point(x), pts))))
+
+    def _project(self, x: np.ndarray, pts, sxa: float, carrier) -> np.ndarray:
+        mat = np.stack(pts)
+        return self.as_point(mat.T @ (mat @ x))
+
+    def o_witness(self, x: np.ndarray, pts, sxa: float) -> np.ndarray:
+        """The orthogonal witness: the normalized residual of ``x`` against
+        the span of ``pts``."""
+        v = np.asarray(x, dtype=float)
+        for a in pts:
+            v = v - np.dot(a, v) * a
+        return self.as_point(v)
+
+    def closure(self, *_):
+        raise FormatError("ray subspaces are carried by frames, not point sets")
+
+    carrier_basis = least_carrier = orthogonal_points = closure
+
+    def complete_basis(self, pts) -> tuple[np.ndarray, ...]:
+        """Gram-Schmidt over the standard basis in index order."""
+        frame = [np.asarray(p, dtype=float) for p in pts]
+        for i in range(self.d):
+            v = np.zeros(self.d)
+            v[i] = 1.0
+            for c in frame:
+                v = v - np.dot(c, v) * c
+            norm = float(np.linalg.norm(v))
+            if norm < GS_DISCARD:
+                continue
+            v = v / norm
+            for c in frame:  # second sweep tightens orthogonality
+                v = v - np.dot(c, v) * c
+            v = v / float(np.linalg.norm(v))
+            frame.append(v)
+        assert len(frame) == self.d
+        return tuple(self.as_point(v) for v in frame)
+
+    def point_literal(self, x: np.ndarray) -> list[float]:
+        return [float(v) for v in x]
+
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, "d": self.d}
+
+    summary = to_dict
+
+    def random_span(self, rng: np.random.Generator) -> np.ndarray:
+        """Seeded vectors whose span is a random event."""
+        k = int(rng.integers(0, self.d + 1))
+        return random_frame(self.d, k, rng).T
+
 
 def same_structure(a: SPStructure, b: SPStructure) -> bool:
-    if a is b:
-        return True
-    if a.kind != b.kind:
-        return False
-    if a.kind == RAY:
-        return a.d == b.d
-    if a.kind == CLASSICAL:
-        return a.n == b.n
-    return a.n == b.n and a.labels == b.labels and np.array_equal(a.matrix, b.matrix)
+    """Whether two structures are one sample space: equal JSON documents."""
+    return a is b or a.to_dict() == b.to_dict()
 
 
 def ensure_same_structure(a: SPStructure, b: SPStructure) -> None:
@@ -248,43 +578,7 @@ def as_point(st: SPStructure, raw) -> Point:
     component larger than 1e-12 in magnitude is made positive) so equal rays
     compare equal entrywise.
     """
-    if st.kind == RAY:
-        v = _ray_vector(st, raw)
-        if not np.all(np.isfinite(v)):
-            raise InvalidPoint("vector has non-finite entries")
-        norm = float(np.linalg.norm(v))
-        if not TOL_UNIT <= norm < np.inf:
-            raise InvalidPoint("a zero or overflowing vector does not define a ray")
-        v = v / norm
-        v = _canonical_sign(v)
-        v.flags.writeable = False
-        return v
-    if isinstance(raw, str):
-        idx = st.label_index(raw)
-    else:
-        try:
-            idx = int(raw)
-        except (TypeError, ValueError, OverflowError):
-            idx = None
-        # an index is an integral number; int() would truncate 2.7 and take True
-        if idx is None or isinstance(raw, (bool, np.bool_)) or idx != raw:
-            raise InvalidPoint(f"not a point of a discrete model: {raw!r}")
-    if not 0 <= idx < st.n:
-        raise InvalidPoint(f"point index {idx} out of range [0, {st.n})")
-    return idx
-
-
-def _ray_vector(st: SPStructure, raw) -> np.ndarray:
-    """``raw`` as ``d`` floats (ray model), not yet normalized.  Finiteness is
-    the caller's check, so a span checks its whole stack of vectors at once."""
-    try:
-        v = np.asarray(raw)
-        ok = v.dtype.kind in "iuf" and v.shape == (st.d,)
-    except ValueError:  # ragged nesting
-        ok = False
-    if not ok:
-        raise InvalidPoint(f"expected a vector of {st.d} numbers, got {raw!r}")
-    return v.astype(float, copy=False)
+    return st.as_point(raw)
 
 
 def _canonical_sign(v: np.ndarray) -> np.ndarray:
@@ -296,22 +590,12 @@ def _canonical_sign(v: np.ndarray) -> np.ndarray:
 
 def check_point(st: SPStructure, x: Point) -> Point:
     """Validate that ``x`` already is a point of ``st`` (cheap; no copying)."""
-    if st.kind == RAY:
-        if not isinstance(x, np.ndarray) or x.shape != (st.d,):
-            raise InvalidPoint(f"expected a length-{st.d} vector")
-        if abs(float(np.linalg.norm(x)) - 1.0) > TOL_EQ:
-            raise InvalidPoint("ray points must be unit vectors")
-        return x
-    if isinstance(x, (bool, float)) or not isinstance(x, (int, np.integer)):
-        raise InvalidPoint(f"expected a point index, got {x!r}")
-    if not 0 <= int(x) < st.n:
-        raise InvalidPoint(f"point index {int(x)} out of range [0, {st.n})")
-    return int(x)
+    return st.check_point(x)
 
 
 def points_equal(st: SPStructure, x: Point, y: Point) -> bool:
     """Equality as rays / labels, i.e. similarity indistinguishable from 1."""
-    return similarity(st, x, y) >= 1.0 - TOL_EQ
+    return st.similarity(x, y) >= 1.0 - TOL_EQ
 
 
 # ---------------------------------------------------------------------------
@@ -325,15 +609,7 @@ def similarity(st: SPStructure, x: Point, y: Point) -> float:
     product, explicit points by their matrix entry.  The result is clamped to
     ``[0, 1]`` so downstream comparisons never see stray rounding.
     """
-    x = check_point(st, x)
-    y = check_point(st, y)
-    if st.kind == CLASSICAL:
-        return 1.0 if x == y else 0.0
-    if st.kind == RAY:
-        dot = float(np.dot(x, y))
-        return min(1.0, dot * dot)
-    i, j = (x, y) if x <= y else (y, x)  # one code path for both orders
-    return float(min(1.0, max(0.0, st.matrix[i, j])))
+    return st.similarity(x, y)
 
 
 # the package re-exports the point similarity under a name that cannot shadow
@@ -347,10 +623,10 @@ def ensure_ortho_set(st: SPStructure, points: Iterable) -> tuple[Point, ...]:
     Raises :class:`NotOrthoSet` when any pair has similarity above 1e-9, or
     when a point is repeated.
     """
-    pts = tuple(as_point(st, p) for p in points)
+    pts = tuple(st.as_point(p) for p in points)
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            s = similarity(st, pts[i], pts[j])
+            s = st.similarity(pts[i], pts[j])
             if s > TOL_EQ:
                 raise NotOrthoSet(
                     f"points {i} and {j} have similarity {s:.3g} > 1e-9")
@@ -364,29 +640,7 @@ def similarity_to_ortho_set(st: SPStructure, x: Point, ortho: Sequence[Point]) -
     the explicit model raises :class:`BoundednessViolated` when the input
     matrix breaks that bound.
     """
-    return similarity_to_basis(st, x, ensure_ortho_set(st, ortho))
-
-
-def similarity_to_basis(st: SPStructure, x: Point, pts: Sequence[Point]) -> float:
-    """:func:`similarity_to_ortho_set` for canonical points already known to
-    be pairwise orthogonal, such as a subspace's own basis: no pair check."""
-    x = check_point(st, x)
-    raw = _raw_ortho_sum(st, x, pts)
-    if st.kind == EXPLICIT and raw > 1.0 + TOL_EQ:
-        raise BoundednessViolated(
-            f"similarity to orthogonal set sums to {raw:.6g} > 1")
-    return float(min(1.0, max(0.0, raw)))
-
-
-def _raw_ortho_sum(st: SPStructure, x: Point, pts: Sequence[Point]) -> float:
-    if not pts:
-        return 0.0
-    if st.kind == RAY:
-        mat = np.stack(pts)  # k x d
-        return float(np.sum((mat @ x) ** 2))
-    if st.kind == CLASSICAL:
-        return 1.0 if x in pts else 0.0
-    return float(np.sum(st.matrix[x, list(pts)]))
+    return st.similarity_to_basis(x, ensure_ortho_set(st, ortho))
 
 
 # ---------------------------------------------------------------------------
@@ -404,45 +658,12 @@ def project_point(st: SPStructure, x: Point, basis: Sequence[Point],
     Raises :class:`OrthogonalProjectionUndefined` when ``x`` is orthogonal to
     the span and :class:`EmptySubspace` when ``A`` is empty.
     """
-    return project_onto_basis(st, x, ensure_ortho_set(st, basis), carrier)
-
-
-def project_onto_basis(st: SPStructure, x: Point, pts: Sequence[Point],
-                       carrier: frozenset | None = None) -> Point:
-    """:func:`project_point` for canonical points already known to be
-    pairwise orthogonal, such as a subspace's own basis: no pair check."""
-    x = check_point(st, x)
-    if not pts:
-        raise EmptySubspace("cannot project onto the empty subspace")
-    sxa = similarity_to_basis(st, x, pts)
-    if sxa <= TOL_EQ:
-        raise OrthogonalProjectionUndefined(
-            "the point is orthogonal to the subspace")
-    if st.kind == RAY:
-        mat = np.stack(pts)
-        proj = mat.T @ (mat @ x)
-        return as_point(st, proj)
-    members = carrier if carrier is not None else closure_of_ortho_set(st, pts)
-    for p in sorted(members):
-        if abs(similarity(st, x, p) - sxa) <= TOL_EQ:
-            return p
-    raise ProjectionNotFound(
-        "no member of the subspace attains the projection similarity; "
-        "the matrix is not a similarity-projection space")
+    return st.project_onto_basis(x, ensure_ortho_set(st, basis), carrier)
 
 
 def closure_of_ortho_set(st: SPStructure, ortho: Sequence[Point]) -> frozenset:
     """All points with total similarity 1 against ``ortho`` (discrete models)."""
-    if st.kind == RAY:
-        raise FormatError("ray subspaces are carried by frames, not point sets")
-    pts = ensure_ortho_set(st, ortho)
-    if st.kind == CLASSICAL:
-        return frozenset(int(p) for p in pts)
-    out = []
-    for p in range(st.n):
-        if abs(_raw_ortho_sum(st, p, pts) - 1.0) <= TOL_EQ:
-            out.append(p)
-    return frozenset(out)
+    return st.closure(ensure_ortho_set(st, ortho))
 
 
 # ---------------------------------------------------------------------------
@@ -461,75 +682,11 @@ def extend_to_basis(st: SPStructure, ortho: Sequence[Point]) -> tuple[Point, ...
     search budget of ``COMPLETION_MAX_NODES`` nodes runs out (the two cases
     are distinguished on the error).
     """
-    pts = ensure_ortho_set(st, ortho)
-    if st.kind == CLASSICAL:
-        return tuple(range(st.n))  # the only basis is the whole point set
-    if st.kind == RAY:
-        return _complete_ray_basis(st, pts)
-    return _complete_explicit_basis(st, pts)
-
-
-def _complete_ray_basis(st: SPStructure, pts: Sequence[Point]) -> tuple[Point, ...]:
-    frame = [np.asarray(p, dtype=float) for p in pts]
-    for i in range(st.d):
-        v = np.zeros(st.d)
-        v[i] = 1.0
-        for c in frame:
-            v = v - np.dot(c, v) * c
-        norm = float(np.linalg.norm(v))
-        if norm < GS_DISCARD:
-            continue
-        v = v / norm
-        for c in frame:  # second sweep tightens orthogonality
-            v = v - np.dot(c, v) * c
-        v = v / float(np.linalg.norm(v))
-        frame.append(v)
-    assert len(frame) == st.d
-    return tuple(as_point(st, v) for v in frame)
-
-
-def _complete_explicit_basis(st: SPStructure, pts: Sequence[Point]) -> tuple[Point, ...]:
-    base = tuple(sorted(int(p) for p in pts))
-    matrix = st.matrix
-    nodes = 0
-
-    def is_basis(sel: tuple[int, ...]) -> bool:
-        cols = list(sel)
-        sums = matrix[:, cols].sum(axis=1)
-        return bool(np.all(np.abs(sums - 1.0) <= TOL_EQ))
-
-    def orthogonal_to_all(p: int, sel: tuple[int, ...]) -> bool:
-        return all(matrix[p, q] <= TOL_EQ for q in sel)
-
-    candidates = [p for p in range(st.n)
-                  if p not in base and orthogonal_to_all(p, base)]
-
-    def search(sel: tuple[int, ...], start: int):
-        nonlocal nodes
-        nodes += 1
-        if nodes > COMPLETION_MAX_NODES:
-            raise CompletionNotFound(
-                "basis completion search budget exhausted", exhausted=False)
-        if is_basis(sel):
-            return sel
-        for k in range(start, len(candidates)):
-            p = candidates[k]
-            if orthogonal_to_all(p, sel):
-                found = search(sel + (p,), k + 1)
-                if found is not None:
-                    return found
-        return None
-
-    found = search(base, 0)
-    if found is None:
-        raise CompletionNotFound(
-            "no orthogonal completion spans the whole space; "
-            "the matrix is not a similarity-projection space", exhausted=True)
-    return found
+    return st.complete_basis(ensure_ortho_set(st, ortho))
 
 
 # ---------------------------------------------------------------------------
-# explicit-model subspace enumeration
+# discrete subspaces, carried by point sets
 
 
 def explicit_lattice(st: SPStructure) -> dict:
@@ -540,76 +697,12 @@ def explicit_lattice(st: SPStructure) -> dict:
     ``carrier_list`` (closures in canonical sorted order).  Feasible for
     ``n <= 12``; larger models raise :class:`BudgetRequired`.
     """
-    if st.kind != EXPLICIT:
-        raise FormatError("subspace enumeration applies to explicit models only")
-    if st._cache is not None:
-        return st._cache
-    if st.n > EXPLICIT_ENUM_MAX:
-        raise BudgetRequired(
-            f"explicit model has {st.n} > {EXPLICIT_ENUM_MAX} points; "
-            "exhaustive subspace enumeration is out of budget")
-    cliques: list[tuple[int, ...]] = [()]
-
-    def grow(clique: tuple[int, ...], start: int) -> None:
-        for v in range(start, st.n):
-            if st.orthogonal[v].issuperset(clique):
-                nxt = clique + (v,)
-                cliques.append(nxt)
-                grow(nxt, v + 1)
-
-    grow((), 0)
-
-    carriers: dict[frozenset, tuple[int, ...]] = {}
-    for clique in cliques:
-        carriers.setdefault(closure_of_ortho_set(st, clique), clique)
-    cache = {
-        "cliques": tuple(cliques),
-        "carriers": carriers,
-        "carrier_list": sorted(carriers, key=lambda c: (len(c), sorted(c))),
-    }
-    st._cache = cache
-    return cache
-
-
-# ---------------------------------------------------------------------------
-# discrete subspaces, carried by point sets
-#
-# The classical model is the Kronecker case of the explicit one: every point
-# set is the closure of itself, so nothing is enumerated.  These three
-# helpers are the only place the two discrete models differ in the lattice.
-
-
-def carrier_basis(st: SPStructure, carrier: frozenset) -> tuple[int, ...]:
-    """The canonical orthogonal basis of a carrier (discrete models).
-
-    A carrier is the point set of a subspace, the closure of an orthogonal
-    set.  Classical: every set is one, with its sorted points as basis.
-    Explicit: looked up in :func:`explicit_lattice`; raises
-    :class:`NotASubspace` when the set is no closure.
-    """
-    if st.kind == CLASSICAL:
-        return tuple(sorted(carrier))
-    basis = explicit_lattice(st)["carriers"].get(carrier)
-    if basis is None:
-        raise NotASubspace(
-            f"point set {sorted(carrier)} is not the closure of any "
-            "orthogonal set")
-    return basis
-
-
-def least_carrier(st: SPStructure, points: frozenset) -> frozenset | None:
-    """The least carrier containing ``points``; None when no carrier does."""
-    if st.kind == CLASSICAL:
-        return points
-    carriers = [c for c in explicit_lattice(st)["carrier_list"] if points <= c]
-    return frozenset.intersection(*carriers) if carriers else None
+    return st.explicit_lattice()
 
 
 def orthogonal_points(st: SPStructure, points) -> frozenset:
     """Every point orthogonal to all of ``points`` (discrete models)."""
-    if st.kind == CLASSICAL:
-        return frozenset(range(st.n)).difference(points)
-    return frozenset(range(st.n)).intersection(*(st.orthogonal[q] for q in points))
+    return st.orthogonal_points(points)
 
 
 # ---------------------------------------------------------------------------

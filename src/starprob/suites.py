@@ -59,11 +59,8 @@ def run_property_suite(suite_id: str, seed: int,
 # shared generators
 
 
-def _random_subspace(st: SPStructure, rng: np.random.Generator,
-                     max_dim: int | None = None) -> lat.Subspace:
-    top = st.d if max_dim is None else max_dim
-    k = int(rng.integers(0, top + 1))
-    return lat.from_span(st, random_frame(st.d, k, rng).T)
+def _random_subspace(st: SPStructure, rng: np.random.Generator) -> lat.Subspace:
+    return lat.from_span(st, st.random_span(rng))
 
 
 def _classical_subsets(st: SPStructure) -> list[lat.Subspace]:

@@ -49,6 +49,10 @@ INVOCATIONS = [
      "--event-samples", "5"],
     ["rv", "compatible", "ray2.json", "rv_pm45.json", "rv_axis.json"],
     ["rv", "compatible", "classical6.json", "rv_die6.json", "rv_die6.json"],
+    ["prob", "equal", "ray2.json", "measure_mix_axes.json",
+     "measure_mix_diagonals.json", "--event-samples", "5"],
+    ["prob", "equal", "ray2.json", "measure_pure_e1.json",
+     "measure_mix_axes.json", "--event-samples", "5"],
 ]
 
 # invocations whose flag values and literal arguments are mutated
@@ -69,6 +73,8 @@ ARGUMENT_INVOCATIONS = [
     ["prob", "pure", "classical4.json", "2", "[1, 2]"],
     ["prob", "pure", "explicit4.json", "r0", "[\"r0\", \"r45\"]"],
     ["prob", "pure", "ray2.json", "[1, 0]", "[[1, 1]]"],
+    ["prob", "equal", "ray2.json", "measure_pure_e1.json", "measure_mix_axes.json",
+     "--event-samples", "5", "--seed", "0"],
 ]
 FLAGS = ("--seed", "--samples", "--scale", "--cap", "--event-samples")
 LITERAL_COMMANDS = (("lattice", "sum"), ("prob", "pure"))
@@ -121,8 +127,10 @@ def workdir(tmp_path_factory):
 
 def _failed_with_witness(payload) -> bool:
     report = payload.get("report")
-    if report is None:  # sigma atoms: an event without a decomposition
-        return None in payload.get("decompositions", {}).values()
+    if report is None:  # sigma atoms: an event without a decomposition;
+        # prob equal: an event where the measures differ
+        return (None in payload.get("decompositions", {}).values()
+                or payload.get("witness") is not None)
     rows = (report["verdicts"].values() if "verdicts" in report
             else report["checks"])
     return any((row.get("status") in ("fail", "fail-certified")

@@ -26,7 +26,7 @@ from starprob import (
 )
 from starprob.errors import EventNotInField, WeightsNotConvex
 from starprob.io import load_field, load_measure, measure_report_to_dict
-from starprob.measures import FAIL_CERTIFIED, PASS, evaluate
+from starprob.measures import FAIL_CERTIFIED, PASS, evaluate, first_difference
 from starprob.structures import as_point
 
 
@@ -147,6 +147,15 @@ class TestMixtures:
         axes = load_measure(ray2, fixture_dir / "measure_mix_axes.json")
         p = pure_state(ray2, [1.0, 0.0], load_field(ray2, fixture_dir / "field_ray2_line.json"))
         assert not measures_equal(axes, p)
+        # the witness: the measures differ there and agree on every event before
+        fld = load_field(ray2, fixture_dir / "field_ray2_twolines.json")
+        event = first_difference(axes, p, fld)
+        assert abs(evaluate(axes, event) - evaluate(p, event)) > 1e-12
+        before = fld.events[:fld.index_of(event)]
+        assert all(evaluate(axes, e) == pytest.approx(evaluate(p, e), abs=1e-12)
+                   for e in before)
+        diags = load_measure(ray2, fixture_dir / "measure_mix_diagonals.json")
+        assert first_difference(axes, diags, fld) is None
 
     def test_classical_uniform_mixture_is_counting_measure(self, classical6):
         fld = generate_sigma_star(classical6, [[i] for i in range(6)])
@@ -156,6 +165,14 @@ class TestMixtures:
         for e in fld.events:
             assert evaluate(m, e) == pytest.approx(len(e.points) / 6.0, abs=1e-12)
         assert validate_measure(m).overall == PASS
+
+
+def test_classical_points_print_as_labels_and_events_as_indices(classical4):
+    p = pure_state(classical4, 2)
+    assert p.describe() == {"kind": "pure", "point": "2"}
+    m = mix([(0.5, p), (0.5, pure_state(classical4, 3))])
+    assert m.describe() == {"kind": "mixed", "components": [[0.5, "2"], [0.5, "3"]]}
+    assert from_points(classical4, [2, 1]).to_literal() == [1, 2]
 
 
 # ---------------------------------------------------------------------------

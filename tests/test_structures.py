@@ -17,13 +17,18 @@ from starprob.errors import (
 )
 from starprob.structures import (
     Check,
+    ClassicalStructure,
+    ExplicitStructure,
+    RayStructure,
     Report,
     closure_of_ortho_set,
     ensure_ortho_set,
     ensure_same_structure,
+    explicit_lattice,
     extend_to_basis,
     orthogonal_points,
     project_point,
+    same_structure,
     similarity_to_ortho_set,
 )
 
@@ -175,6 +180,34 @@ def test_explicit_rejects_indistinguishable_points():
 def test_mixed_structures_rejected(ray2, ray3):
     with pytest.raises(MixedStructures):
         ensure_same_structure(ray2, ray3)
+
+
+def test_each_constructor_returns_its_models_class(wheel):
+    for st, cls, kind in ((SPStructure.classical(2), ClassicalStructure, "classical"),
+                          (SPStructure.ray(2), RayStructure, "ray"),
+                          (wheel, ExplicitStructure, "explicit")):
+        assert (type(st), st.kind) == (cls, kind)
+
+
+def test_same_structure_never_crosses_models(wheel):
+    # classical is the Kronecker case of the explicit model, not one of its
+    # tables: an identity table with the same labels is another sample space
+    eye2 = SPStructure.explicit(np.eye(2), labels=["0", "1"])
+    assert not same_structure(SPStructure.classical(4), wheel)
+    assert not same_structure(SPStructure.classical(2), eye2)
+    assert not same_structure(SPStructure.ray(4), SPStructure.classical(4))
+    assert same_structure(SPStructure.classical(2), SPStructure.classical(2))
+    assert same_structure(SPStructure.ray(4), SPStructure.ray(4))
+    assert same_structure(SPStructure.explicit(np.eye(2), labels=["0", "1"]), eye2)
+    assert not same_structure(SPStructure.explicit(np.eye(2)), eye2)
+
+
+def test_wrong_model_calls_are_format_errors(classical4, ray2):
+    with pytest.raises(FormatError):
+        closure_of_ortho_set(ray2, [[1.0, 0.0]])
+    for st in (classical4, ray2):
+        with pytest.raises(FormatError):
+            explicit_lattice(st)
 
 
 def test_ortho_set_validation(ray2):
