@@ -5,15 +5,16 @@ orthogonal sums, and respects the continuity bound
 
     p(A) <= p(B) + sqrt(1 - s(A,B))/2 + (1 - s(A,B))
 
-which replaces monotonicity in this non-distributive setting.  Three
-backings are supported: an explicit value table over a field, a pure state
-``B -> s(x, B)`` induced by a single point, and a convex mixture of points.
-Pure and mixed measures are defined on every subspace; tables only on their
-field.
+which replaces monotonicity in this non-distributive setting.  Two
+backings are supported: an explicit value table over a field, and a convex
+mixture of points ``B -> sum_i w_i s(x_i, B)``.  A pure state, induced by a
+single point, is the mixture of one point with weight one.  Point-backed
+measures are defined on every subspace; tables only on their field.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,11 +23,7 @@ from . import lattice as lat
 from .errors import EventNotInField, FormatError, WeightsNotConvex
 from .lattice import Subspace, similarity_to_subspace
 from .sigma import SigmaStarField
-from .similarity import (
-    SamplerConfig,
-    continuity_rhs,
-    subspace_similarity,
-)
+from .similarity import SamplerConfig, compare_leq, continuity_rhs, subspace_similarity
 from .structures import TOL_EQ, TOL_UNIT, Point, SPStructure, as_point, ensure_same_structure
 from .structures import FAIL_CERTIFIED, INCONCLUSIVE, Check, Report
 from .structures import PASS  # noqa: F401 - verdicts re-exported with the validator
@@ -38,20 +35,24 @@ MIXED = "mixed"
 
 @dataclass
 class ProbabilityMeasure:
-    """One measure.  Build with :func:`pure_state`, :func:`mix` or :func:`table_measure`."""
+    """One measure.  Build with :func:`pure_state`, :func:`mix` or :func:`table_measure`.
+
+    A table carries ``values``; every other measure carries weighted point
+    ``components``.  ``kind`` only labels the measure for :meth:`describe`.
+    """
 
     structure: SPStructure
     kind: str
     field: SigmaStarField | None = None
     values: tuple[float, ...] | None = None
-    point: Point | None = None
     components: tuple[tuple[float, Point], ...] | None = None
 
     def describe(self) -> dict:
         if self.kind == TABLE:
             return {"kind": TABLE, "values": list(self.values)}
         if self.kind == PURE:
-            return {"kind": PURE, "point": self.structure.point_literal(self.point)}
+            return {"kind": PURE,
+                    "point": self.structure.point_literal(self.components[0][1])}
         return {"kind": MIXED,
                 "components": [[w, self.structure.point_literal(x)]
                                for w, x in self.components]}
@@ -60,7 +61,7 @@ class ProbabilityMeasure:
 def pure_state(st: SPStructure, x, field: SigmaStarField | None = None) -> ProbabilityMeasure:
     """The measure induced by one point: ``p(B) = s(x, B)``."""
     return ProbabilityMeasure(structure=st, kind=PURE, field=field,
-                              point=as_point(st, x))
+                              components=((1.0, as_point(st, x)),))
 
 
 def table_measure(fld: SigmaStarField, values) -> ProbabilityMeasure:
@@ -96,6 +97,8 @@ def mix(components) -> ProbabilityMeasure:
     comps = [(float(w), p) for w, p in components]
     if not comps:
         raise WeightsNotConvex("a mixture needs at least one component")
+    if not all(math.isfinite(w) for w, _ in comps):
+        raise WeightsNotConvex("weights must be finite numbers")
     total = sum(w for w, _ in comps)
     if any(w < -TOL_UNIT for w, _ in comps) or abs(total - 1.0) > TOL_UNIT:
         raise WeightsNotConvex(
@@ -105,16 +108,10 @@ def mix(components) -> ProbabilityMeasure:
         ensure_same_structure(st, p.structure)
     if len(comps) == 1:
         return comps[0][1]
-    if all(p.kind in (PURE, MIXED) for _, p in comps):
-        flat: list[tuple[float, Point]] = []
-        for w, p in comps:
-            if p.kind == PURE:
-                flat.append((w, p.point))
-            else:
-                flat.extend((w * wi, xi) for wi, xi in p.components)
+    if all(p.kind != TABLE for _, p in comps):
         fld = next((p.field for _, p in comps if p.field is not None), None)
-        return ProbabilityMeasure(structure=st, kind=MIXED, field=fld,
-                                  components=tuple(flat))
+        return ProbabilityMeasure(structure=st, kind=MIXED, field=fld, components=tuple(
+            (w * wi, xi) for w, p in comps for wi, xi in p.components))
     fld = next(p.field for _, p in comps if p.kind == TABLE)
     for _, p in comps:
         if p.kind == TABLE and p.field is not fld and p.field != fld:
@@ -130,8 +127,6 @@ def evaluate(p: ProbabilityMeasure, event: Subspace) -> float:
     ensure_same_structure(p.structure, event.structure)
     if p.kind == TABLE:
         return p.values[p.field.index_of(event)]
-    if p.kind == PURE:
-        return similarity_to_subspace(p.point, event)
     return sum(w * similarity_to_subspace(x, event) for w, x in p.components)
 
 
@@ -149,23 +144,20 @@ def validate_measure(p: ProbabilityMeasure,
     every orthogonal pair plus greedily-extended maximal orthogonal
     families; continuity runs over every event pair with direction-aware
     verdicts, so a sampled subspace similarity can never certify a spurious
-    failure.  Every check that is not ``pass`` carries a witness.
+    failure.  Each event of the domain is evaluated once.  Every check that
+    is not ``pass`` carries a witness.
     """
-    _check_event_samples(event_samples)
     cfg = cfg or SamplerConfig()
     st = p.structure
-    fld = fld or p.field
-    if fld is not None:
-        events = list(fld.events)
-    else:
-        events = _sampled_events(st, cfg, event_samples)
+    events = _domain(st, (fld, p.field), cfg, event_samples)
+    values = [evaluate(p, e) for e in events]
     v_empty = evaluate(p, lat.empty(st))
     v_full = evaluate(p, lat.full(st))
     return Report([
         _exact_check("empty_event_zero", abs(v_empty), {"value": v_empty}),
         _exact_check("full_event_one", abs(v_full - 1.0), {"value": v_full}),
-        _additivity_check(p, events),
-        _continuity_check(p, events, cfg),
+        _additivity_check(p, events, values),
+        _continuity_check(events, values, cfg),
     ])
 
 
@@ -176,31 +168,33 @@ def _exact_check(law: str, residual: float, witness: dict) -> Check:
     return Check(law, FAIL_CERTIFIED, witnesses=[witness])
 
 
-def _check_event_samples(count: int) -> None:
+def _domain(st: SPStructure, fields, cfg: SamplerConfig, count: int) -> list[Subspace]:
+    """The events of the first field in ``fields`` that is not ``None``, or
+    the empty and full subspaces plus ``count`` seeded random spans."""
     if count < 0:
         raise FormatError(f"event samples must be >= 0, got {count}")
-
-
-def _sampled_events(st: SPStructure, cfg: SamplerConfig,
-                    count: int) -> list[Subspace]:
+    fld = next((f for f in fields if f is not None), None)
+    if fld is not None:
+        return list(fld.events)
     rng = np.random.default_rng(cfg.seed)
     return [lat.empty(st), lat.full(st)] + [
         lat.from_span(st, st.random_span(rng)) for _ in range(count)]
 
 
-def _additivity_check(p: ProbabilityMeasure, events: list[Subspace]) -> Check:
+def _additivity_check(p: ProbabilityMeasure, events: list[Subspace],
+                      values: list[float]) -> Check:
     worst = 0.0
     witness = None
-    nonzero = [e for e in events if not e.is_empty]
-    for i, a in enumerate(nonzero):
-        for b in nonzero[i + 1:]:
+    nonzero = [(e, v) for e, v in zip(events, values) if not e.is_empty]
+    for i, (a, pa) in enumerate(nonzero):
+        for b, pb in nonzero[i + 1:]:
             if not lat.is_orthogonal(a, b):
                 continue
             try:
                 combined = evaluate(p, lat.join(a, b))
             except EventNotInField:  # sampled domains may step outside
                 continue
-            res = abs(combined - (evaluate(p, a) + evaluate(p, b)))
+            res = abs(combined - (pa + pb))
             if res > worst:
                 worst = res
                 witness = {"events": [a.to_literal(), b.to_literal()],
@@ -209,44 +203,40 @@ def _additivity_check(p: ProbabilityMeasure, events: list[Subspace]) -> Check:
     seen: set = set()
     for start in range(len(nonzero)):
         picked = [start]
-        for j, cand in enumerate(nonzero):
-            if j != start and all(lat.is_orthogonal(cand, nonzero[k])
+        for j, (cand, _) in enumerate(nonzero):
+            if j != start and all(lat.is_orthogonal(cand, nonzero[k][0])
                                   for k in picked):
                 picked.append(j)
         key = tuple(sorted(picked))
         if key in seen or len(picked) < 2:
             continue
         seen.add(key)
-        family = [nonzero[k] for k in picked]
         try:
-            total = evaluate(p, lat.join(*family))
+            total = evaluate(p, lat.join(*(nonzero[k][0] for k in picked)))
         except EventNotInField:
             continue
-        res = abs(total - sum(evaluate(p, m) for m in family))
+        res = abs(total - sum(nonzero[k][1] for k in picked))
         if res > worst:
             worst = res
-            witness = {"family_size": len(family), "residual": res}
+            witness = {"family_size": len(picked), "residual": res}
     return _exact_check("orthogonal_additivity", worst, witness)
 
 
-def _continuity_check(p: ProbabilityMeasure, events: list[Subspace],
+def _continuity_check(events: list[Subspace], values: list[float],
                       cfg: SamplerConfig) -> Check:
     uncertified = None
-    for a in events:
-        pa = evaluate(p, a)
-        for b in events:
+    for a, pa in zip(events, values):
+        for b, pb in zip(events, values):
             if a is b:
                 continue
             s_ab = subspace_similarity(a, b, cfg)
-            lo, hi = continuity_rhs(evaluate(p, b), s_ab)
-            if pa <= lo + TOL_EQ:
-                continue
-            if s_ab.is_exact:
+            rhs = continuity_rhs(pb, s_ab)
+            verdict = compare_leq(pa, rhs)
+            if verdict == FAIL_CERTIFIED:
                 return Check("continuity_bound", FAIL_CERTIFIED, witnesses=[{
                     "events": [a.to_literal(), b.to_literal()],
-                    "p_A": pa, "p_B": evaluate(p, b),
-                    "similarity": s_ab.value, "bound": lo}])
-            if uncertified is None:
+                    "p_A": pa, "p_B": pb, "similarity": s_ab.value, "bound": rhs[0]}])
+            if verdict == INCONCLUSIVE and uncertified is None:
                 uncertified = Check("continuity_bound", INCONCLUSIVE, witnesses=[{
                     "events": [a.to_literal(), b.to_literal()],
                     "note": "sampled similarity cannot certify"}])
@@ -257,14 +247,11 @@ def first_difference(p: ProbabilityMeasure, q: ProbabilityMeasure,
                      fld: SigmaStarField | None = None,
                      samples: int = 1000, seed: int = 0,
                      tol: float = TOL_UNIT) -> Subspace | None:
-    """The first event of a field (or of seeded subspaces) where ``p`` and
-    ``q`` differ by more than ``tol``; ``None`` when they agree on all."""
-    _check_event_samples(samples)
+    """The first event where ``p`` and ``q`` differ by more than ``tol``, or
+    ``None`` when they agree on all.  The events are those of ``fld``, else
+    of ``p``'s or ``q``'s own field, else seeded subspaces."""
     ensure_same_structure(p.structure, q.structure)
-    if fld is not None:
-        events = list(fld.events)
-    else:
-        events = _sampled_events(p.structure, SamplerConfig(seed=seed), samples)
+    events = _domain(p.structure, (fld, p.field, q.field), SamplerConfig(seed=seed), samples)
     return next((e for e in events
                  if not abs(evaluate(p, e) - evaluate(q, e)) <= tol), None)
 

@@ -360,30 +360,29 @@ def _refine(x0: np.ndarray, v0: float, fa: np.ndarray,
 # inequality checking with direction-aware certainty
 
 
-def compare_leq(lhs: SimilarityEstimate | float,
-                rhs: SimilarityEstimate | float,
+def compare_leq(lhs: SimilarityEstimate | tuple[float, float] | float,
+                rhs: SimilarityEstimate | tuple[float, float] | float,
                 tol: float = TOL_EQ) -> str:
-    """Verdict for ``lhs <= rhs`` given what each side's interval allows."""
+    """Verdict for ``lhs <= rhs`` given what each side's interval allows.
+
+    A side is an estimate, a ``(lo, hi)`` interval or an exact number.  Two
+    exact sides are single points, so the verdict is never undecided.
+    """
     llo, lhi = _interval(lhs)
     rlo, rhi = _interval(rhs)
     if lhi <= rlo + tol:
         return PASS
     if llo > rhi + tol:
         return FAIL_CERTIFIED
-    # exact-vs-exact comparisons never stay undecided
-    if _is_exact(lhs) and _is_exact(rhs):
-        return PASS if llo <= rhi + tol else FAIL_CERTIFIED
     return INCONCLUSIVE
 
 
 def _interval(v) -> tuple[float, float]:
     if isinstance(v, SimilarityEstimate):
         return v.interval()
+    if isinstance(v, tuple):
+        return v
     return (float(v), float(v))
-
-
-def _is_exact(v) -> bool:
-    return not isinstance(v, SimilarityEstimate) or v.is_exact
 
 
 def continuity_rhs(base: float, link: SimilarityEstimate | float) -> tuple[float, float]:
@@ -400,6 +399,8 @@ def continuity_rhs(base: float, link: SimilarityEstimate | float) -> tuple[float
 
 # ---------------------------------------------------------------------------
 # theorem checks
+
+_NEGATED = {PASS: FAIL_CERTIFIED, FAIL_CERTIFIED: PASS, INCONCLUSIVE: INCONCLUSIVE}
 
 
 def check_similarity_theorems(a: Subspace, b: Subspace, c: Subspace,
@@ -426,31 +427,17 @@ def check_similarity_theorems(a: Subspace, b: Subspace, c: Subspace,
 
     # identity characterization
     equal = a == b
-    lo, hi = s_ab.interval()
     if equal:
         status = PASS if abs(s_ab.value - 1.0) <= TOL_EQ else FAIL_CERTIFIED
-    elif hi < 1.0 - TOL_EQ:
-        status = PASS
-    elif s_ab.is_exact:
-        status = FAIL_CERTIFIED  # distinct subspaces with similarity 1
-    else:
-        status = INCONCLUSIVE
+    else:  # s(A, B) < 1 - TOL_EQ: the verdict on its negation, flipped
+        status = _NEGATED[compare_leq(1.0 - TOL_EQ, s_ab, tol=0.0)]
     identity = Check("similarity.identity_iff_equal", status, detail={
         "equal": equal, "value": s_ab.value, "certainty": s_ab.certainty})
 
     # triangle-like bound through C
     rhs = continuity_rhs(s_ac.interval()[0], s_bc)
     rhs_hi = continuity_rhs(s_ac.interval()[1], s_bc)[1]
-    llo, lhi = s_ab.interval()
-    if lhi <= rhs[0] + TOL_EQ:
-        status = PASS
-    elif llo > rhs_hi + TOL_EQ:
-        status = FAIL_CERTIFIED
-    elif s_ab.is_exact and s_ac.is_exact and s_bc.is_exact:
-        status = PASS if s_ab.value <= rhs_hi + TOL_EQ else FAIL_CERTIFIED
-    else:
-        status = INCONCLUSIVE
-    triangle = Check("similarity.triangle_bound", status, detail={
+    triangle = Check("similarity.triangle_bound", compare_leq(s_ab, (rhs[0], rhs_hi)), detail={
         "s_AB": s_ab.value, "s_AC": s_ac.value, "s_BC": s_bc.value,
         "rhs_interval": list(rhs)})
 

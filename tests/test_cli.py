@@ -83,6 +83,19 @@ def test_validate_missing_file_is_usage_error(capsys):
     (["prob", "mix"], "ray2.json",
      ["--component", "abc", FIXTURES / "measure_pure_e1.json"],
      "component weight 'abc' is not a number"),
+    # NaN slips past every comparison of the convexity test, so weights
+    # that are not finite are rejected first, one component or many
+    (["prob", "mix"], "ray2.json",
+     ["--component", "nan", FIXTURES / "measure_pure_e1.json",
+      "--component", "nan", FIXTURES / "measure_mix_axes.json"],
+     "weights must be finite"),
+    (["prob", "mix"], "ray2.json",
+     ["--component", "nan", FIXTURES / "measure_pure_e1.json"],
+     "weights must be finite"),
+    (["prob", "mix"], "ray2.json",
+     ["--component", "inf", FIXTURES / "measure_pure_e1.json",
+      "--component", "0.5", FIXTURES / "measure_mix_axes.json"],
+     "weights must be finite"),
     (["rv", "preimage"], "classical6.json",
      [FIXTURES / "rv_die6.json", "--values", "2,abc"],
      "is not a comma-separated list of numbers"),
@@ -125,6 +138,7 @@ def test_validate_missing_file_is_usage_error(capsys):
 ], ids=["validate-samples", "sim-samples", "sim-refine-top",
         "validate-structure-dimension", "validate-explicit-entries",
         "prob-measure-key", "rv-value", "sigma-cap", "prob-mix-weight",
+        "prob-mix-nan-weights", "prob-mix-one-nan-weight", "prob-mix-inf-weight",
         "rv-preimage-values", "validate-seed", "sim-seed", "prob-equal-seed", "prob-validate-seed",
         "suite-seed", "prob-validate-event-samples", "prob-equal-event-samples",
         "lattice-scalar-vectors", "lattice-nan-vector", "sigma-field-vector",

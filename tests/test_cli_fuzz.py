@@ -3,15 +3,17 @@
 Each example takes one bundled invocation and mutates one of its inputs: a
 JSON input file (one node replaced by another JSON value, or one key or item
 dropped), a flag value (``--seed``, ``--samples``, ``--scale``, ``--cap``,
-``--event-samples``) or a point or subspace literal of ``lattice sum`` and
-``prob pure``.  Then it runs the command.  Whatever the input, the exit code
-must keep the contract of ``starprob.cli``:
+``--event-samples``), a ``prob mix`` component weight, or a point or
+subspace literal of ``lattice sum`` and ``prob pure``.  Then it runs the
+command.  Whatever the input, the exit code must keep the contract of
+``starprob.cli``:
 
 * it is one of 0, 1, 2 and 3; an internal error (4) fails the test;
 * 2 prints nothing on stdout and an ``error:`` line on stderr (argparse's
   usage message when a flag value is no integer);
 * 1 comes with a failed check that carries a witness;
-* 3 comes with checks that actually ran.
+* 3 comes with checks that actually ran;
+* the stdout of 0, 1 and 3 is strict JSON: no ``NaN`` or ``Infinity``.
 
 Budgets and flag values are small so the whole fuzz stays within a few
 seconds; the hypothesis profile in ``conftest.py`` derandomizes it.
@@ -53,6 +55,7 @@ INVOCATIONS = [
      "measure_mix_diagonals.json", "--event-samples", "5"],
     ["prob", "equal", "ray2.json", "measure_pure_e1.json",
      "measure_mix_axes.json", "--event-samples", "5"],
+    ["rv", "expect", "ray2.json", "rv_axis.json", "measure_table_bad_additivity.json"],
 ]
 
 # invocations whose flag values and literal arguments are mutated
@@ -75,8 +78,11 @@ ARGUMENT_INVOCATIONS = [
     ["prob", "pure", "ray2.json", "[1, 0]", "[[1, 1]]"],
     ["prob", "equal", "ray2.json", "measure_pure_e1.json", "measure_mix_axes.json",
      "--event-samples", "5", "--seed", "0"],
+    ["prob", "mix", "ray2.json", "--component", "0.5", "measure_pure_e1.json",
+     "--component", "0.5", "measure_mix_axes.json"],
 ]
 FLAGS = ("--seed", "--samples", "--scale", "--cap", "--event-samples")
+WEIGHT = "--component"
 LITERAL_COMMANDS = (("lattice", "sum"), ("prob", "pure"))
 
 LEAVES = hs.one_of(
@@ -91,6 +97,9 @@ FLAG_VALUES = hs.one_of(
     hs.sampled_from(["", "abc", "1.5", "1e3", "0x10", "nan", " 7", "-0"]))
 SEED_VALUES = hs.one_of(FLAG_VALUES, hs.just(str(2 ** 64)))
 RAW_LITERALS = hs.sampled_from(["", "abc", "r0", "[1, 0", "NaN", "true", "{}"])
+# a weight is read by the program, not by argparse; "-inf" would parse as a flag
+WEIGHT_VALUES = hs.one_of(FLAG_VALUES, hs.sampled_from(
+    ["nan", "inf", "-0.5", "0.5", "Infinity", "1e308"]))
 
 
 def _paths(node, prefix=()):
@@ -162,10 +171,10 @@ def test_mutated_inputs_keep_the_exit_contract(workdir, case, data, value, drop)
 
 
 def _argument_targets(case):
-    """Indices of the flag values and literal arguments of an invocation."""
+    """Indices of the flag values, weights and literal arguments of an invocation."""
     literals = tuple(case[:2]) in LITERAL_COMMANDS
     return [i for i, a in enumerate(case)
-            if case[i - 1] in FLAGS or (literals and i >= 3)]
+            if case[i - 1] in FLAGS + (WEIGHT,) or (literals and i >= 3)]
 
 
 def _is_int(text: str) -> bool:
@@ -188,6 +197,8 @@ def test_mutated_arguments_keep_the_exit_contract(workdir, case, data, value, dr
     if flag:
         argv[target] = data.draw(SEED_VALUES if flag == "--seed" else FLAG_VALUES,
                                  label=flag)
+    elif case[target - 1] == WEIGHT:
+        argv[target] = data.draw(WEIGHT_VALUES, label="weight")
     elif data.draw(hs.booleans(), label="raw text"):
         argv[target] = data.draw(RAW_LITERALS, label="literal")
     else:
@@ -198,6 +209,10 @@ def test_mutated_arguments_keep_the_exit_contract(workdir, case, data, value, dr
         path = data.draw(hs.sampled_from(list(_paths(doc))), label="path")
         argv[target] = json.dumps(_mutate(doc, path, value, drop and bool(path)))
     _assert_exit_contract(argv, usage=flag is not None and not _is_int(argv[target]))
+
+
+def _not_json(constant):
+    raise AssertionError(f"stdout is not strict JSON: it holds {constant}")
 
 
 def _assert_exit_contract(argv, usage=False):
@@ -214,7 +229,7 @@ def _assert_exit_contract(argv, usage=False):
     if code == 2:
         assert out == "" and err.startswith("error: ")
         return
-    payload = json.loads(out)
+    payload = json.loads(out, parse_constant=_not_json)
     if code == 1:
         assert _failed_with_witness(payload), out
     if code == 3:

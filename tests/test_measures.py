@@ -128,6 +128,16 @@ class TestMixtures:
         with pytest.raises(WeightsNotConvex):
             mix([(-0.2, p), (1.2, p)])
 
+    @pytest.mark.parametrize("weights", [
+        [math.nan, math.nan], [math.nan], [math.inf, 0.5], [-math.inf, math.inf],
+        [math.inf], [0.5, 0.5, math.nan]])
+    def test_weights_must_be_finite(self, ray2, weights):
+        # NaN compares false both ways and a single component skips the sum
+        # test, so without the finiteness check these would all mix
+        p = pure_state(ray2, [1.0, 0.0])
+        with pytest.raises(WeightsNotConvex, match="finite"):
+            mix([(w, p) for w in weights])
+
     def test_axis_mixture_equals_diagonal_mixture(self, ray2, fixture_dir):
         """The flat mixture of any orthonormal pair is the same state.
 
