@@ -429,7 +429,7 @@ def check_similarity_theorems(a: Subspace, b: Subspace, c: Subspace,
     equal = a == b
     if equal:
         status = PASS if abs(s_ab.value - 1.0) <= TOL_EQ else FAIL_CERTIFIED
-    else:  # s(A, B) < 1 - TOL_EQ: the verdict on its negation, flipped
+    else:  # distinct needs s(A, B) < 1 - TOL_EQ, the negation of 1 - TOL_EQ <= s(A, B)
         status = _NEGATED[compare_leq(1.0 - TOL_EQ, s_ab, tol=0.0)]
     identity = Check("similarity.identity_iff_equal", status, detail={
         "equal": equal, "value": s_ab.value, "certainty": s_ab.certainty})
