@@ -1,12 +1,11 @@
 """Record the benchmark's end-to-end metrics, optionally against another revision.
 
 Usage:
-    python3 scripts/bench_record.py [--against REV] [--rounds 5] [--seed 5]
-                                    [--seconds S] > BENCH_<n>.json
+    python3 scripts/bench_record.py [--against REV] [--rounds 5] > BENCH_<n>.json
 
 Each round runs ``perfbench/run.py --workload all`` unchanged, with the
-command and the run length (``run_seconds``) that ``BENCHMARK.json`` sets,
-on this checkout (the "change" side).  With ``--against REV`` the committed
+command and the run length (``run_seconds``) that ``BENCHMARK.json`` sets
+and the seed the result digests are pinned to, on this checkout (the "change" side).  With ``--against REV`` the committed
 files of ``REV`` are unpacked into a temporary directory (``git archive``,
 so the repository's own metadata is left alone) and every round runs both
 sides, alternating which goes first.
@@ -17,7 +16,10 @@ error share and the number of passes.  ``peak_rss_mb`` carries the passes
 next to its runs, because the memory peak grows with the number of passes
 that fit in the run.  With ``--against`` it also holds, per workload and
 metric, how many rounds the change won and its median against the parent's,
-judged by the bound in ``BENCHMARK.json``.  Progress goes to stderr.
+with a verdict: ``within-bound`` or ``worse`` by the bound in
+``BENCHMARK.json``, or ``unresolved`` where the parent's own spread is wider
+than the bound or its median is 0 (unless every run of the change beats
+every run of the parent).  Progress goes to stderr.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+SEED = 5  # the seed the workloads' result digests are pinned to
 
 
 def git(*args: str) -> str:
@@ -46,10 +49,11 @@ def unpack(rev: str, into: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
 
 
-def run_once(where: Path, seed: int, seconds: float) -> dict:
+def run_once(where: Path) -> dict:
     """One ``--workload all`` run: each workload's report, by name."""
-    cmd = BENCHMARK["command"] + ["--workload", "all", "--seed", str(seed),
-                                  "--seconds", str(seconds), "--trace", "0"]
+    cmd = BENCHMARK["command"] + ["--workload", "all", "--seed", str(SEED),
+                                  "--seconds", str(BENCHMARK["run_seconds"]),
+                                  "--trace", "0"]
     out = subprocess.run(cmd, cwd=where, capture_output=True, text=True, check=False)
     if out.returncode != 0:
         sys.stderr.write(out.stderr)
@@ -83,8 +87,9 @@ def collect(rounds: list[dict]) -> dict:
 
 
 def compare(parent: dict, change: dict) -> dict:
-    """Per workload and metric: rounds the change won, and its median worsening
-    (a fraction of the parent's median) against the benchmark's bound."""
+    """Per workload and metric: rounds the change won, its median worsening
+    (a fraction of the parent's median, ``None`` where that median is 0) and
+    the verdict against the benchmark's bound."""
     out = {}
     for name in parent:
         rows = {}
@@ -93,12 +98,25 @@ def compare(parent: dict, change: dict) -> dict:
             c = change[name]["metrics"][spec["name"]]
             sign = 1.0 if spec["better"] == "lower" else -1.0
             wins = sum(sign * (b - a) < 0 for a, b in zip(p["runs"], c["runs"]))
-            worse = sign * (c["median"] - p["median"]) / p["median"] if p["median"] else 0.0
+            worse = sign * (c["median"] - p["median"]) / p["median"] if p["median"] else None
             rows[spec["name"]] = {"change_won": wins, "rounds": len(p["runs"]),
                                   "median_worse_by": worse, "bound": spec["bound"],
-                                  "within_bound": worse <= spec["bound"]}
+                                  "verdict": verdict(p, c, sign, worse, spec["bound"])}
         out[name] = rows
     return out
+
+
+def verdict(p: dict, c: dict, sign: float, worse: float | None, bound: float) -> str:
+    """``within-bound`` or ``worse``; ``unresolved`` where a relative bound
+    cannot judge the parent's runs (median 0, or quartiles further apart than
+    the bound), unless every run of the change beats every run of the parent."""
+    if max(sign * b for b in c["runs"]) < min(sign * a for a in p["runs"]):
+        return "within-bound"
+    if worse is None:
+        return "within-bound" if c["median"] == p["median"] else "unresolved"
+    if p["iqr"] > bound * abs(p["median"]):
+        return "unresolved"
+    return "within-bound" if worse <= bound else "worse"
 
 
 def main(argv=None) -> int:
@@ -106,8 +124,6 @@ def main(argv=None) -> int:
     ap.add_argument("--against", metavar="REV",
                     help="also run this revision, alternating with this checkout")
     ap.add_argument("--rounds", type=int, default=5)
-    ap.add_argument("--seed", type=int, default=5)
-    ap.add_argument("--seconds", type=float, default=BENCHMARK["run_seconds"])
     args = ap.parse_args(argv)
     if args.rounds < 1:
         ap.error("--rounds must be >= 1")
@@ -124,10 +140,10 @@ def main(argv=None) -> int:
             order = list(sides) if i % 2 else list(sides)[::-1]
             for side in order:
                 print(f"round {i + 1}/{args.rounds}: {side}", file=sys.stderr, flush=True)
-                runs[side].append(run_once(sides[side]["dir"], args.seed, args.seconds))
+                runs[side].append(run_once(sides[side]["dir"]))
 
-    result = {"command": BENCHMARK["command"], "seed": args.seed,
-              "seconds": args.seconds, "rounds": args.rounds,
+    result = {"command": BENCHMARK["command"], "seed": SEED,
+              "seconds": BENCHMARK["run_seconds"], "rounds": args.rounds,
               "machine": next(iter(runs["change"][0].values()))["machine"],
               "sides": {side: {"rev": info["rev"], "dirty": info["dirty"],
                                "workloads": collect(runs[side])}

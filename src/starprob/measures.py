@@ -38,14 +38,20 @@ class ProbabilityMeasure:
     """One measure.  Build with :func:`pure_state`, :func:`mix` or :func:`table_measure`.
 
     A table carries ``values``; every other measure carries weighted point
-    ``components``.  ``kind`` only labels the measure for :meth:`describe`.
+    ``components``.
     """
 
     structure: SPStructure
-    kind: str
     field: SigmaStarField | None = None
     values: tuple[float, ...] | None = None
     components: tuple[tuple[float, Point], ...] | None = None
+
+    @property
+    def kind(self) -> str:
+        """The label :meth:`describe` prints: a table, or one point, or several."""
+        if self.values is not None:
+            return TABLE
+        return PURE if len(self.components) == 1 else MIXED
 
     def describe(self) -> dict:
         if self.kind == TABLE:
@@ -60,7 +66,7 @@ class ProbabilityMeasure:
 
 def pure_state(st: SPStructure, x, field: SigmaStarField | None = None) -> ProbabilityMeasure:
     """The measure induced by one point: ``p(B) = s(x, B)``."""
-    return ProbabilityMeasure(structure=st, kind=PURE, field=field,
+    return ProbabilityMeasure(structure=st, field=field,
                               components=((1.0, as_point(st, x)),))
 
 
@@ -84,7 +90,7 @@ def table_measure(fld: SigmaStarField, values) -> ProbabilityMeasure:
         raise FormatError("the empty event must carry probability 0")
     if abs(vals[full_i] - 1.0) > TOL_EQ:
         raise FormatError("the whole space must carry probability 1")
-    return ProbabilityMeasure(structure=st, kind=TABLE, field=fld, values=vals)
+    return ProbabilityMeasure(structure=st, field=fld, values=vals)
 
 
 def mix(components) -> ProbabilityMeasure:
@@ -108,24 +114,23 @@ def mix(components) -> ProbabilityMeasure:
         ensure_same_structure(st, p.structure)
     if len(comps) == 1:
         return comps[0][1]
-    if all(p.kind != TABLE for _, p in comps):
+    if all(p.values is None for _, p in comps):
         fld = next((p.field for _, p in comps if p.field is not None), None)
-        return ProbabilityMeasure(structure=st, kind=MIXED, field=fld, components=tuple(
+        return ProbabilityMeasure(structure=st, field=fld, components=tuple(
             (w * wi, xi) for w, p in comps for wi, xi in p.components))
-    fld = next(p.field for _, p in comps if p.kind == TABLE)
+    fld = next(p.field for _, p in comps if p.values is not None)
     for _, p in comps:
-        if p.kind == TABLE and p.field is not fld and p.field != fld:
+        if p.values is not None and p.field is not fld and p.field != fld:
             raise FormatError("table components must share one field")
     vals = [sum(w * evaluate(p, event) for w, p in comps)
             for event in fld.events]
-    return ProbabilityMeasure(structure=st, kind=TABLE, field=fld,
-                              values=tuple(vals))
+    return ProbabilityMeasure(structure=st, field=fld, values=tuple(vals))
 
 
 def evaluate(p: ProbabilityMeasure, event: Subspace) -> float:
     """``p(event)``; table measures require the event to be in their field."""
     ensure_same_structure(p.structure, event.structure)
-    if p.kind == TABLE:
+    if p.values is not None:
         return p.values[p.field.index_of(event)]
     return sum(w * similarity_to_subspace(x, event) for w, x in p.components)
 

@@ -397,10 +397,15 @@ def continuity_rhs(base: float, link: SimilarityEstimate | float) -> tuple[float
     return (lo_val, hi_val)
 
 
+def distinct_verdict(est: SimilarityEstimate) -> str:
+    """Verdict for ``s(A, B) < 1 - TOL_EQ``, which distinct subspaces need:
+    the negation of the verdict for ``1 - TOL_EQ <= s(A, B)``."""
+    return {PASS: FAIL_CERTIFIED, FAIL_CERTIFIED: PASS}.get(
+        compare_leq(1.0 - TOL_EQ, est, tol=0.0), INCONCLUSIVE)
+
+
 # ---------------------------------------------------------------------------
 # theorem checks
-
-_NEGATED = {PASS: FAIL_CERTIFIED, FAIL_CERTIFIED: PASS, INCONCLUSIVE: INCONCLUSIVE}
 
 
 def check_similarity_theorems(a: Subspace, b: Subspace, c: Subspace,
@@ -429,8 +434,8 @@ def check_similarity_theorems(a: Subspace, b: Subspace, c: Subspace,
     equal = a == b
     if equal:
         status = PASS if abs(s_ab.value - 1.0) <= TOL_EQ else FAIL_CERTIFIED
-    else:  # distinct needs s(A, B) < 1 - TOL_EQ, the negation of 1 - TOL_EQ <= s(A, B)
-        status = _NEGATED[compare_leq(1.0 - TOL_EQ, s_ab, tol=0.0)]
+    else:
+        status = distinct_verdict(s_ab)
     identity = Check("similarity.identity_iff_equal", status, detail={
         "equal": equal, "value": s_ab.value, "certainty": s_ab.certainty})
 

@@ -5,7 +5,9 @@ feed it made-up reports.
 """
 
 import importlib.util
+import json
 import pathlib
+import subprocess
 
 SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "bench_record.py"
 spec = importlib.util.spec_from_file_location("bench_record", SCRIPT)
@@ -31,8 +33,45 @@ def test_compare_counts_wins_in_each_metric_direction():
     change = bench_record.collect([_round(0.9, 9.0, 45.0, 4), _round(1.1, 9.5, 46.0, 4)])
     assert change["w"]["metrics"]["peak_rss_mb"]["passes"] == [4, 4]
     rows = bench_record.compare(parent, change)["w"]
-    assert rows["wall_s"]["change_won"] == 2 and rows["wall_s"]["within_bound"]
+    assert rows["wall_s"]["change_won"] == 2 and rows["wall_s"]["verdict"] == "within-bound"
     assert rows["items_per_s"]["change_won"] == 1  # higher is better
     rss = rows["peak_rss_mb"]
     assert rss["change_won"] == 0
-    assert abs(rss["median_worse_by"] - 0.1375) < 1e-12 and not rss["within_bound"]
+    assert abs(rss["median_worse_by"] - 0.1375) < 1e-12 and rss["verdict"] == "worse"
+
+
+def _wall_rows(parent_walls, change_walls):
+    parent = bench_record.collect([_round(w, 1.0, 1.0, 1) for w in parent_walls])
+    change = bench_record.collect([_round(w, 1.0, 1.0, 1) for w in change_walls])
+    return bench_record.compare(parent, change)["w"]["wall_s"]
+
+
+def test_a_parent_spread_wider_than_the_bound_is_unresolved():
+    # parent quartiles 1.0 and 2.0 around a median of 1.5: spread 0.67 > 0.25
+    row = _wall_rows([1.0, 1.0, 1.5, 2.0, 2.0], [1.4, 1.5, 1.5, 1.6, 1.6])
+    assert row["median_worse_by"] == 0.0 and row["verdict"] == "unresolved"
+    # unless every run of the change beats every run of the parent
+    row = _wall_rows([1.0, 1.0, 1.5, 2.0, 2.0], [0.5, 0.6, 0.7, 0.8, 0.9])
+    assert row["verdict"] == "within-bound"
+
+
+def test_a_zero_parent_median_is_judged_only_when_nothing_moved():
+    row = _wall_rows([0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+    assert row["median_worse_by"] is None and row["verdict"] == "within-bound"
+    row = _wall_rows([0.0, 0.0, 0.0], [0.0, 5.0, 5.0])
+    assert row["median_worse_by"] is None and row["verdict"] == "unresolved"
+
+
+def test_each_run_uses_the_benchmarks_run_length_and_the_pinned_seed(monkeypatch):
+    seen = []
+
+    def fake_run(cmd, **kwargs):
+        seen.append(cmd)
+        report = json.dumps({"workload": "w"})
+        return subprocess.CompletedProcess(cmd, 0, stdout=report + "\n{}\n", stderr="")
+
+    monkeypatch.setattr(bench_record.subprocess, "run", fake_run)
+    assert list(bench_record.run_once(pathlib.Path("."))) == ["w"]
+    cmd = seen[0]
+    assert cmd[cmd.index("--seed") + 1] == "5"
+    assert cmd[cmd.index("--seconds") + 1] == str(bench_record.BENCHMARK["run_seconds"])

@@ -14,13 +14,15 @@ The superseded implementations live here as oracles:
 * ``old_continuity_verdict``, ``old_triangle_verdict`` and
   ``old_identity_verdict`` are the hand-written interval ladders that the
   measure validator and ``check_similarity_theorems`` carried before every
-  bound went through ``compare_leq``.  They are compared over a grid of
-  exact, sampled and tolerance-boundary values.
+  bound went through ``compare_leq``; ``old_identity_tally`` is the ladder
+  the property suite carried before it used ``distinct_verdict``.  They are
+  compared over a grid of exact, sampled and tolerance-boundary values.
 
 The fields are the bundled fixtures, the wheel's and the ones the property
 suites build, on all three models.
 """
 
+import dataclasses
 import itertools
 import math
 import pathlib
@@ -184,6 +186,16 @@ def old_identity_verdict(equal, s_ab):
     if s_ab.is_exact:
         return FAIL_CERTIFIED
     return INCONCLUSIVE
+
+
+def old_identity_tally(check, est):
+    """The property suite's record of one distinct pair's identity trial."""
+    if est.is_exact:
+        check.hit(est.value < 1.0 - TOL_EQ, witness={"value": est.value})
+    elif est.value < 1.0 - TOL_EQ:
+        check.soft(PASS)
+    else:
+        check.soft(INCONCLUSIVE)
 
 
 # ---------------------------------------------------------------------------
@@ -382,3 +394,20 @@ def test_triangle_and_identity_rules_match_the_old_ladders():
     triples = [(s, s, s) for s in ESTIMATES]
     for (s_ab, _, _), (_, identity) in zip(triples, _theorem_statuses(triples, equal=True)):
         assert identity == old_identity_verdict(True, s_ab)
+
+
+def test_the_suites_identity_tally_matches_the_old_ladder():
+    for est in EDGE_ESTIMATES + ESTIMATES:
+        old, new = Check("identity"), Check("identity")
+        old_identity_tally(old, est)
+        new.soft(sim.distinct_verdict(est), witness={"value": est.value})
+        assert new == old, est
+
+
+def test_kind_follows_from_the_shape(classical4):
+    fld = generate_sigma_star(classical4, [])
+    p = pure_state(classical4, 2)
+    assert "kind" not in {f.name for f in dataclasses.fields(meas.ProbabilityMeasure)}
+    assert (p.kind, mix([(0.5, p), (0.5, pure_state(classical4, 3))]).kind) == ("pure", "mixed")
+    table = table_measure(fld, [evaluate(p, e) for e in fld.events])
+    assert table.kind == "table" and mix([(0.5, table), (0.5, p)]).kind == "table"
