@@ -5,10 +5,13 @@ Usage:
 
 Each round runs ``perfbench/run.py --workload all`` unchanged, with the
 command and the run length (``run_seconds``) that ``BENCHMARK.json`` sets
-and the seed the result digests are pinned to, on this checkout (the "change" side).  With ``--against REV`` the committed
-files of ``REV`` are unpacked into a temporary directory (``git archive``,
-so the repository's own metadata is left alone) and every round runs both
-sides, alternating which goes first.
+and the seed the result digests are pinned to, on this checkout (the
+"change" side).  With ``--against REV`` the committed files of ``REV`` are
+unpacked into a temporary directory (``git archive``, so the repository's
+own metadata is left alone) and every round runs both sides, alternating
+which goes first.  After the workloads each side also times the command
+line on its own source: ``suite <id> --seed 42 --json`` for every suite id,
+and the cold start of ``--version``.
 
 The JSON on stdout holds, per side and workload, every run of each
 end-to-end metric with its median and quartiles, the result digests, the
@@ -19,22 +22,32 @@ metric, how many rounds the change won and its median against the parent's,
 with a verdict: ``within-bound`` or ``worse`` by the bound in
 ``BENCHMARK.json``, or ``unresolved`` where the parent's own spread is wider
 than the bound or its median is 0 (unless every run of the change beats
-every run of the parent).  Progress goes to stderr.
+every run of the parent).  The command-line timings carry the same runs,
+median and quartiles, with each command's exit codes and stdout digests,
+and are compared by wins and median only, as the benchmark sets no bound
+for them.  Progress goes to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
+import os
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 SEED = 5  # the seed the workloads' result digests are pinned to
+SUITES = ("lattice", "similarity", "sigma", "prob", "rv", "all")
+# the command lines timed after the workloads, by name
+COMMANDS = {**{f"suite {s}": ["suite", s, "--seed", "42", "--json"] for s in SUITES},
+            "cold_start": ["--version"]}
 
 
 def git(*args: str) -> str:
@@ -62,6 +75,20 @@ def run_once(where: Path) -> dict:
     return {r["workload"]: r for r in reports}
 
 
+def time_commands(where: Path) -> dict:
+    """Wall time, exit code and stdout digest of each of ``COMMANDS``, run
+    as ``python -m starprob.cli`` on the source in ``where``."""
+    env = {**os.environ, "PYTHONPATH": str(where / "src")}
+    out = {}
+    for name, args in COMMANDS.items():
+        t0 = time.perf_counter()
+        run = subprocess.run([sys.executable, "-m", "starprob.cli", *args], cwd=where,
+                             env=env, capture_output=True, text=True, check=False)
+        out[name] = {"s": time.perf_counter() - t0, "exit": run.returncode,
+                     "digest": hashlib.sha256(run.stdout.encode()).hexdigest()}
+    return out
+
+
 def summary(runs: list[float]) -> dict:
     q1, med, q3 = (statistics.quantiles(runs, n=4, method="inclusive")
                    if len(runs) > 1 else runs * 3)
@@ -86,10 +113,26 @@ def collect(rounds: list[dict]) -> dict:
     return out
 
 
+def collect_commands(rounds: list[dict]) -> dict:
+    """Per command: the summary of its times, its exit codes and the
+    distinct digests of its stdout."""
+    return {name: {**summary([r[name]["s"] for r in rounds]), "unit": "s",
+                   "exit": [r[name]["exit"] for r in rounds],
+                   "digests": sorted({r[name]["digest"] for r in rounds})}
+            for name in rounds[0]}
+
+
+def duel(p: dict, c: dict, sign: float) -> dict:
+    """Rounds the change won and its median worsening, a fraction of the
+    parent's median (``None`` where that median is 0)."""
+    wins = sum(sign * (b - a) < 0 for a, b in zip(p["runs"], c["runs"]))
+    worse = sign * (c["median"] - p["median"]) / p["median"] if p["median"] else None
+    return {"change_won": wins, "rounds": len(p["runs"]), "median_worse_by": worse}
+
+
 def compare(parent: dict, change: dict) -> dict:
-    """Per workload and metric: rounds the change won, its median worsening
-    (a fraction of the parent's median, ``None`` where that median is 0) and
-    the verdict against the benchmark's bound."""
+    """Per workload and metric: the :func:`duel` of the two sides and the
+    verdict against the benchmark's bound."""
     out = {}
     for name in parent:
         rows = {}
@@ -97,11 +140,9 @@ def compare(parent: dict, change: dict) -> dict:
             p = parent[name]["metrics"][spec["name"]]
             c = change[name]["metrics"][spec["name"]]
             sign = 1.0 if spec["better"] == "lower" else -1.0
-            wins = sum(sign * (b - a) < 0 for a, b in zip(p["runs"], c["runs"]))
-            worse = sign * (c["median"] - p["median"]) / p["median"] if p["median"] else None
-            rows[spec["name"]] = {"change_won": wins, "rounds": len(p["runs"]),
-                                  "median_worse_by": worse, "bound": spec["bound"],
-                                  "verdict": verdict(p, c, sign, worse, spec["bound"])}
+            row = duel(p, c, sign)
+            rows[spec["name"]] = {**row, "bound": spec["bound"], "verdict": verdict(
+                p, c, sign, row["median_worse_by"], spec["bound"])}
         out[name] = rows
     return out
 
@@ -136,22 +177,28 @@ def main(argv=None) -> int:
                                "dirty": False}
             unpack(sides["parent"]["rev"], Path(tmp))
         runs = {side: [] for side in sides}
+        timed = {side: [] for side in sides}
         for i in range(args.rounds):
             order = list(sides) if i % 2 else list(sides)[::-1]
             for side in order:
                 print(f"round {i + 1}/{args.rounds}: {side}", file=sys.stderr, flush=True)
                 runs[side].append(run_once(sides[side]["dir"]))
+                timed[side].append(time_commands(sides[side]["dir"]))
 
     result = {"command": BENCHMARK["command"], "seed": SEED,
               "seconds": BENCHMARK["run_seconds"], "rounds": args.rounds,
               "machine": next(iter(runs["change"][0].values()))["machine"],
               "sides": {side: {"rev": info["rev"], "dirty": info["dirty"],
-                               "workloads": collect(runs[side])}
+                               "workloads": collect(runs[side]),
+                               "commands": collect_commands(timed[side])}
                         for side, info in sides.items()}}
     result["machine"].pop("git_rev", None)
     if args.against:
-        result["comparison"] = compare(result["sides"]["parent"]["workloads"],
-                                       result["sides"]["change"]["workloads"])
+        parent, change = result["sides"]["parent"], result["sides"]["change"]
+        result["comparison"] = compare(parent["workloads"], change["workloads"])
+        result["command_comparison"] = {
+            name: duel(parent["commands"][name], change["commands"][name], 1.0)
+            for name in COMMANDS}
     print(json.dumps(result, indent=1, sort_keys=True))
     return 0
 

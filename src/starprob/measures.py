@@ -15,7 +15,9 @@ measures are defined on every subspace; tables only on their field.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -23,7 +25,7 @@ from . import lattice as lat
 from .errors import EventNotInField, FormatError, WeightsNotConvex
 from .lattice import Subspace, similarity_to_subspace
 from .sigma import SigmaStarField
-from .similarity import SamplerConfig, compare_leq, continuity_rhs, subspace_similarity
+from .similarity import SamplerConfig, compare_leq, continuity_rhs, ordered_similarities
 from .structures import TOL_EQ, TOL_UNIT, Point, SPStructure, as_point, ensure_same_structure
 from .structures import FAIL_CERTIFIED, INCONCLUSIVE, Check, Report
 from .structures import PASS  # noqa: F401 - verdicts re-exported with the validator
@@ -147,14 +149,16 @@ def validate_measure(p: ProbabilityMeasure,
 
     Normalization and the empty event are exact checks; additivity runs over
     every orthogonal pair plus greedily-extended maximal orthogonal
-    families; continuity runs over every event pair with direction-aware
-    verdicts, so a sampled subspace similarity can never certify a spurious
-    failure.  Each event of the domain is evaluated once.  Every check that
-    is not ``pass`` carries a witness.
+    families; continuity runs over every ordered event pair with
+    direction-aware verdicts, so a sampled subspace similarity can never
+    certify a spurious failure.  An exact similarity is symmetric and is
+    computed once per unordered pair; a sampled one keeps both orders.
+    Each event of the domain is evaluated once.  Every check that is not
+    ``pass`` carries a witness.
     """
     cfg = cfg or SamplerConfig()
     st = p.structure
-    events = _domain(st, (fld, p.field), cfg, event_samples)
+    events = list(_domain(st, (fld, p.field), cfg, event_samples))
     values = [evaluate(p, e) for e in events]
     v_empty = evaluate(p, lat.empty(st))
     v_full = evaluate(p, lat.full(st))
@@ -173,17 +177,18 @@ def _exact_check(law: str, residual: float, witness: dict) -> Check:
     return Check(law, FAIL_CERTIFIED, witnesses=[witness])
 
 
-def _domain(st: SPStructure, fields, cfg: SamplerConfig, count: int) -> list[Subspace]:
+def _domain(st: SPStructure, fields, cfg: SamplerConfig, count: int) -> Iterator[Subspace]:
     """The events of the first field in ``fields`` that is not ``None``, or
-    the empty and full subspaces plus ``count`` seeded random spans."""
+    the empty and full subspaces plus ``count`` seeded random spans.  The
+    spans are built one at a time, as the reader asks for them."""
     if count < 0:
         raise FormatError(f"event samples must be >= 0, got {count}")
     fld = next((f for f in fields if f is not None), None)
     if fld is not None:
-        return list(fld.events)
+        return iter(fld.events)
     rng = np.random.default_rng(cfg.seed)
-    return [lat.empty(st), lat.full(st)] + [
-        lat.from_span(st, st.random_span(rng)) for _ in range(count)]
+    return chain([lat.empty(st), lat.full(st)],
+                 (lat.from_span(st, st.random_span(rng)) for _ in range(count)))
 
 
 def _additivity_check(p: ProbabilityMeasure, events: list[Subspace],
@@ -229,22 +234,23 @@ def _additivity_check(p: ProbabilityMeasure, events: list[Subspace],
 
 def _continuity_check(events: list[Subspace], values: list[float],
                       cfg: SamplerConfig) -> Check:
+    """The continuity bound over every ordered pair of distinct events: an
+    exact ``s(A, B)`` is symmetric and serves both orders of its pair, a
+    sampled one is estimated in each order.  The first certified failure
+    ends the scan; otherwise the first inconclusive pair is kept."""
     uncertified = None
-    for a, pa in zip(events, values):
-        for b, pb in zip(events, values):
-            if a is b:
-                continue
-            s_ab = subspace_similarity(a, b, cfg)
-            rhs = continuity_rhs(pb, s_ab)
-            verdict = compare_leq(pa, rhs)
-            if verdict == FAIL_CERTIFIED:
-                return Check("continuity_bound", FAIL_CERTIFIED, witnesses=[{
-                    "events": [a.to_literal(), b.to_literal()],
-                    "p_A": pa, "p_B": pb, "similarity": s_ab.value, "bound": rhs[0]}])
-            if verdict == INCONCLUSIVE and uncertified is None:
-                uncertified = Check("continuity_bound", INCONCLUSIVE, witnesses=[{
-                    "events": [a.to_literal(), b.to_literal()],
-                    "note": "sampled similarity cannot certify"}])
+    for i, j, s_ab in ordered_similarities(events, cfg):
+        a, b, pa, pb = events[i], events[j], values[i], values[j]
+        rhs = continuity_rhs(pb, s_ab)
+        verdict = compare_leq(pa, rhs)
+        if verdict == FAIL_CERTIFIED:
+            return Check("continuity_bound", FAIL_CERTIFIED, witnesses=[{
+                "events": [a.to_literal(), b.to_literal()],
+                "p_A": pa, "p_B": pb, "similarity": s_ab.value, "bound": rhs[0]}])
+        if verdict == INCONCLUSIVE and uncertified is None:
+            uncertified = Check("continuity_bound", INCONCLUSIVE, witnesses=[{
+                "events": [a.to_literal(), b.to_literal()],
+                "note": "sampled similarity cannot certify"}])
     return uncertified or Check("continuity_bound")
 
 
@@ -254,7 +260,8 @@ def first_difference(p: ProbabilityMeasure, q: ProbabilityMeasure,
                      tol: float = TOL_UNIT) -> Subspace | None:
     """The first event where ``p`` and ``q`` differ by more than ``tol``, or
     ``None`` when they agree on all.  The events are those of ``fld``, else
-    of ``p``'s or ``q``'s own field, else seeded subspaces."""
+    of ``p``'s or ``q``'s own field, else seeded subspaces, built only up
+    to the first difference."""
     ensure_same_structure(p.structure, q.structure)
     events = _domain(p.structure, (fld, p.field, q.field), SamplerConfig(seed=seed), samples)
     return next((e for e in events

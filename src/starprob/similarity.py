@@ -213,6 +213,22 @@ def subspace_similarity(a: Subspace, b: Subspace,
     return sampled_similarity(a, b, cfg or SamplerConfig())
 
 
+def ordered_similarities(subs, cfg: SamplerConfig | None = None):
+    """``(i, j, s(subs[i], subs[j]))`` for every ordered pair of distinct
+    subspaces, row by row.  ``s`` is symmetric, so an exact estimate is
+    computed once per unordered pair and serves both orders; a sampled one
+    is computed in each order, as a seeded estimate need not be symmetric."""
+    reverse: dict = {}
+    for i, a in enumerate(subs):
+        for j, b in enumerate(subs):
+            if b is a:
+                continue
+            est = reverse.pop((j, i), None) or subspace_similarity(a, b, cfg)
+            if j > i and est.is_exact:
+                reverse[(i, j)] = est
+            yield i, j, est
+
+
 def _zero_witness(a: Subspace, b: Subspace) -> Point | None:
     """A vantage point with ``tau = 0`` that sees both subspaces, if found.
 

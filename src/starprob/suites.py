@@ -13,7 +13,7 @@ acceptance tests.
 from __future__ import annotations
 
 import math
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 
 import numpy as np
 
@@ -235,26 +235,13 @@ def similarity_suite(seed: int, scale: int) -> list[Check]:
                     witness={"a": a.to_literal(), "b": b.to_literal()})
 
     # exhaustive triangle bound on the discrete models
-    def exact_triangle(st, subs):
-        cache: dict = {}
-
-        def s_of(i, j):
-            if (i, j) not in cache:
-                cache[(i, j)] = sim.subspace_similarity(subs[i], subs[j]).value
-            return cache[(i, j)]
-
-        for i in range(len(subs)):
-            for j in range(len(subs)):
-                for k in range(len(subs)):
-                    sbc = s_of(j, k)
-                    rhs = s_of(i, k) + 0.5 * math.sqrt(max(0.0, 1 - sbc)) + (1 - sbc)
-                    lhs = s_of(i, j)
-                    triangle.hit(lhs <= rhs + core.TOL_EQ,
-                                 max(0.0, lhs - rhs),
-                                 witness={"triple": [i, j, k]})
-
-    exact_triangle(st4, _classical_subsets(st4))
-    exact_triangle(wheel, _explicit_subspaces(wheel))
+    for subs in (_classical_subsets(st4), _explicit_subspaces(wheel)):
+        s = {(i, i): sim.subspace_similarity(a, a).value for i, a in enumerate(subs)}
+        s.update(((i, j), est.value) for i, j, est in sim.ordered_similarities(subs))
+        for i, j, k in product(range(len(subs)), repeat=3):
+            rhs = sim.continuity_rhs(s[i, k], s[j, k])[0]
+            triangle.hit(s[i, j] <= rhs + core.TOL_EQ, max(0.0, s[i, j] - rhs),
+                         witness={"triple": [i, j, k]})
 
     # exact line triples: the half-coefficient bound genuinely fails for
     # close lines (worst analytic excess 1/16), and this record says so
@@ -263,9 +250,8 @@ def similarity_suite(seed: int, scale: int) -> list[Check]:
         lines = [lat.from_span(st2r, [random_unit_vector(2, rng)])
                  for _ in range(3)]
         sab = sim.subspace_similarity(lines[0], lines[1]).value
-        sbc = sim.subspace_similarity(lines[1], lines[2]).value
-        rhs = (sim.subspace_similarity(lines[0], lines[2]).value
-               + 0.5 * math.sqrt(max(0.0, 1 - sbc)) + (1 - sbc))
+        rhs = sim.continuity_rhs(sim.subspace_similarity(lines[0], lines[2]).value,
+                                 sim.subspace_similarity(lines[1], lines[2]))[0]
         triangle_ray.hit(sab <= rhs + core.TOL_EQ, max(0.0, sab - rhs),
                          witness={"lines": [ln.to_literal() for ln in lines],
                                   "excess": sab - rhs})
@@ -311,17 +297,12 @@ def similarity_suite(seed: int, scale: int) -> list[Check]:
         if bad:
             continuity_unit.fail(count=bad)
     for st in (st4, wheel):
-        pts = range(st.n)
-        for x in pts:
-            for y in pts:
-                for z in pts:
-                    res = sim.check_point_continuity(st, x, y, z)
-                    continuity.hit(res >= -core.TOL_EQ, max(0.0, -res))
-                    continuity_unit.hit(
-                        core.similarity(st, z, x)
-                        <= core.similarity(st, z, y)
-                        + math.sqrt(max(0.0, 1 - core.similarity(st, x, y)))
-                        + core.TOL_EQ)
+        for x, y, z in product(range(st.n), repeat=3):
+            res = sim.check_point_continuity(st, x, y, z)
+            continuity.hit(res >= -core.TOL_EQ, max(0.0, -res))
+            continuity_unit.hit(
+                core.similarity(st, z, x) <= core.similarity(st, z, y)
+                + math.sqrt(max(0.0, 1 - core.similarity(st, x, y))) + core.TOL_EQ)
 
     # monotone sampling and estimate symmetry
     for pair_seed in range(3):
@@ -511,15 +492,10 @@ def prob_suite(seed: int, scale: int) -> list[Check]:
         got = meas.evaluate(uniform, a)
         classical_red.hit(abs(got - len(a.points) / 4) <= core.TOL_UNIT,
                           abs(got - len(a.points) / 4))
-    for a in subsets:
-        for b in subsets:
-            if a == b:
-                continue
-            s_ab = sim.subspace_similarity(a, b).value
-            rhs = (meas.evaluate(uniform, b)
-                   + 0.5 * math.sqrt(max(0.0, 1 - s_ab)) + (1 - s_ab))
-            classical_red.hit(s_ab == 0.0 and rhs >= 1.0 - core.TOL_EQ,
-                              witness={"a": a.to_literal(), "b": b.to_literal()})
+    for i, j, est in sim.ordered_similarities(subsets):
+        rhs = sim.continuity_rhs(meas.evaluate(uniform, subsets[j]), est)[0]
+        classical_red.hit(est.value == 0.0 and rhs >= 1.0 - core.TOL_EQ, witness={
+            "a": subsets[i].to_literal(), "b": subsets[j].to_literal()})
     report = meas.validate_measure(uniform, fld_cl)
     classical_red.hit(report.overall == PASS)
 

@@ -4,6 +4,7 @@ The runs themselves take minutes and are left to the script; these checks
 feed it made-up reports.
 """
 
+import hashlib
 import importlib.util
 import json
 import pathlib
@@ -75,3 +76,48 @@ def test_each_run_uses_the_benchmarks_run_length_and_the_pinned_seed(monkeypatch
     cmd = seen[0]
     assert cmd[cmd.index("--seed") + 1] == "5"
     assert cmd[cmd.index("--seconds") + 1] == str(bench_record.BENCHMARK["run_seconds"])
+
+
+def _timed(times, exit_code=0, digest="d"):
+    return {name: {"s": t, "exit": exit_code, "digest": digest}
+            for name, t in zip(bench_record.COMMANDS, times)}
+
+
+def test_command_timings_give_median_quartiles_exits_and_digests():
+    n = len(bench_record.COMMANDS)
+    rounds = [_timed([t] * n, exit_code=1, digest=f"d{int(t) % 2}")
+              for t in (5.0, 1.0, 3.0, 2.0, 4.0)]
+    out = bench_record.collect_commands(rounds)
+    assert list(out) == list(bench_record.COMMANDS)
+    row = out["suite all"]
+    assert (row["q1"], row["median"], row["q3"], row["iqr"]) == (2.0, 3.0, 4.0, 2.0)
+    assert row["runs"] == [5.0, 1.0, 3.0, 2.0, 4.0] and row["unit"] == "s"
+    assert row["exit"] == [1] * 5 and row["digests"] == ["d0", "d1"]
+
+
+def test_command_timings_are_compared_by_wins_and_median():
+    n = len(bench_record.COMMANDS)
+    parent = bench_record.collect_commands([_timed([t] * n) for t in (2.0, 2.2, 2.4)])
+    change = bench_record.collect_commands([_timed([t] * n) for t in (1.0, 2.3, 1.2)])
+    row = bench_record.duel(parent["cold_start"], change["cold_start"], 1.0)
+    assert row["change_won"] == 2 and row["rounds"] == 3
+    assert abs(row["median_worse_by"] - (1.2 - 2.2) / 2.2) < 1e-12
+
+
+def test_each_suite_and_the_cold_start_run_on_the_sides_own_source(monkeypatch):
+    seen = []
+
+    def fake_run(cmd, **kwargs):
+        seen.append((cmd, kwargs["cwd"], kwargs["env"]["PYTHONPATH"]))
+        return subprocess.CompletedProcess(cmd, 1, stdout="out", stderr="")
+
+    monkeypatch.setattr(bench_record.subprocess, "run", fake_run)
+    where = pathlib.Path("side")
+    out = bench_record.time_commands(where)
+    assert [cmd[3:] for cmd, _, _ in seen] == [
+        ["suite", s, "--seed", "42", "--json"]
+        for s in ("lattice", "similarity", "sigma", "prob", "rv", "all")] + [["--version"]]
+    assert {tuple(cmd[1:3]) for cmd, _, _ in seen} == {("-m", "starprob.cli")}
+    assert {(cwd, path) for _, cwd, path in seen} == {(where, str(where / "src"))}
+    assert out["suite rv"]["exit"] == 1 and out["suite rv"]["s"] >= 0.0
+    assert out["cold_start"]["digest"] == hashlib.sha256(b"out").hexdigest()

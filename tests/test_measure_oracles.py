@@ -11,6 +11,11 @@ The superseded implementations live here as oracles:
 * ``old_validate_measure`` evaluates an event again every time a check
   reads it.  The library evaluates each event once and must give the same
   report.
+* ``old_continuity_check`` computes ``s(A, B)`` for both orders of every
+  event pair.  The library computes an exact value once per unordered pair
+  and must give the same verdict and the same first witness.
+* ``old_first_difference`` builds every seeded event before comparing the
+  first.  The library builds them only up to the first difference.
 * ``old_continuity_verdict``, ``old_triangle_verdict`` and
   ``old_identity_verdict`` are the hand-written interval ladders that the
   measure validator and ``check_similarity_theorems`` carried before every
@@ -18,12 +23,14 @@ The superseded implementations live here as oracles:
   the property suite carried before it used ``distinct_verdict``.  They are
   compared over a grid of exact, sampled and tolerance-boundary values.
 
-The fields are the bundled fixtures, the wheel's and the ones the property
-suites build, on all three models.
+The fields are the bundled fixtures, the wheel's, the ones the property
+suites build and the shapes of the benchmark's field workload, on all three
+models.
 """
 
 import dataclasses
 import itertools
+import json
 import math
 import pathlib
 from unittest import mock
@@ -36,15 +43,25 @@ from starprob import measures as meas
 from starprob import sigma as sig
 from starprob import similarity as sim
 from starprob.errors import EventNotInField
-from starprob.io import load_field, load_structure, measure_report_to_dict
+from starprob.cli import run_command
+from starprob.io import load_field, load_measure, load_structure, measure_report_to_dict
 from starprob.lattice import similarity_to_subspace
-from starprob.measures import evaluate, mix, pure_state, table_measure, validate_measure
+from starprob.measures import (
+    evaluate,
+    first_difference,
+    mix,
+    pure_state,
+    table_measure,
+    validate_measure,
+)
 from starprob.similarity import (
     EXACT,
     SAMPLED,
+    SamplerConfig,
     SimilarityEstimate,
     compare_leq,
     continuity_rhs,
+    ordered_similarities,
     subspace_similarity,
 )
 from starprob.structures import (
@@ -52,6 +69,7 @@ from starprob.structures import (
     INCONCLUSIVE,
     PASS,
     TOL_EQ,
+    TOL_UNIT,
     Check,
     Report,
     as_point,
@@ -164,6 +182,15 @@ def old_validate_measure(p, fld):
     ])
 
 
+def old_first_difference(p, q, samples, seed):
+    rng = np.random.default_rng(seed)
+    st = p.structure
+    events = [lattice.empty(st), lattice.full(st)] + [
+        from_span(st, st.random_span(rng)) for _ in range(samples)]
+    return next((e for e in events
+                 if not abs(evaluate(p, e) - evaluate(q, e)) <= TOL_UNIT), None)
+
+
 def old_triangle_verdict(s_ab, s_ac, s_bc):
     rhs = continuity_rhs(s_ac.interval()[0], s_bc)
     rhs_hi = continuity_rhs(s_ac.interval()[1], s_bc)[1]
@@ -210,6 +237,25 @@ def bundled_fields():
     return out
 
 
+def plane_table(k):
+    """Similarity table of ``k`` lines of the plane spaced ``180/k`` degrees."""
+    ang = [math.pi * i / k for i in range(k)]
+    return [[math.cos(x - y) ** 2 for y in ang] for x in ang]
+
+
+def plane_fields():
+    """Fields of two lines of a plane table, as the benchmark builds them."""
+    return [generate_sigma_star(SPStructure.explicit(plane_table(n)), [[first], [second]])
+            for n, first, second in ((4, 0, 1), (6, 2, 3), (6, 1, 5), (12, 0, 1), (12, 3, 8))]
+
+
+def partition_fields():
+    """Fields of classical partitions into blocks, as the benchmark builds them."""
+    shapes = [(3, [[1], [0, 2]]), (4, [[0, 3], [1, 2]]), (5, [[4], [0, 2], [1, 3]]),
+              (6, [[5, 0], [3], [1, 2], [4]])]
+    return [generate_sigma_star(SPStructure.classical(n), blocks) for n, blocks in shapes]
+
+
 @pytest.fixture(scope="module")
 def fields(wheel):
     built = []
@@ -223,7 +269,7 @@ def fields(wheel):
             run_property_suite(suite_id, seed=0, scale=2)
     built += [generate_sigma_star(wheel, [lattice.from_points(wheel, ["r0"])]),
               generate_sigma_star(SPStructure.ray(3), [[[1.0, 2.0, 0.0]], [[0.0, 1.0, 1.0]]])]
-    return bundled_fields() + built
+    return bundled_fields() + built + plane_fields() + partition_fields()
 
 
 def points_of(st, rng):
@@ -411,3 +457,114 @@ def test_kind_follows_from_the_shape(classical4):
     assert (p.kind, mix([(0.5, p), (0.5, pure_state(classical4, 3))]).kind) == ("pure", "mixed")
     table = table_measure(fld, [evaluate(p, e) for e in fld.events])
     assert table.kind == "table" and mix([(0.5, table), (0.5, p)]).kind == "table"
+
+
+# ---------------------------------------------------------------------------
+# one exact similarity per unordered pair
+
+
+def test_exact_similarity_is_symmetric_bit_for_bit(fields):
+    pairs = 0
+    for fld in fields:
+        for a, b in itertools.combinations(fld.events, 2):
+            s_ab, s_ba = subspace_similarity(a, b), subspace_similarity(b, a)
+            assert s_ab.certainty == s_ba.certainty == EXACT
+            assert same_bits(s_ab.value, s_ba.value), (a.to_literal(), b.to_literal())
+            pairs += 1
+    assert pairs > 2000
+
+
+def test_ordered_similarities_match_the_ordered_loop(fields):
+    for fld in fields:
+        events = fld.events
+        got = [(i, j, est.value, est.certainty)
+               for i, j, est in ordered_similarities(events)]
+        want = []
+        for i, a in enumerate(events):
+            for j, b in enumerate(events):
+                if a is not b:
+                    est = subspace_similarity(a, b)
+                    want.append((i, j, est.value, est.certainty))
+        assert [g[:2] for g in got] == [w[:2] for w in want]
+        for g, w in zip(got, want):
+            assert g[3] == w[3] and same_bits(g[2], w[2]), g
+
+
+def test_an_all_exact_field_computes_each_pair_once(fields):
+    fld = next(f for f in fields if f.structure.kind == "classical" and len(f.events) == 16)
+    p = pure_state(fld.structure, 0)
+    with mock.patch.object(sim, "subspace_similarity", wraps=sim.subspace_similarity) as calls:
+        report = validate_measure(p, fld)
+    n = len(fld.events)
+    assert report.check("continuity_bound").status == PASS
+    assert calls.call_count == n * (n - 1) // 2
+
+
+def test_a_sampled_pair_is_computed_in_both_orders(ray3):
+    # every principal angle of the two planes is below about 6e-5, so no
+    # zero witness holds and the sampler answers
+    a = from_span(ray3, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    b = from_span(ray3, [[1.0, 0.0, 0.0], [0.0, 1.0, 1e-5]])
+    cfg = SamplerConfig(samples=200, refine_top=2, seed=3)
+    with mock.patch.object(sim, "subspace_similarity", wraps=sim.subspace_similarity) as calls:
+        got = list(ordered_similarities([a, b], cfg))
+    assert [(i, j) for i, j, _ in got] == [(0, 1), (1, 0)]
+    assert calls.call_args_list == [mock.call(a, b, cfg), mock.call(b, a, cfg)]
+    assert [est.certainty for _, _, est in got] == [SAMPLED, SAMPLED]
+    assert [est.value for _, _, est in got] == [subspace_similarity(a, b, cfg).value,
+                                                subspace_similarity(b, a, cfg).value]
+
+
+def test_a_broken_table_fails_continuity_with_the_ordered_witness():
+    witnesses = []
+    for fld in plane_fields():
+        p = pure_state(fld.structure, 0)
+        values = [evaluate(p, e) for e in fld.events]
+        for k, e in enumerate(fld.events):
+            if e.is_empty or e.is_full:
+                continue
+            for delta in (-0.15, 0.15):
+                broken = list(values)
+                broken[k] = min(1.0, max(0.0, broken[k] + delta))
+                table = table_measure(fld, broken)
+                got = meas._continuity_check(list(fld.events), broken, SamplerConfig())
+                want = old_continuity_check(table, list(fld.events), SamplerConfig())
+                assert got == want
+                if got.status == FAIL_CERTIFIED:
+                    i, j = (fld.index_of(lattice.from_points(fld.structure, ev))
+                            for ev in got.witness["events"])
+                    witnesses.append((i, j))
+    # both orders of a pair reach the witness, the reverse one from the reused value
+    assert any(i < j for i, j in witnesses) and any(i > j for i, j in witnesses)
+
+
+# ---------------------------------------------------------------------------
+# the first difference, built lazily
+
+
+def test_first_difference_matches_the_eager_domain(ray2, ray3):
+    for st in (ray2, ray3):
+        rng = np.random.default_rng(4)
+        pts = points_of(st, rng)
+        measures = [pure_state(st, x) for x in pts[:3]]
+        measures.append(mix([(0.5, measures[0]), (0.5, measures[1])]))
+        for p, q in itertools.combinations(measures, 2):
+            for seed in (0, 7):
+                got = first_difference(p, q, samples=50, seed=seed)
+                want = old_first_difference(p, q, samples=50, seed=seed)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert got.to_literal() == want.to_literal()
+
+
+def test_prob_equal_builds_events_only_up_to_the_witness(capsys):
+    argv = ["prob", "equal", FIXTURES / "ray2.json", FIXTURES / "measure_pure_e1.json",
+            FIXTURES / "measure_mix_axes.json", "--json"]
+    with mock.patch.object(lattice, "from_span", wraps=lattice.from_span) as calls:
+        assert run_command([str(a) for a in argv]) == 1
+    assert calls.call_count == 2  # the witness is the fourth event: empty, full, two spans
+    st = load_structure(FIXTURES / "ray2.json")
+    p, q = (load_measure(st, FIXTURES / name)
+            for name in ("measure_pure_e1.json", "measure_mix_axes.json"))
+    witness = old_first_difference(p, q, samples=200, seed=0)
+    assert json.loads(capsys.readouterr().out)["witness"]["event"] == witness.to_literal()
