@@ -10,8 +10,8 @@ and the seed the result digests are pinned to, on this checkout (the
 unpacked into a temporary directory (``git archive``, so the repository's
 own metadata is left alone) and every round runs both sides, alternating
 which goes first.  After the workloads each side also times the command
-line on its own source: ``suite <id> --seed 42 --json`` for every suite id,
-and the cold start of ``--version``.
+line on its own source, best of three runs: ``suite <id> --seed 42 --json``
+for every suite id, and the cold start of ``--version``.
 
 The JSON on stdout holds, per side and workload, every run of each
 end-to-end metric with its median and quartiles, the result digests, the
@@ -23,9 +23,9 @@ with a verdict: ``within-bound`` or ``worse`` by the bound in
 ``BENCHMARK.json``, or ``unresolved`` where the parent's own spread is wider
 than the bound or its median is 0 (unless every run of the change beats
 every run of the parent).  The command-line timings carry the same runs,
-median and quartiles, with each command's exit codes and stdout digests,
-and are compared by wins and median only, as the benchmark sets no bound
-for them.  Progress goes to stderr.
+median and quartiles, with each command's distinct exit codes and stdout
+digests, and are compared by wins and median only, as the benchmark sets
+no bound for them.  Progress goes to stderr.
 """
 
 from __future__ import annotations
@@ -48,6 +48,9 @@ SUITES = ("lattice", "similarity", "sigma", "prob", "rv", "all")
 # the command lines timed after the workloads, by name
 COMMANDS = {**{f"suite {s}": ["suite", s, "--seed", "42", "--json"] for s in SUITES},
             "cold_start": ["--version"]}
+# a command's time in a round is its fastest of this many runs: single runs
+# straight after the workloads spread by half their median on this 2-core box
+REPEATS = 3
 
 
 def git(*args: str) -> str:
@@ -76,16 +79,21 @@ def run_once(where: Path) -> dict:
 
 
 def time_commands(where: Path) -> dict:
-    """Wall time, exit code and stdout digest of each of ``COMMANDS``, run
-    as ``python -m starprob.cli`` on the source in ``where``."""
+    """Each of ``COMMANDS``, run ``REPEATS`` times as ``python -m
+    starprob.cli`` on the source in ``where``: the fastest wall time, and
+    the exit codes and stdout digests seen."""
     env = {**os.environ, "PYTHONPATH": str(where / "src")}
     out = {}
     for name, args in COMMANDS.items():
-        t0 = time.perf_counter()
-        run = subprocess.run([sys.executable, "-m", "starprob.cli", *args], cwd=where,
-                             env=env, capture_output=True, text=True, check=False)
-        out[name] = {"s": time.perf_counter() - t0, "exit": run.returncode,
-                     "digest": hashlib.sha256(run.stdout.encode()).hexdigest()}
+        times, exits, digests = [], set(), set()
+        for _ in range(REPEATS):
+            t0 = time.perf_counter()
+            run = subprocess.run([sys.executable, "-m", "starprob.cli", *args], cwd=where,
+                                 env=env, capture_output=True, text=True, check=False)
+            times.append(time.perf_counter() - t0)
+            exits.add(run.returncode)
+            digests.add(hashlib.sha256(run.stdout.encode()).hexdigest())
+        out[name] = {"s": min(times), "exits": sorted(exits), "digests": sorted(digests)}
     return out
 
 
@@ -114,11 +122,11 @@ def collect(rounds: list[dict]) -> dict:
 
 
 def collect_commands(rounds: list[dict]) -> dict:
-    """Per command: the summary of its times, its exit codes and the
-    distinct digests of its stdout."""
+    """Per command: the summary of its times, and the distinct exit codes
+    and stdout digests of all its runs."""
     return {name: {**summary([r[name]["s"] for r in rounds]), "unit": "s",
-                   "exit": [r[name]["exit"] for r in rounds],
-                   "digests": sorted({r[name]["digest"] for r in rounds})}
+                   "exits": sorted({e for r in rounds for e in r[name]["exits"]}),
+                   "digests": sorted({d for r in rounds for d in r[name]["digests"]})}
             for name in rounds[0]}
 
 

@@ -9,6 +9,7 @@ import importlib.util
 import json
 import pathlib
 import subprocess
+import types
 
 SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "bench_record.py"
 spec = importlib.util.spec_from_file_location("bench_record", SCRIPT)
@@ -79,7 +80,7 @@ def test_each_run_uses_the_benchmarks_run_length_and_the_pinned_seed(monkeypatch
 
 
 def _timed(times, exit_code=0, digest="d"):
-    return {name: {"s": t, "exit": exit_code, "digest": digest}
+    return {name: {"s": t, "exits": [exit_code], "digests": [digest]}
             for name, t in zip(bench_record.COMMANDS, times)}
 
 
@@ -92,7 +93,7 @@ def test_command_timings_give_median_quartiles_exits_and_digests():
     row = out["suite all"]
     assert (row["q1"], row["median"], row["q3"], row["iqr"]) == (2.0, 3.0, 4.0, 2.0)
     assert row["runs"] == [5.0, 1.0, 3.0, 2.0, 4.0] and row["unit"] == "s"
-    assert row["exit"] == [1] * 5 and row["digests"] == ["d0", "d1"]
+    assert row["exits"] == [1] and row["digests"] == ["d0", "d1"]
 
 
 def test_command_timings_are_compared_by_wins_and_median():
@@ -106,18 +107,24 @@ def test_command_timings_are_compared_by_wins_and_median():
 
 def test_each_suite_and_the_cold_start_run_on_the_sides_own_source(monkeypatch):
     seen = []
+    # each command's three runs take 5, 2 and 3 s: a start and an end reading each
+    ticks = iter([t for _ in bench_record.COMMANDS for d in (5.0, 2.0, 3.0) for t in (0.0, d)])
 
     def fake_run(cmd, **kwargs):
         seen.append((cmd, kwargs["cwd"], kwargs["env"]["PYTHONPATH"]))
-        return subprocess.CompletedProcess(cmd, 1, stdout="out", stderr="")
+        return subprocess.CompletedProcess(cmd, len(seen) % 2, stdout="out", stderr="")
 
     monkeypatch.setattr(bench_record.subprocess, "run", fake_run)
+    monkeypatch.setattr(bench_record, "time", types.SimpleNamespace(perf_counter=ticks.__next__))
     where = pathlib.Path("side")
     out = bench_record.time_commands(where)
-    assert [cmd[3:] for cmd, _, _ in seen] == [
+    repeats = bench_record.REPEATS
+    assert [cmd[3:] for cmd, _, _ in seen[::repeats]] == [
         ["suite", s, "--seed", "42", "--json"]
         for s in ("lattice", "similarity", "sigma", "prob", "rv", "all")] + [["--version"]]
+    assert len(seen) == repeats * len(bench_record.COMMANDS)
     assert {tuple(cmd[1:3]) for cmd, _, _ in seen} == {("-m", "starprob.cli")}
     assert {(cwd, path) for _, cwd, path in seen} == {(where, str(where / "src"))}
-    assert out["suite rv"]["exit"] == 1 and out["suite rv"]["s"] >= 0.0
-    assert out["cold_start"]["digest"] == hashlib.sha256(b"out").hexdigest()
+    assert out["suite rv"]["s"] == 2.0  # the fastest of the three runs
+    assert out["suite rv"]["exits"] == [0, 1]
+    assert out["cold_start"]["digests"] == [hashlib.sha256(b"out").hexdigest()]
