@@ -67,9 +67,17 @@ from .similarity import (
     tau,
 )
 from .structures import Check, Report, SPStructure, as_point, point_similarity, points_equal
-from .suites import run_property_suite
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # the property suites import io (and json) in turn: load them on first use
+    if name == "run_property_suite":
+        from .suites import run_property_suite
+        return run_property_suite
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AXIOMS",

@@ -152,13 +152,16 @@ def validate_measure(p: ProbabilityMeasure,
     families; continuity runs over every ordered event pair with
     direction-aware verdicts, so a sampled subspace similarity can never
     certify a spurious failure.  An exact similarity is symmetric and is
-    computed once per unordered pair; a sampled one keeps both orders.
+    computed once per unordered pair and kept in the field's
+    ``similarities``, so later measures validated on the same field reuse
+    it; a sampled one keeps both orders and is estimated on every call.
     Each event of the domain is evaluated once.  Every check that is not
     ``pass`` carries a witness.
     """
     cfg = cfg or SamplerConfig()
     st = p.structure
-    events = list(_domain(st, (fld, p.field), cfg, event_samples))
+    fld = p.field if fld is None else fld
+    events = list(_domain(st, fld, cfg, event_samples))
     values = [evaluate(p, e) for e in events]
     v_empty = evaluate(p, lat.empty(st))
     v_full = evaluate(p, lat.full(st))
@@ -166,7 +169,8 @@ def validate_measure(p: ProbabilityMeasure,
         _exact_check("empty_event_zero", abs(v_empty), {"value": v_empty}),
         _exact_check("full_event_one", abs(v_full - 1.0), {"value": v_full}),
         _additivity_check(p, events, values),
-        _continuity_check(events, values, cfg),
+        _continuity_check(events, values, cfg,
+                          None if fld is None else fld.similarities),
     ])
 
 
@@ -177,13 +181,13 @@ def _exact_check(law: str, residual: float, witness: dict) -> Check:
     return Check(law, FAIL_CERTIFIED, witnesses=[witness])
 
 
-def _domain(st: SPStructure, fields, cfg: SamplerConfig, count: int) -> Iterator[Subspace]:
-    """The events of the first field in ``fields`` that is not ``None``, or
-    the empty and full subspaces plus ``count`` seeded random spans.  The
-    spans are built one at a time, as the reader asks for them."""
+def _domain(st: SPStructure, fld: SigmaStarField | None, cfg: SamplerConfig,
+            count: int) -> Iterator[Subspace]:
+    """The events of ``fld``, or without one the empty and full subspaces
+    plus ``count`` seeded random spans.  The spans are built one at a time,
+    as the reader asks for them."""
     if count < 0:
         raise FormatError(f"event samples must be >= 0, got {count}")
-    fld = next((f for f in fields if f is not None), None)
     if fld is not None:
         return iter(fld.events)
     rng = np.random.default_rng(cfg.seed)
@@ -233,13 +237,15 @@ def _additivity_check(p: ProbabilityMeasure, events: list[Subspace],
 
 
 def _continuity_check(events: list[Subspace], values: list[float],
-                      cfg: SamplerConfig) -> Check:
+                      cfg: SamplerConfig, similarities: dict | None = None) -> Check:
     """The continuity bound over every ordered pair of distinct events: an
     exact ``s(A, B)`` is symmetric and serves both orders of its pair, a
-    sampled one is estimated in each order.  The first certified failure
-    ends the scan; otherwise the first inconclusive pair is kept."""
+    sampled one is estimated in each order.  ``similarities`` is the exact
+    table of the field whose events these are, read and filled here.  The
+    first certified failure ends the scan; otherwise the first inconclusive
+    pair is kept."""
     uncertified = None
-    for i, j, s_ab in ordered_similarities(events, cfg):
+    for i, j, s_ab in ordered_similarities(events, cfg, similarities):
         a, b, pa, pb = events[i], events[j], values[i], values[j]
         rhs = continuity_rhs(pb, s_ab)
         verdict = compare_leq(pa, rhs)
@@ -263,7 +269,8 @@ def first_difference(p: ProbabilityMeasure, q: ProbabilityMeasure,
     of ``p``'s or ``q``'s own field, else seeded subspaces, built only up
     to the first difference."""
     ensure_same_structure(p.structure, q.structure)
-    events = _domain(p.structure, (fld, p.field, q.field), SamplerConfig(seed=seed), samples)
+    fld = next((f for f in (fld, p.field, q.field) if f is not None), None)
+    events = _domain(p.structure, fld, SamplerConfig(seed=seed), samples)
     return next((e for e in events
                  if not abs(evaluate(p, e) - evaluate(q, e)) <= tol), None)
 

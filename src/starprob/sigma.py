@@ -67,7 +67,13 @@ class _EventSet:
 
 @dataclass
 class SigmaStarField:
-    """An event family over one structure, in canonical order."""
+    """An event family over one structure, in canonical order.
+
+    ``similarities`` holds the exact ``s(events[i], events[j])`` found so
+    far, keyed by ``(i, j)`` with ``i < j``.  A similarity belongs to the
+    events, not to a measure, so every measure validated on this field
+    reads the same values (see :func:`starprob.similarity.ordered_similarities`).
+    """
 
     structure: SPStructure
     events: tuple[Subspace, ...]
@@ -77,6 +83,7 @@ class SigmaStarField:
 
     def __post_init__(self) -> None:
         self._lookup = _EventSet(self.events)
+        self.similarities: dict = {}
 
     def __len__(self) -> int:
         return len(self.events)

@@ -149,6 +149,19 @@ def subspace_similarity(a: Subspace, b: Subspace,
     Exact on every model, short of the nearly equal ray pairs named at the
     end.  Symmetric in its arguments, 1 exactly when ``A = B``.
 
+    Two ray lines ``span(u)`` and ``span(v)`` are answered right after the
+    orthogonality test, as their cross meets are provably empty.  The test
+    failed, so ``c^2 > TOL_EQ`` for ``c = u . v``.  The meet of ``A'`` and
+    ``B`` keeps the right singular vectors of the stacked residual maps
+    ``[I - P_A'; I - P_B]``, which is ``[P_A; I - P_B]`` up to rounding,
+    whose singular value is at most ``max(SV_RTOL * sv[0], TOL_UNIT)``.
+    The squared singular values are the eigenvalues of ``I + uu^T - vv^T``:
+    1 off ``span(u, v)`` and ``1 +- sqrt(1 - c^2)`` on it.  So the largest
+    is at most ``sqrt(2)`` and the cutoff at most ``2e-10``, while the
+    smallest is ``sqrt(1 - sqrt(1 - c^2)) >= |c|/sqrt(2) > 2e-5``; rounding
+    of order ``1e-15`` cannot close that gap, so nothing is kept.  The meet
+    of ``B'`` and ``A`` is the same with ``u`` and ``v`` swapped.
+
     Ray pairs that pass every earlier branch have equal dimension
     ``2 <= k < d``: unequal dimensions always meet the other's complement
     (``dim A > dim B`` forces ``dim(A & B') >= dim A - dim B > 0``), and
@@ -198,34 +211,42 @@ def subspace_similarity(a: Subspace, b: Subspace,
         return exact(0.0, witness=np.asarray(wit).tolist())
     if is_orthogonal(a, b):
         return exact(0.0, witness=np.asarray(a.basis_points()[0]).tolist())
+    if a.dim == 1 and b.dim == 1:
+        dot = float(np.dot(a.frame[:, 0], b.frame[:, 0]))
+        return exact(min(1.0, dot * dot))
     cross_a = meet(ortho_complement(a), b)
     if not cross_a.is_empty:
         return exact(0.0, witness=np.asarray(cross_a.basis_points()[0]).tolist())
     cross_b = meet(ortho_complement(b), a)
     if not cross_b.is_empty:
         return exact(0.0, witness=np.asarray(cross_b.basis_points()[0]).tolist())
-    if a.dim == 1 and b.dim == 1:
-        dot = float(np.dot(a.frame[:, 0], b.frame[:, 0]))
-        return exact(min(1.0, dot * dot))
     witness = _zero_witness(a, b)
     if witness is not None:
         return exact(0.0, witness=witness.tolist())
     return sampled_similarity(a, b, cfg or SamplerConfig())
 
 
-def ordered_similarities(subs, cfg: SamplerConfig | None = None):
+def ordered_similarities(subs, cfg: SamplerConfig | None = None,
+                         table: dict | None = None):
     """``(i, j, s(subs[i], subs[j]))`` for every ordered pair of distinct
     subspaces, row by row.  ``s`` is symmetric, so an exact estimate is
     computed once per unordered pair and serves both orders; a sampled one
-    is computed in each order, as a seeded estimate need not be symmetric."""
-    reverse: dict = {}
+    is computed in each order, as a seeded estimate need not be symmetric.
+
+    ``table`` keeps the exact estimates, keyed by the index pair ``(i, j)``
+    with ``i < j``; pass one (a field's ``similarities``) to share them with
+    later scans of the same ``subs``.  Exact branches never read ``cfg``,
+    so a kept value holds under every sampler budget."""
+    table = {} if table is None else table
     for i, a in enumerate(subs):
         for j, b in enumerate(subs):
             if b is a:
                 continue
-            est = reverse.pop((j, i), None) or subspace_similarity(a, b, cfg)
-            if j > i and est.is_exact:
-                reverse[(i, j)] = est
+            est = table.get((i, j) if i < j else (j, i))
+            if est is None:
+                est = subspace_similarity(a, b, cfg)
+                if i < j and est.is_exact:
+                    table[i, j] = est
             yield i, j, est
 
 

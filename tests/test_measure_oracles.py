@@ -14,6 +14,9 @@ The superseded implementations live here as oracles:
 * ``old_continuity_check`` computes ``s(A, B)`` for both orders of every
   event pair.  The library computes an exact value once per unordered pair
   and must give the same verdict and the same first witness.
+* A fresh copy of a field, whose similarity table is empty, is the oracle
+  for the same field after other measures filled its table: every report
+  must be the same, byte for byte.
 * ``old_first_difference`` builds every seeded event before comparing the
   first.  The library builds them only up to the first difference.
 * ``old_continuity_verdict``, ``old_triangle_verdict`` and
@@ -490,14 +493,73 @@ def test_ordered_similarities_match_the_ordered_loop(fields):
             assert g[3] == w[3] and same_bits(g[2], w[2]), g
 
 
-def test_an_all_exact_field_computes_each_pair_once(fields):
-    fld = next(f for f in fields if f.structure.kind == "classical" and len(f.events) == 16)
-    p = pure_state(fld.structure, 0)
+def test_an_all_exact_field_computes_each_pair_once(classical4):
+    fld = generate_sigma_star(classical4, [[i] for i in range(4)])
+    n = len(fld.events)
+    p = pure_state(classical4, 0)
+    twin = table_measure(fld, [evaluate(p, e) for e in fld.events])
     with mock.patch.object(sim, "subspace_similarity", wraps=sim.subspace_similarity) as calls:
         report = validate_measure(p, fld)
-    n = len(fld.events)
+        assert calls.call_count == n * (n - 1) // 2 == 120
+        # the table's own field, found through the measure, serves every pair
+        assert validate_measure(twin).check("continuity_bound").status == PASS
     assert report.check("continuity_bound").status == PASS
     assert calls.call_count == n * (n - 1) // 2
+    assert sorted(fld.similarities) == list(itertools.combinations(range(n), 2))
+
+
+def test_a_sampled_pair_of_a_field_is_sampled_on_every_call(ray3):
+    # the nearly equal planes of the next test, closed into a field of 12
+    # events: they, and the planes spanned by the shared axis and either
+    # normal, are the two pairs the sampler answers
+    a = from_span(ray3, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    b = from_span(ray3, [[1.0, 0.0, 0.0], [0.0, 1.0, 1e-5]])
+    fld = generate_sigma_star(ray3, [a, b])
+    cfg = SamplerConfig(samples=200, refine_top=2, seed=3)
+    events, n = fld.events, len(fld.events)
+    sampled = [(i, j) for i, j in itertools.permutations(range(n), 2)
+               if not subspace_similarity(events[i], events[j], cfg).is_exact]
+    assert len(sampled) == 4 and (fld.index_of(a), fld.index_of(b)) in sampled
+    p = pure_state(ray3, [0.0, 1.0, 0.0])
+    with mock.patch.object(sim, "subspace_similarity", wraps=sim.subspace_similarity) as calls:
+        first = measure_report_to_dict(validate_measure(p, fld, cfg))
+        assert calls.call_count == n * (n - 1) // 2 - len(sampled) // 2 + len(sampled)
+        calls.reset_mock()
+        second = measure_report_to_dict(validate_measure(p, fld, cfg))
+    assert first == second and first["overall"] == PASS
+    assert calls.call_args_list == [mock.call(events[i], events[j], cfg) for i, j in sampled]
+    assert len(fld.similarities) == n * (n - 1) // 2 - len(sampled) // 2
+
+
+def benchmark_measures(fld, rng):
+    """The three measures the benchmark validates on one field: a mixture of
+    points, its table twin and the twin broken at the first inner event."""
+    st = fld.structure
+    pts = points_of(st, rng)
+    mixture = mix([(w, pure_state(st, x))
+                   for w, x in zip(rng.dirichlet(np.ones(len(pts))).tolist(), pts)])
+    values = [evaluate(mixture, e) for e in fld.events]
+    inner = next(i for i, e in enumerate(fld.events) if not e.is_empty and not e.is_full)
+    broken = list(values)
+    delta = float(rng.uniform(0.05, 0.2))
+    broken[inner] += delta if values[inner] + delta <= 1.0 else -delta
+    return [mixture, table_measure(fld, values), table_measure(fld, broken)]
+
+
+def test_a_warm_field_gives_the_reports_of_a_fresh_one(fields):
+    rng = np.random.default_rng(5)
+    overall = set()
+    for fld in fields:
+        measures = benchmark_measures(fld, rng)
+        for order in (measures, measures[::-1]):
+            warm = dataclasses.replace(fld)  # same events, an empty table
+            for p in order:
+                got = json.dumps(measure_report_to_dict(validate_measure(p, warm)))
+                fresh = dataclasses.replace(fld)
+                want = json.dumps(measure_report_to_dict(validate_measure(p, fresh)))
+                assert got == want
+                overall.add(json.loads(got)["overall"])
+    assert overall == {PASS, FAIL_CERTIFIED}
 
 
 def test_a_sampled_pair_is_computed_in_both_orders(ray3):

@@ -38,6 +38,8 @@ from starprob import (
     from_basis,
     from_points,
     from_span,
+    is_orthogonal,
+    meet,
     ortho_complement,
     sampled_similarity,
     similarity_to_subspace,
@@ -45,7 +47,7 @@ from starprob import (
     tau,
 )
 from starprob import similarity as similarity_module
-from starprob.similarity import EXACT, SAMPLED, SamplerConfig, continuity_rhs
+from starprob.similarity import EXACT, SAMPLED, SamplerConfig, SimilarityEstimate, continuity_rhs
 from starprob.structures import TOL_EQ, as_point, similarity as point_sim
 
 
@@ -115,6 +117,26 @@ class TestExactValues:
             e = subspace_similarity(ray_line(ray2, 0.0), ray_line(ray2, g))
             assert e.certainty == EXACT
             assert e.value == pytest.approx(math.cos(g) ** 2, abs=1e-12)
+
+    def test_lines_that_are_not_orthogonal_meet_no_complement(self):
+        # the line branch answers before the cross meets, which it may only
+        # do because both are empty: checked on seeded pairs and on pairs at
+        # the orthogonality edge (cos^2 just above TOL_EQ) and near equality
+        rng = np.random.default_rng(11)
+        for d in (2, 3, 4, 6, 8):
+            st = SPStructure.ray(d)
+            pairs = [rng.standard_normal((2, d)) for _ in range(30)]
+            for c2 in (1.01 * TOL_EQ, 4 * TOL_EQ, 1e-6, 1.0 - 1e-10):
+                u, w = np.eye(d)[0], np.eye(d)[1]
+                pairs.append([u, math.sqrt(c2) * u + math.sqrt(1.0 - c2) * w])
+            for u, v in pairs:
+                a, b = from_span(st, [u]), from_span(st, [v])
+                if is_orthogonal(a, b) or a == b:
+                    continue
+                assert meet(ortho_complement(a), b).is_empty
+                assert meet(ortho_complement(b), a).is_empty
+                dot = float(np.dot(a.frame[:, 0], b.frame[:, 0]))
+                assert subspace_similarity(a, b) == SimilarityEstimate(min(1.0, dot * dot), EXACT)
 
     def test_complement_crossing_pair_is_zero(self, ray3):
         # b contains a direction orthogonal to all of a: similarity 0 exactly

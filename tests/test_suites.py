@@ -7,8 +7,14 @@ suite is honest about that -- failures carry witnesses and residuals --
 while every other suite passes cleanly.
 """
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import starprob
 from starprob import run_property_suite
 from starprob.cli import run_command
 from starprob.errors import FormatError
@@ -22,6 +28,20 @@ def by_law(report):
 
 def test_suite_ids():
     assert SUITE_IDS == ("lattice", "similarity", "sigma", "prob", "rv", "all")
+
+
+def test_import_leaves_the_suites_unloaded():
+    src = pathlib.Path(starprob.__file__).resolve().parents[1]
+    probe = ("import sys, starprob; "
+             "print(sorted({'starprob.suites', 'starprob.io'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "[]"
+    assert "run_property_suite" in starprob.__all__
+    assert starprob.run_property_suite is run_property_suite
+    with pytest.raises(AttributeError, match="no attribute 'telepathy'"):
+        starprob.telepathy
 
 
 def test_unknown_suite_rejected():
