@@ -8,8 +8,8 @@ similarity-indistinguishable).
 
 Classical models satisfy everything by construction.  Explicit models with
 at most 12 points are checked exhaustively over every pairwise-orthogonal
-point set; ray models are spot-checked with a seeded sample and report
-``sampled-pass`` rather than ``pass``.
+point set; larger explicit models and ray models are spot-checked with a
+seeded sample and report ``sampled-pass`` rather than ``pass``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import structures as core
-from .errors import BudgetRequired, FormatError
+from .errors import FormatError
 from .structures import (
     EXPLICIT_ENUM_MAX,
     SAMPLED_PASS,
@@ -43,14 +43,12 @@ _STRICT_GAP = 1e-6
 class ValidationBudget:
     """How much work the validator may do.
 
-    ``samples`` drives the seeded ray checks.  Explicit models larger than
-    ``EXPLICIT_ENUM_MAX`` points refuse to run unless
-    ``sample_large_explicit`` opts into sampling instead of enumeration.
+    ``samples`` drives the seeded checks of ray models and of explicit
+    models larger than ``EXPLICIT_ENUM_MAX`` points.
     """
 
     samples: int = 10_000
     seed: int = 0
-    sample_large_explicit: bool = False
 
     def __post_init__(self) -> None:
         if self.samples < 1:
@@ -91,10 +89,6 @@ def validate_sp_axioms(st: SPStructure,
     if st.kind == core.CLASSICAL:
         return Report([Check(name, trials=st.n) for name in AXIOMS])
     if st.kind == core.EXPLICIT:
-        if st.n > EXPLICIT_ENUM_MAX and not budget.sample_large_explicit:
-            raise BudgetRequired(
-                f"explicit model has {st.n} points; pass a budget with "
-                "sample_large_explicit=True or shrink the model")
         if st.n <= EXPLICIT_ENUM_MAX:
             return Report(_explicit_exhaustive(st))
         return Report(_explicit_sampled(st, budget))

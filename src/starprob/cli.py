@@ -111,23 +111,6 @@ def _subspace(st, raw: str):
     return spio.parse_subspace(st, lit)
 
 
-def _sampler(args) -> sim.SamplerConfig:
-    return sim.SamplerConfig(samples=args.samples, refine_top=args.refine_top,
-                             seed=args.seed)
-
-
-def _add_sampler_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--samples", type=int, default=20_000,
-                   help="vantage samples of the similarity sampler; ray "
-                        "subspace similarity is exact, so the sampler only "
-                        "guards nearly equal pairs whose zero witness fails "
-                        "its re-check")
-    p.add_argument("--refine-top", type=int, default=50,
-                   help="sampler candidates polished by local descent "
-                        "(guard only, like --samples)")
-    p.add_argument("--seed", type=int, default=0, help="sampler seed")
-
-
 def _add_json_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true",
                    help="emit a deterministic JSON report")
@@ -150,9 +133,8 @@ def _command(sub, name: str, text: str, positionals: str, handler,
 
 def _cmd_validate(args) -> int:
     st = spio.load_structure(args.structure)
-    budget = ValidationBudget(samples=args.samples, seed=args.seed,
-                              sample_large_explicit=args.sample_large)
-    report = validate_sp_axioms(st, budget)
+    report = validate_sp_axioms(st, ValidationBudget(samples=args.samples,
+                                                     seed=args.seed))
     payload = {"command": "validate",
                "structure": spio.structure_to_dict(st),
                "report": spio.validate_report_to_dict(st, report)}
@@ -211,7 +193,7 @@ def _cmd_sim_subspace(args) -> int:
     st = spio.load_structure(args.structure)
     a = _subspace(st, args.a)
     b = _subspace(st, args.b)
-    est = sim.subspace_similarity(a, b, _sampler(args))
+    est = sim.subspace_similarity(a, b)
     payload = {"command": "sim.subspace", "estimate": est.as_dict()}
     lines = [f"similarity: {est.value!r} ({est.certainty})"]
     if est.witness is not None:
@@ -313,8 +295,7 @@ def _cmd_prob(args) -> int:
     if op == "validate":
         p = spio.load_measure(st, args.measure)
         fld = spio.load_field(st, args.field) if args.field else None
-        report = meas.validate_measure(p, fld, _sampler(args),
-                                       event_samples=args.event_samples)
+        report = meas.validate_measure(p, fld, args.seed, args.event_samples)
         payload = {"command": "prob.validate",
                    "report": spio.measure_report_to_dict(report),
                    "measure": p.describe()}
@@ -438,8 +419,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("structure", help="structure JSON file")
     p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sample-large", action="store_true",
-                   help="sample tabulated models too large to enumerate")
     _add_json_flag(p)
     p.set_defaults(handler=_cmd_validate)
 
@@ -455,8 +434,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sim_sub = p.add_subparsers(dest="sim_op", required=True)
     _command(sim_sub, "tau", "single-vantage comparison", "structure point a b",
              _cmd_sim_tau)
-    _add_sampler_flags(_command(sim_sub, "subspace", "similarity of two subspaces",
-                                "structure a b", _cmd_sim_subspace))
+    _command(sim_sub, "subspace", "similarity of two subspaces", "structure a b",
+             _cmd_sim_subspace)
     _command(sim_sub, "continuity", "pointwise continuity bound", "structure x y z",
              _cmd_sim_continuity)
 
@@ -483,7 +462,8 @@ def _build_parser() -> argparse.ArgumentParser:
                  "structure measure", _cmd_prob, op="validate")
     q.add_argument("--field", default=None)
     q.add_argument("--event-samples", type=int, default=200)
-    _add_sampler_flags(q)
+    q.add_argument("--seed", type=int, default=0,
+                   help="seeds the events drawn when no field is given")
     q = _command(prob_sub, "equal", "compare two measures",
                  "structure measure other", _cmd_prob, op="equal")
     q.add_argument("--field", default=None)

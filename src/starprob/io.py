@@ -12,7 +12,6 @@ Schemas:
   "values": {"<event index>": number}, "point": literal,
   "components": [[weight, literal], ...]}``
 * random variable -- ``{"outcomes": [{"value": v, "event": literal}, ...]}``
-* sampler -- ``{"samples": n, "refine_top": k, "seed": s}``
 
 Reports (one :class:`~starprob.structures.Report` of
 :class:`~starprob.structures.Check` records) are written in four shapes:
@@ -36,7 +35,6 @@ from .errors import FormatError, SPError
 from .lattice import Subspace
 from .sigma import DEFAULT_CAP, SigmaStarField, generate_sigma_star
 from .randomvars import RealRandomVariable, make_rv
-from .similarity import SamplerConfig
 from .structures import PASS, Report, SPStructure
 
 
@@ -177,23 +175,25 @@ def load_measure(st: SPStructure, source,
         if len(seen) != len(fld.events):
             raise FormatError("table measures need a value for every event")
         return meas.table_measure(fld, values)
+    # a pure state is read as the mixture of its one point with weight one
     if kind == meas.PURE:
         if "point" not in doc:
             raise FormatError("pure measures need a point")
-        return meas.pure_state(st, parse_point(st, doc["point"]), field=fld)
-    if kind == meas.MIXED:
+        comps = [[1.0, doc["point"]]]
+    elif kind == meas.MIXED:
         comps = doc.get("components")
         if not isinstance(comps, list) or not comps or not all(
                 isinstance(c, list) and len(c) == 2 for c in comps):
             raise FormatError("mixed measures need [weight, point] components")
-        try:
-            return meas.mix([
-                (_json_number(w, "component weights must be finite numbers"),
-                 meas.pure_state(st, parse_point(st, lit), field=fld))
-                for w, lit in comps])
-        except meas.WeightsNotConvex as exc:
-            raise FormatError(str(exc)) from exc
-    raise FormatError(f"unknown measure kind {kind!r}")
+    else:
+        raise FormatError(f"unknown measure kind {kind!r}")
+    try:
+        return meas.mix([
+            (_json_number(w, "component weights must be finite numbers"),
+             meas.pure_state(st, parse_point(st, lit), field=fld))
+            for w, lit in comps])
+    except meas.WeightsNotConvex as exc:
+        raise FormatError(str(exc)) from exc
 
 
 def load_rv(st: SPStructure, source) -> RealRandomVariable:
@@ -212,21 +212,6 @@ def load_rv(st: SPStructure, source) -> RealRandomVariable:
         if isinstance(exc, FormatError):
             raise
         raise FormatError(f"bad random variable: {exc}") from exc
-
-
-def load_sampler(doc) -> SamplerConfig:
-    if doc is None:
-        return SamplerConfig()
-    doc = _load_json(doc)
-    if not isinstance(doc, dict):
-        raise FormatError("sampler document must be an object")
-
-    def budget(key: str, default: int) -> int:
-        return _json_int(doc.get(key, default), f"sampler '{key}' must be an integer")
-
-    return SamplerConfig(samples=budget("samples", 20_000),
-                         refine_top=budget("refine_top", 50),
-                         seed=budget("seed", 0))
 
 
 def _with_witness(check, out: dict) -> dict:

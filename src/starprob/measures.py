@@ -25,9 +25,9 @@ from . import lattice as lat
 from .errors import EventNotInField, FormatError, WeightsNotConvex
 from .lattice import Subspace, similarity_to_subspace
 from .sigma import SigmaStarField
-from .similarity import SamplerConfig, compare_leq, continuity_rhs, ordered_similarities
+from .similarity import compare_leq, continuity_rhs, ordered_similarities
 from .structures import TOL_EQ, TOL_UNIT, Point, SPStructure, as_point, ensure_same_structure
-from .structures import FAIL_CERTIFIED, INCONCLUSIVE, Check, Report
+from .structures import FAIL_CERTIFIED, Check, Report
 from .structures import PASS  # noqa: F401 - verdicts re-exported with the validator
 
 TABLE = "table"
@@ -143,25 +143,22 @@ def evaluate(p: ProbabilityMeasure, event: Subspace) -> float:
 
 def validate_measure(p: ProbabilityMeasure,
                      fld: SigmaStarField | None = None,
-                     cfg: SamplerConfig | None = None,
+                     seed: int = 0,
                      event_samples: int = 200) -> Report:
-    """Check the four measure axioms over a field (or a sampled domain).
+    """Check the four measure axioms over a field (or ``event_samples``
+    subspaces drawn with ``seed``).
 
     Normalization and the empty event are exact checks; additivity runs over
     every orthogonal pair plus greedily-extended maximal orthogonal
-    families; continuity runs over every ordered event pair with
-    direction-aware verdicts, so a sampled subspace similarity can never
-    certify a spurious failure.  An exact similarity is symmetric and is
-    computed once per unordered pair and kept in the field's
-    ``similarities``, so later measures validated on the same field reuse
-    it; a sampled one keeps both orders and is estimated on every call.
-    Each event of the domain is evaluated once.  Every check that is not
-    ``pass`` carries a witness.
+    families; continuity runs over every ordered event pair.  A similarity
+    is exact and symmetric, so it is computed once per unordered pair and
+    kept in the field's ``similarities``, where later measures validated on
+    the same field reuse it.  Each event of the domain is evaluated once.
+    Every check that is not ``pass`` carries a witness.
     """
-    cfg = cfg or SamplerConfig()
     st = p.structure
     fld = p.field if fld is None else fld
-    events = list(_domain(st, fld, cfg, event_samples))
+    events = list(_domain(st, fld, seed, event_samples))
     values = [evaluate(p, e) for e in events]
     v_empty = evaluate(p, lat.empty(st))
     v_full = evaluate(p, lat.full(st))
@@ -169,7 +166,7 @@ def validate_measure(p: ProbabilityMeasure,
         _exact_check("empty_event_zero", abs(v_empty), {"value": v_empty}),
         _exact_check("full_event_one", abs(v_full - 1.0), {"value": v_full}),
         _additivity_check(p, events, values),
-        _continuity_check(events, values, cfg,
+        _continuity_check(events, values,
                           None if fld is None else fld.similarities),
     ])
 
@@ -181,16 +178,18 @@ def _exact_check(law: str, residual: float, witness: dict) -> Check:
     return Check(law, FAIL_CERTIFIED, witnesses=[witness])
 
 
-def _domain(st: SPStructure, fld: SigmaStarField | None, cfg: SamplerConfig,
+def _domain(st: SPStructure, fld: SigmaStarField | None, seed: int,
             count: int) -> Iterator[Subspace]:
     """The events of ``fld``, or without one the empty and full subspaces
-    plus ``count`` seeded random spans.  The spans are built one at a time,
-    as the reader asks for them."""
+    plus ``count`` random spans drawn with ``seed``.  The spans are built
+    one at a time, as the reader asks for them."""
     if count < 0:
         raise FormatError(f"event samples must be >= 0, got {count}")
+    if seed < 0:
+        raise FormatError(f"events need seed >= 0, got {seed}")
     if fld is not None:
         return iter(fld.events)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     return chain([lat.empty(st), lat.full(st)],
                  (lat.from_span(st, st.random_span(rng)) for _ in range(count)))
 
@@ -237,27 +236,19 @@ def _additivity_check(p: ProbabilityMeasure, events: list[Subspace],
 
 
 def _continuity_check(events: list[Subspace], values: list[float],
-                      cfg: SamplerConfig, similarities: dict | None = None) -> Check:
-    """The continuity bound over every ordered pair of distinct events: an
-    exact ``s(A, B)`` is symmetric and serves both orders of its pair, a
-    sampled one is estimated in each order.  ``similarities`` is the exact
+                      similarities: dict | None = None) -> Check:
+    """The continuity bound over every ordered pair of distinct events;
+    ``s(A, B)`` serves both orders of its pair.  ``similarities`` is the
     table of the field whose events these are, read and filled here.  The
-    first certified failure ends the scan; otherwise the first inconclusive
-    pair is kept."""
-    uncertified = None
-    for i, j, s_ab in ordered_similarities(events, cfg, similarities):
+    first failure ends the scan."""
+    for i, j, s_ab in ordered_similarities(events, similarities):
         a, b, pa, pb = events[i], events[j], values[i], values[j]
         rhs = continuity_rhs(pb, s_ab)
-        verdict = compare_leq(pa, rhs)
-        if verdict == FAIL_CERTIFIED:
+        if compare_leq(pa, rhs) == FAIL_CERTIFIED:
             return Check("continuity_bound", FAIL_CERTIFIED, witnesses=[{
                 "events": [a.to_literal(), b.to_literal()],
                 "p_A": pa, "p_B": pb, "similarity": s_ab.value, "bound": rhs[0]}])
-        if verdict == INCONCLUSIVE and uncertified is None:
-            uncertified = Check("continuity_bound", INCONCLUSIVE, witnesses=[{
-                "events": [a.to_literal(), b.to_literal()],
-                "note": "sampled similarity cannot certify"}])
-    return uncertified or Check("continuity_bound")
+    return Check("continuity_bound")
 
 
 def first_difference(p: ProbabilityMeasure, q: ProbabilityMeasure,
@@ -270,7 +261,7 @@ def first_difference(p: ProbabilityMeasure, q: ProbabilityMeasure,
     to the first difference."""
     ensure_same_structure(p.structure, q.structure)
     fld = next((f for f in (fld, p.field, q.field) if f is not None), None)
-    events = _domain(p.structure, fld, SamplerConfig(seed=seed), samples)
+    events = _domain(p.structure, fld, seed, samples)
     return next((e for e in events
                  if not abs(evaluate(p, e) - evaluate(q, e)) <= tol), None)
 

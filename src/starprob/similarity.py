@@ -15,11 +15,10 @@ pair gives 0, attained at a vantage point built from the principal angles
 of the pair (see :func:`subspace_similarity`).
 
 The seeded sampler :func:`sampled_similarity`, whose estimate is an upper
-bound on the true infimum, stays as an independent oracle and as a guard
-that runs only if the zero witness fails its numerical re-check.  Because
-sampled values only ever bound the infimum from above, inequality checks
-report ``pass`` / ``fail-certified`` / ``inconclusive`` by interval
-reasoning instead of comparing point estimates blindly.
+bound on the true infimum, stays as an independent oracle; no exact path
+calls it.  Because sampled values only ever bound the infimum from above,
+inequality checks report ``pass`` / ``fail-certified`` / ``inconclusive``
+by interval reasoning instead of comparing point estimates blindly.
 """
 
 from __future__ import annotations
@@ -142,12 +141,11 @@ def tau(x: Point, a: Subspace, b: Subspace) -> float:
 # subspace similarity
 
 
-def subspace_similarity(a: Subspace, b: Subspace,
-                        cfg: SamplerConfig | None = None) -> SimilarityEstimate:
+def subspace_similarity(a: Subspace, b: Subspace) -> SimilarityEstimate:
     """``s(A, B)``: the infimum of the vantage comparison over all points.
 
-    Exact on every model, short of the nearly equal ray pairs named at the
-    end.  Symmetric in its arguments, 1 exactly when ``A = B``.
+    Exact on every model.  Symmetric in its arguments, 1 exactly when
+    ``A = B``.
 
     Two ray lines ``span(u)`` and ``span(v)`` are answered right after the
     orthogonality test, as their cross meets are provably empty.  The test
@@ -191,10 +189,10 @@ def subspace_similarity(a: Subspace, b: Subspace,
     for a fixed ``w-`` only one unit vector (up to sign) fails as ``w+``,
     and ``S`` has at least two positive eigenvectors, so some pair always
     works.  :func:`_zero_witness` tries the pairs and re-checks the winner
-    with :func:`tau`.  The sampler runs only if no pair passes, which
-    happens for nearly equal pairs (every principal angle below about
-    6e-5): there any zero witness shows one side less than ``TOL_EQ`` of
-    its mass, so ``tau`` reads it as orthogonal to that side.
+    with :func:`tau`.  For nearly equal pairs (every principal angle below
+    about 6e-5) no pair passes: any zero witness shows one side less than
+    ``TOL_EQ`` of its mass, so ``tau`` reads it as orthogonal to that side.
+    The value is still 0 by the proof, so it is returned without a witness.
     """
     ensure_same_structure(a.structure, b.structure)
     st = a.structure
@@ -221,32 +219,26 @@ def subspace_similarity(a: Subspace, b: Subspace,
     if not cross_b.is_empty:
         return exact(0.0, witness=np.asarray(cross_b.basis_points()[0]).tolist())
     witness = _zero_witness(a, b)
-    if witness is not None:
-        return exact(0.0, witness=witness.tolist())
-    return sampled_similarity(a, b, cfg or SamplerConfig())
+    return exact(0.0, witness=None if witness is None else witness.tolist())
 
 
-def ordered_similarities(subs, cfg: SamplerConfig | None = None,
-                         table: dict | None = None):
+def ordered_similarities(subs, table: dict | None = None):
     """``(i, j, s(subs[i], subs[j]))`` for every ordered pair of distinct
-    subspaces, row by row.  ``s`` is symmetric, so an exact estimate is
-    computed once per unordered pair and serves both orders; a sampled one
-    is computed in each order, as a seeded estimate need not be symmetric.
+    subspaces, row by row.  ``s`` is exact and symmetric, so each unordered
+    pair is computed once and serves both orders.
 
-    ``table`` keeps the exact estimates, keyed by the index pair ``(i, j)``
-    with ``i < j``; pass one (a field's ``similarities``) to share them with
-    later scans of the same ``subs``.  Exact branches never read ``cfg``,
-    so a kept value holds under every sampler budget."""
+    ``table`` keeps the estimates, keyed by the index pair ``(i, j)`` with
+    ``i < j``; pass one (a field's ``similarities``) to share them with
+    later scans of the same ``subs``."""
     table = {} if table is None else table
     for i, a in enumerate(subs):
         for j, b in enumerate(subs):
             if b is a:
                 continue
-            est = table.get((i, j) if i < j else (j, i))
+            key = (i, j) if i < j else (j, i)
+            est = table.get(key)
             if est is None:
-                est = subspace_similarity(a, b, cfg)
-                if i < j and est.is_exact:
-                    table[i, j] = est
+                est = table[key] = subspace_similarity(a, b)
             yield i, j, est
 
 
@@ -445,8 +437,7 @@ def distinct_verdict(est: SimilarityEstimate) -> str:
 # theorem checks
 
 
-def check_similarity_theorems(a: Subspace, b: Subspace, c: Subspace,
-                              cfg: SamplerConfig | None = None) -> Report:
+def check_similarity_theorems(a: Subspace, b: Subspace, c: Subspace) -> Report:
     """Exercise the subspace-similarity laws on one triple.
 
     Checks, with direction-aware verdicts: the vantage bound (a member of
@@ -454,10 +445,9 @@ def check_similarity_theorems(a: Subspace, b: Subspace, c: Subspace,
     (``s(A, B) = 1`` exactly for equal subspaces), and the triangle-like
     continuity bound ``s(A,B) <= s(A,C) + sqrt(1 - s(B,C))/2 + (1 - s(B,C))``.
     """
-    cfg = cfg or SamplerConfig()
-    s_ab = subspace_similarity(a, b, cfg)
-    s_ac = subspace_similarity(a, c, cfg)
-    s_bc = subspace_similarity(b, c, cfg)
+    s_ab = subspace_similarity(a, b)
+    s_ac = subspace_similarity(a, c)
+    s_bc = subspace_similarity(b, c)
 
     # membership vantage bound
     detail: dict = {"pairs": []}

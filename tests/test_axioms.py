@@ -105,15 +105,16 @@ class TestExplicitModel:
         assert report.check("symmetry").status == PASS
         assert report.check("boundedness").status == PASS
 
-    def test_large_explicit_needs_explicit_opt_in(self):
+    def test_large_explicit_is_sampled_without_opt_in(self):
+        # past EXPLICIT_ENUM_MAX points the table is sampled, as rays are;
+        # only the exhaustive enumeration refuses it
         n = 16
         st = SPStructure.explicit(np.eye(n).tolist())
         with pytest.raises(BudgetRequired):
-            validate_sp_axioms(st)
-        report = validate_sp_axioms(
-            st, ValidationBudget(samples=50, seed=1, sample_large_explicit=True)
-        )
+            core.explicit_lattice(st)
+        report = validate_sp_axioms(st, ValidationBudget(samples=50, seed=1))
         assert report.overall == SAMPLED_PASS
+        assert report.check("boundedness").trials == 50
 
 
 class TestOrthogonalWitness:

@@ -55,6 +55,17 @@ def test_validate_ray_is_sampled(capsys, fixture_dir):
     assert payload["report"]["overall"] == "sampled-pass"
 
 
+def test_validate_large_explicit_is_sampled(capsys, tmp_path):
+    # past 12 points a table is sampled, as a ray model is, without a flag
+    path = tmp_path / "eye13.json"
+    path.write_text(json.dumps({"kind": "explicit", "matrix": [
+        [float(i == j) for j in range(13)] for i in range(13)]}))
+    code, payload = run_json(capsys, "validate", path, "--samples", 50)
+    assert code == 3
+    assert payload["report"]["overall"] == "sampled-pass"
+    assert payload["report"]["verdicts"]["boundedness"]["checks"] == 50
+
+
 def test_validate_missing_file_is_usage_error(capsys):
     code, _ = run(capsys, "validate", "no/such/file.json")
     assert code == 2
@@ -63,12 +74,13 @@ def test_validate_missing_file_is_usage_error(capsys):
 @pytest.mark.parametrize("cmd, fixture, rest, message", [
     # zero checks must not read as "sampled evidence only" (exit 3)
     (["validate"], "ray2.json", ["--samples", -1], "samples >= 1"),
-    # rejected when the budget is read, before numpy can fail on it
+    # subspace similarity is exact: it takes no sampler budget at all
     (["sim", "subspace"], "ray3.json",
      ["[[1, 0, 0], [0, 1, 0]]", "[[1, 0, 1], [0, 1, 1]]", "--samples", -5],
-     "samples >= 1"),
+     "unrecognized arguments: --samples"),
     (["sim", "subspace"], "ray2.json",
-     ["[[1.0, 0.0]]", "[[1.0, 1.0]]", "--refine-top", -1], "refine_top >= 0"),
+     ["[[1.0, 0.0]]", "[[1.0, 1.0]]", "--refine-top", -1],
+     "unrecognized arguments: --refine-top"),
     # a dimension that is no JSON integer is malformed input, not a crash
     (["validate"], "bad_ray_dimension.json", [], "integer 'd'"),
     # so are non-numeric table entries, event indices, values and weights
@@ -103,7 +115,7 @@ def test_validate_missing_file_is_usage_error(capsys):
     (["validate"], "ray2.json", ["--seed", -1, "--samples", 5], "seed >= 0"),
     (["sim", "subspace"], "ray3.json",
      ["[[1, 0, 0], [0, 1, 0]]", "[[1, 0, 0], [0, 1, 1e-7]]", "--seed", -1],
-     "seed >= 0"),
+     "unrecognized arguments: --seed"),
     (["prob", "equal"], "ray2.json",
      [FIXTURES / "measure_mix_axes.json", FIXTURES / "measure_mix_diagonals.json",
       "--seed", -1], "seed >= 0"),

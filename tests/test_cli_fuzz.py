@@ -4,9 +4,9 @@ Each example takes one bundled invocation and mutates one of its inputs: a
 JSON input file (one node replaced by another JSON value, or one key or item
 dropped), a flag value (``--seed``, ``--samples``, ``--scale``, ``--cap``,
 ``--event-samples``), a ``prob mix`` component weight, or a point or
-subspace literal of ``lattice sum`` and ``prob pure``.  Then it runs the
-command.  Whatever the input, the exit code must keep the contract of
-``starprob.cli``:
+subspace literal of ``lattice sum``, ``prob pure`` and ``sim subspace``.
+Then it runs the command.  Whatever the input, the exit code must keep the
+contract of ``starprob.cli``:
 
 * it is one of 0, 1, 2 and 3; an internal error (4) fails the test;
 * 2 prints nothing on stdout and an ``error:`` line on stderr (argparse's
@@ -44,9 +44,9 @@ INVOCATIONS = [
     ["sigma", "atoms", "explicit4.json", "field_explicit4_twopoints.json"],
     ["sigma", "boolean", "ray2.json", "field_ray2_twolines.json"],
     ["prob", "validate", "ray2.json", "measure_table_bad_additivity.json",
-     "--event-samples", "5", "--samples", "50", "--refine-top", "1"],
+     "--event-samples", "5"],
     ["prob", "validate", "ray2.json", "measure_mix_axes.json",
-     "--field", "field_ray2_twolines.json", "--samples", "50", "--refine-top", "1"],
+     "--field", "field_ray2_twolines.json"],
     ["prob", "validate", "classical6.json", "measure_uniform6.json",
      "--event-samples", "5"],
     ["rv", "compatible", "ray2.json", "rv_pm45.json", "rv_axis.json"],
@@ -62,13 +62,12 @@ INVOCATIONS = [
 ARGUMENT_INVOCATIONS = [
     ["validate", "ray2.json", "--samples", "20", "--seed", "0"],
     ["validate", "explicit4.json", "--samples", "20", "--seed", "0"],
-    ["sim", "subspace", "ray3.json", "[[1, 0, 0], [0, 1, 0]]", "[[1, 0, 1]]",
-     "--samples", "20", "--seed", "0"],
+    ["sim", "subspace", "ray3.json", "[[1, 0, 0], [0, 1, 0]]", "[[1, 0, 1]]"],
     ["sigma", "boolean", "ray2.json", "field_ray2_twolines.json", "--cap", "10"],
     ["sigma", "atoms", "explicit4.json", "field_explicit4_twopoints.json",
      "--cap", "10"],
     ["prob", "validate", "ray2.json", "measure_pure_e1.json", "--event-samples",
-     "5", "--samples", "50", "--refine-top", "1", "--seed", "0"],
+     "5", "--seed", "0"],
     ["suite", "rv", "--seed", "0", "--scale", "2"],
     ["lattice", "sum", "classical4.json", "[0, 1]", "[2]"],
     ["lattice", "sum", "explicit4.json", "[\"r0\"]", "[\"r90\"]"],
@@ -83,7 +82,7 @@ ARGUMENT_INVOCATIONS = [
 ]
 FLAGS = ("--seed", "--samples", "--scale", "--cap", "--event-samples")
 WEIGHT = "--component"
-LITERAL_COMMANDS = (("lattice", "sum"), ("prob", "pure"))
+LITERAL_COMMANDS = (("lattice", "sum"), ("prob", "pure"), ("sim", "subspace"))
 
 LEAVES = hs.one_of(
     hs.none(), hs.booleans(), hs.integers(min_value=-2, max_value=6),

@@ -8,7 +8,10 @@ invocations (``prob validate`` over 200 sampled classical events, ray
 ``validate`` at 10k samples, ``suite sigma``) are left out to keep the
 replay well under five seconds.
 
-After a deliberate output change, rewrite the expected fields with
+``tests/golden/cli_options.json`` pins the option strings of every command
+path, so a new or removed flag shows up in review.
+
+After a deliberate output or option change, rewrite both files with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 
 The exit-code contract is checked on the recorded reports themselves,
@@ -16,6 +19,7 @@ without running anything: exit 1 needs a failed check that carries a
 witness, and exit 3 needs checks that actually ran.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -23,9 +27,10 @@ import pathlib
 
 import pytest
 
-from starprob.cli import run_command
+from starprob.cli import _build_parser, run_command
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "cli.json"
+OPTIONS = GOLDEN.with_name("cli_options.json")
 FIXTURES = GOLDEN.parents[2] / "fixtures"
 CASES = json.loads(GOLDEN.read_text())
 
@@ -80,6 +85,21 @@ def test_report_goldens_cover_every_verdict_exit():
     assert {c["exit"] for c in REPORTS} == {0, 1, 3}
 
 
+def option_surface(parser, path="starprob"):
+    """``{command path: sorted option strings}`` for ``parser`` and every
+    subcommand below it."""
+    out = {path: sorted(s for a in parser._actions for s in a.option_strings)}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                out.update(option_surface(sub, f"{path} {name}"))
+    return out
+
+
+def test_cli_option_surface():
+    assert option_surface(_build_parser()) == json.loads(OPTIONS.read_text())
+
+
 if __name__ == "__main__":
     for case in CASES:
         out = io.StringIO()
@@ -88,3 +108,5 @@ if __name__ == "__main__":
             case["exit"] = run_command(_resolve(case["argv"]))
         case["stdout"] = out.getvalue()
     GOLDEN.write_text(json.dumps(CASES, indent=1) + "\n")
+    OPTIONS.write_text(json.dumps(option_surface(_build_parser()), indent=1,
+                                  sort_keys=True) + "\n")

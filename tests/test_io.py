@@ -13,7 +13,6 @@ from starprob.io import (
     load_field,
     load_measure,
     load_rv,
-    load_sampler,
     load_structure,
     parse_point,
     parse_subspace,
@@ -162,13 +161,6 @@ def test_rv_round_trip(ray2, fixture_dir):
     assert rv.values == (1.0, -1.0)
 
 
-def test_sampler_config_load(fixture_dir):
-    cfg = load_sampler(fixture_dir / "sampler_default.json")
-    assert cfg.samples == 20000
-    assert cfg.refine_top == 50
-    assert cfg.seed == 0
-
-
 def test_dump_json_is_sorted_and_stable():
     a = dump_json({"b": 1, "a": [2, 3]})
     b = dump_json({"a": [2, 3], "b": 1})
@@ -242,13 +234,3 @@ def test_rv_outcomes_must_be_objects(ray2, tmp_path):
         path = _write(tmp_path, "rv.json", {"outcomes": outcomes})
         with pytest.raises(FormatError, match="'outcomes' must be a list"):
             load_rv(ray2, path)
-
-
-@pytest.mark.parametrize("doc", [
-    {"samples": "100"}, {"samples": 1.5}, {"refine_top": True}, {"seed": None},
-    {"seed": -1}, [100, 50, 0],
-], ids=["samples-string", "samples-float", "refine-bool", "seed-null",
-        "seed-negative", "list"])
-def test_sampler_budget_must_be_integers(tmp_path, doc):
-    with pytest.raises(FormatError):
-        load_sampler(_write(tmp_path, "s.json", doc))

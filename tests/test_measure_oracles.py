@@ -60,7 +60,6 @@ from starprob.measures import (
 from starprob.similarity import (
     EXACT,
     SAMPLED,
-    SamplerConfig,
     SimilarityEstimate,
     compare_leq,
     continuity_rhs,
@@ -150,14 +149,14 @@ def old_continuity_verdict(pa, pb, s_ab):
     return INCONCLUSIVE
 
 
-def old_continuity_check(p, events, cfg):
+def old_continuity_check(p, events):
     uncertified = None
     for a in events:
         pa = evaluate(p, a)
         for b in events:
             if a is b:
                 continue
-            s_ab = subspace_similarity(a, b, cfg)
+            s_ab = subspace_similarity(a, b)
             verdict = old_continuity_verdict(pa, evaluate(p, b), s_ab)
             if verdict == FAIL_CERTIFIED:
                 return Check("continuity_bound", FAIL_CERTIFIED, witnesses=[{
@@ -181,7 +180,7 @@ def old_validate_measure(p, fld):
         meas._exact_check("empty_event_zero", abs(v_empty), {"value": v_empty}),
         meas._exact_check("full_event_one", abs(v_full - 1.0), {"value": v_full}),
         old_additivity_check(p, events),
-        old_continuity_check(p, events, sim.SamplerConfig()),
+        old_continuity_check(p, events),
     ])
 
 
@@ -508,27 +507,41 @@ def test_an_all_exact_field_computes_each_pair_once(classical4):
     assert sorted(fld.similarities) == list(itertools.combinations(range(n), 2))
 
 
-def test_a_sampled_pair_of_a_field_is_sampled_on_every_call(ray3):
-    # the nearly equal planes of the next test, closed into a field of 12
-    # events: they, and the planes spanned by the shared axis and either
-    # normal, are the two pairs the sampler answers
+def nearly_equal_planes_field(ray3):
+    """Two planes of R^3 at 1e-5, closed into a field of 12 events: every
+    principal angle is below about 6e-5, so no zero witness holds."""
     a = from_span(ray3, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     b = from_span(ray3, [[1.0, 0.0, 0.0], [0.0, 1.0, 1e-5]])
-    fld = generate_sigma_star(ray3, [a, b])
-    cfg = SamplerConfig(samples=200, refine_top=2, seed=3)
-    events, n = fld.events, len(fld.events)
-    sampled = [(i, j) for i, j in itertools.permutations(range(n), 2)
-               if not subspace_similarity(events[i], events[j], cfg).is_exact]
-    assert len(sampled) == 4 and (fld.index_of(a), fld.index_of(b)) in sampled
+    return a, b, generate_sigma_star(ray3, [a, b])
+
+
+def test_a_nearly_equal_pair_of_a_field_is_computed_once(ray3):
+    a, b, fld = nearly_equal_planes_field(ray3)
+    n = len(fld.events)
+    assert n == 12
     p = pure_state(ray3, [0.0, 1.0, 0.0])
     with mock.patch.object(sim, "subspace_similarity", wraps=sim.subspace_similarity) as calls:
-        first = measure_report_to_dict(validate_measure(p, fld, cfg))
-        assert calls.call_count == n * (n - 1) // 2 - len(sampled) // 2 + len(sampled)
+        first = measure_report_to_dict(validate_measure(p, fld))
+        assert calls.call_count == n * (n - 1) // 2
         calls.reset_mock()
-        second = measure_report_to_dict(validate_measure(p, fld, cfg))
+        second = measure_report_to_dict(validate_measure(p, fld))
     assert first == second and first["overall"] == PASS
-    assert calls.call_args_list == [mock.call(events[i], events[j], cfg) for i, j in sampled]
-    assert len(fld.similarities) == n * (n - 1) // 2 - len(sampled) // 2
+    assert calls.call_count == 0
+    assert sorted(fld.similarities) == list(itertools.combinations(range(n), 2))
+    assert all(est.is_exact for est in fld.similarities.values())
+    i, j = sorted((fld.index_of(a), fld.index_of(b)))
+    assert fld.similarities[i, j] == sim.exact(0.0)
+
+
+def test_a_nearly_equal_pair_serves_both_orders(ray3):
+    a, b, _ = nearly_equal_planes_field(ray3)
+    with mock.patch.object(sim, "subspace_similarity", wraps=sim.subspace_similarity) as calls:
+        got = list(ordered_similarities([a, b]))
+    assert [(i, j) for i, j, _ in got] == [(0, 1), (1, 0)]
+    assert calls.call_args_list == [mock.call(a, b)]
+    assert got[0][2] is got[1][2]
+    assert (got[0][2].value, got[0][2].certainty, got[0][2].witness) == (0.0, EXACT, None)
+    assert got[0][2] == subspace_similarity(b, a)
 
 
 def benchmark_measures(fld, rng):
@@ -562,21 +575,6 @@ def test_a_warm_field_gives_the_reports_of_a_fresh_one(fields):
     assert overall == {PASS, FAIL_CERTIFIED}
 
 
-def test_a_sampled_pair_is_computed_in_both_orders(ray3):
-    # every principal angle of the two planes is below about 6e-5, so no
-    # zero witness holds and the sampler answers
-    a = from_span(ray3, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    b = from_span(ray3, [[1.0, 0.0, 0.0], [0.0, 1.0, 1e-5]])
-    cfg = SamplerConfig(samples=200, refine_top=2, seed=3)
-    with mock.patch.object(sim, "subspace_similarity", wraps=sim.subspace_similarity) as calls:
-        got = list(ordered_similarities([a, b], cfg))
-    assert [(i, j) for i, j, _ in got] == [(0, 1), (1, 0)]
-    assert calls.call_args_list == [mock.call(a, b, cfg), mock.call(b, a, cfg)]
-    assert [est.certainty for _, _, est in got] == [SAMPLED, SAMPLED]
-    assert [est.value for _, _, est in got] == [subspace_similarity(a, b, cfg).value,
-                                                subspace_similarity(b, a, cfg).value]
-
-
 def test_a_broken_table_fails_continuity_with_the_ordered_witness():
     witnesses = []
     for fld in plane_fields():
@@ -589,8 +587,8 @@ def test_a_broken_table_fails_continuity_with_the_ordered_witness():
                 broken = list(values)
                 broken[k] = min(1.0, max(0.0, broken[k] + delta))
                 table = table_measure(fld, broken)
-                got = meas._continuity_check(list(fld.events), broken, SamplerConfig())
-                want = old_continuity_check(table, list(fld.events), SamplerConfig())
+                got = meas._continuity_check(list(fld.events), broken)
+                want = old_continuity_check(table, list(fld.events))
                 assert got == want
                 if got.status == FAIL_CERTIFIED:
                     i, j = (fld.index_of(lattice.from_points(fld.structure, ev))

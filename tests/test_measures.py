@@ -1,9 +1,7 @@
 """Event measures: pure states, lookup tables, mixtures, and the axioms.
 
-A measure is graded per axiom with ``pass`` / ``fail-certified`` /
-``inconclusive`` because similarity values on ray structures may only be
-known as upper bounds; a failure is only certified when the arithmetic
-cannot be blamed on sampling slack.
+A measure is graded per axiom with ``pass`` / ``fail-certified``: every
+subspace similarity it reads is exact, and every failure carries a witness.
 """
 
 import math
@@ -20,6 +18,7 @@ from starprob import (
     generate_sigma_star,
     measures_equal,
     mix,
+    ortho_complement,
     pure_state,
     table_measure,
     validate_measure,
@@ -65,6 +64,26 @@ class TestPureStates:
                 "orthogonal_additivity",
                 "continuity_bound",
             ]
+
+    def test_continuity_fails_on_lines_closer_than_30_degrees(self, ray3):
+        # the half-coefficient gap of acceptance criterion 03 in the measure
+        # layer: the normals of two planes 1e-5 apart are lines at an angle
+        # g of about 1e-5, where p_A - p_B may reach sin(g) but the bound
+        # allows only sin(g)/2 + sin(g)^2
+        a = from_span(ray3, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        b = from_span(ray3, [[1.0, 0.0, 0.0], [0.0, 1.0, 1e-5]])
+        fld = generate_sigma_star(ray3, [a, b])
+        check = validate_measure(pure_state(ray3, [1, 2, 3]), fld).check("continuity_bound")
+        assert check.status == FAIL_CERTIFIED
+        w = check.witness
+        assert [from_points(ray3, ev) for ev in w["events"]] == [
+            ortho_complement(a), ortho_complement(b)]
+        assert w["p_A"] == pytest.approx(9 / 14, abs=1e-12)
+        assert w["p_B"] == pytest.approx(0.6428486, abs=1e-7)
+        assert w["bound"] == pytest.approx(0.6428536, abs=1e-7)
+        assert w["similarity"] == pytest.approx(1.0 - 1e-10, abs=1e-14)
+        # the unit coefficient would hold: the gap stays within sin(g)
+        assert w["bound"] < w["p_A"] <= w["p_B"] + math.sqrt(1.0 - w["similarity"])
 
     def test_pure_state_point_is_canonicalized(self, ray2, fixture_dir):
         fld = load_field(ray2, fixture_dir / "field_ray2_line.json")

@@ -6,8 +6,8 @@ The headline facts pinned here:
   reproduce it to 1e-3 while never undercutting it (estimates are upper
   bounds of an infimum);
 * every other ray pair without a closed form has similarity exactly 0, with
-  a witness that sees both sides, and the sampler oracle never undercuts
-  the exact value;
+  a witness that sees both sides unless the pair is nearly equal, no
+  sampler runs, and the sampler oracle never undercuts the exact value;
 * the similarity of a subspace pair is 1 exactly when they are equal;
 * on discrete structures the triangle-style bound and the pointwise
   continuity bound hold exhaustively;
@@ -174,7 +174,7 @@ class TestExactValues:
 
 
 def _no_sampler(*args, **kwargs):
-    raise AssertionError("the sampler guard was entered")
+    raise AssertionError("the sampler was called")
 
 
 def _random_pair(seed, d, ka, kb):
@@ -205,17 +205,32 @@ class TestZeroWitness:
         assert e.interval() == (0.0, 0.0)
         assert compare_leq(e, 0.0) == "pass"
 
-    def test_nearly_equal_planes_fall_back_to_the_sampler(self):
-        # principal angles of 1e-5: a zero witness would sit within 1e-9 of
-        # orthogonal to one side, so the re-check fails and the guard runs
+    def test_nearly_equal_planes_are_exactly_zero_without_a_witness(self):
+        # every principal angle below about 6e-5: a zero witness would sit
+        # within 1e-9 of orthogonal to one side, so the re-check rejects it,
+        # but the infimum is still 0 and no sampler runs
         g = 1e-5
-        st = SPStructure.ray(4)
-        a = from_span(st, [[1, 0, 0, 0], [0, 1, 0, 0]])
-        b = from_span(st, [[math.cos(g), 0, math.sin(g), 0],
-                           [0, math.cos(g), 0, math.sin(g)]])
-        e = subspace_similarity(a, b)
-        assert e.certainty == SAMPLED
-        assert 0.0 <= e.value <= 1e-9
+        r3, r4 = SPStructure.ray(3), SPStructure.ray(4)
+        plane3 = from_span(r3, [[1, 0, 0], [0, 1, 0]])
+        pairs = [
+            (from_span(r4, [[1, 0, 0, 0], [0, 1, 0, 0]]),
+             from_span(r4, [[math.cos(g), 0, math.sin(g), 0],
+                            [0, math.cos(g), 0, math.sin(g)]])),
+            (plane3, from_span(r3, [[1, 0, 0], [0, 1, g]])),
+            (plane3, from_span(r3, [[1, 0, 0], [0, 1, 1e-7]])),
+        ]
+        for a, b in pairs:
+            assert a != b
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(similarity_module, "sampled_similarity", _no_sampler)
+                got = [subspace_similarity(a, b), subspace_similarity(b, a)]
+            for e in got:
+                assert (e.value, e.certainty, e.witness) == (0.0, EXACT, None)
+                assert e.interval() == (0.0, 0.0)
+            # the sampler, called directly, stays an upper bound of that 0
+            oracle = sampled_similarity(a, b)
+            assert oracle.certainty == SAMPLED
+            assert 0.0 <= oracle.value <= 1e-9
 
     @given(hs.integers(min_value=0, max_value=2 ** 32 - 1), hs.integers(3, 8),
            hs.data())
