@@ -113,6 +113,7 @@ def test_validate_missing_file_is_usage_error(capsys):
      "is not a comma-separated list of numbers"),
     # a negative seed is rejected before numpy's generator can fail on it
     (["validate"], "ray2.json", ["--seed", -1, "--samples", 5], "seed >= 0"),
+    # (sim subspace takes no seed: the flag itself is rejected)
     (["sim", "subspace"], "ray3.json",
      ["[[1, 0, 0], [0, 1, 0]]", "[[1, 0, 0], [0, 1, 1e-7]]", "--seed", -1],
      "unrecognized arguments: --seed"),
