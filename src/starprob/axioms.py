@@ -156,20 +156,29 @@ def _explicit_exhaustive(st: SPStructure) -> list[Check]:
 
         carrier = sorted(st.closure(clique))  # empty for the empty clique
         for x in range(n):
-            sxa = float(min(1.0, sums[x]))
-            for y in carrier:
-                if abs(m[x, y] - sxa) > TOL_EQ:
-                    continue
-                for z in carrier:
-                    res = abs(m[x, z] - m[x, y] * m[y, z])
-                    fact.hit(res <= TOL_EQ, res,
-                             {"point": labels[x], "projection": labels[y],
-                              "member": labels[z], "ortho_set": ortho_set,
-                              "residual": res} if res > TOL_EQ else None)
+            _factorization(st, fact, carrier, x, float(min(1.0, sums[x])), ortho_set)
 
     return [_matrix_law(st, "symmetry", np.abs(m - m.T)),
             _matrix_law(st, "non_negativity", -m),
             std, bound, oproj, fact]
+
+
+def _factorization(st: SPStructure, fact: Check, carrier: list[int], x: int,
+                   sxa: float, ortho_set: list[str]) -> None:
+    """Record factorization for ``x`` against the subspace whose points are
+    ``carrier``: every ``y`` of it with ``s(x, y) = s(x, A)`` (``sxa``) must
+    give ``s(x, z) = s(x, y) s(y, z)`` for every ``z`` of it."""
+    m = st.matrix
+    labels = st.labels
+    for y in carrier:
+        if abs(m[x, y] - sxa) > TOL_EQ:
+            continue
+        for z in carrier:
+            res = abs(m[x, z] - m[x, y] * m[y, z])
+            fact.hit(res <= TOL_EQ, res,
+                     {"point": labels[x], "projection": labels[y],
+                      "member": labels[z], "ortho_set": ortho_set,
+                      "residual": res} if res > TOL_EQ else None)
 
 
 # ---------------------------------------------------------------------------
@@ -183,21 +192,23 @@ def _explicit_sampled(st: SPStructure, budget: ValidationBudget) -> list[Check]:
 
     bound = Check("boundedness", status=SAMPLED_PASS)
     oproj = Check("o_projection", status=SAMPLED_PASS)
+    fact = Check("factorization", status=SAMPLED_PASS)
     for _ in range(budget.samples):
         clique = _random_clique(m, n, rng)
         x = int(rng.integers(n))
         sxa = float(m[x, list(clique)].sum()) if clique else 0.0
-        witness = {"point": st.labels[x],
-                   "ortho_set": [st.labels[i] for i in clique]}
+        ortho_set = [st.labels[i] for i in clique]
+        witness = {"point": st.labels[x], "ortho_set": ortho_set}
         bound.hit(sxa - 1.0 <= TOL_EQ, max(0.0, sxa - 1.0), witness)
         if sxa < 1.0 - _STRICT_GAP:
             oproj.hit(any(abs(sxa + m[x, y] - 1.0) <= TOL_EQ
                           for y in st.orthogonal_points(clique)), witness=witness)
+        _factorization(st, fact, sorted(st.closure(clique)), x, min(1.0, sxa), ortho_set)
 
     return [_matrix_law(st, "symmetry", np.abs(m - m.T)),
             _matrix_law(st, "non_negativity", -m),
             Check("standardness", trials=n * (n - 1) // 2),
-            bound, oproj, Check("factorization", status=SAMPLED_PASS)]
+            bound, oproj, fact]
 
 
 def _random_clique(m: np.ndarray, n: int, rng: np.random.Generator) -> tuple[int, ...]:

@@ -32,7 +32,7 @@ from . import similarity as sim
 from . import structures as core
 from .axioms import ValidationBudget, validate_sp_axioms
 from .errors import ClosureCapExceeded, FormatError, SPError, ValueUndefinedAtPoint
-from .structures import FAIL, FAIL_CERTIFIED, INCONCLUSIVE, PASS, SAMPLED_PASS
+from .structures import FAIL, FAIL_CERTIFIED, PASS, SAMPLED_PASS
 from .suites import SUITE_IDS, DEFAULT_SCALE, run_property_suite
 
 OK = 0
@@ -42,8 +42,8 @@ UNCERTIFIED = 3
 INTERNAL = 4
 
 # exit code of a report's overall verdict
-_EXIT = {PASS: OK, SAMPLED_PASS: UNCERTIFIED, INCONCLUSIVE: UNCERTIFIED,
-         FAIL: CHECK_FAILED, FAIL_CERTIFIED: CHECK_FAILED}
+_EXIT = {PASS: OK, SAMPLED_PASS: UNCERTIFIED, FAIL: CHECK_FAILED,
+         FAIL_CERTIFIED: CHECK_FAILED}
 
 
 def main(argv=None) -> int:
@@ -136,7 +136,7 @@ def _cmd_validate(args) -> int:
     report = validate_sp_axioms(st, ValidationBudget(samples=args.samples,
                                                      seed=args.seed))
     payload = {"command": "validate",
-               "structure": spio.structure_to_dict(st),
+               "structure": st.to_dict(),
                "report": spio.validate_report_to_dict(st, report)}
     return _emit_report(args, payload, report)
 

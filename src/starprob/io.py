@@ -98,10 +98,6 @@ def _json_number(value, what: str) -> float:
     return float(value)
 
 
-def structure_to_dict(st: SPStructure) -> dict:
-    return st.to_dict()
-
-
 def parse_point(st: SPStructure, literal):
     try:
         return core.as_point(st, literal)
@@ -241,7 +237,7 @@ def field_report_to_dict(report: Report) -> dict:
 
 
 def measure_report_to_dict(report: Report) -> dict:
-    """The measure-axiom report: one direction-aware status per axiom."""
+    """The measure-axiom report: one status per axiom."""
     return {"checks": [_with_witness(c, {"name": c.law, "status": c.status})
                        for c in report.checks],
             "overall": report.overall}
@@ -249,13 +245,15 @@ def measure_report_to_dict(report: Report) -> dict:
 
 def suite_report_to_dict(suite: str, seed: int, scale: int,
                          report: Report) -> dict:
-    """A property-suite report: per-law counts and up to three witnesses."""
+    """A property-suite report: per-law counts and up to three witnesses.
+    ``inconclusive`` is always 0: report version 1 keeps the key, but every
+    bound is decided on exact values."""
     return {
         "suite": suite,
         "seed": seed,
         "scale": scale,
         "checks": [{"law": c.law, "trials": c.trials, "failures": c.failures,
-                    "inconclusive": c.inconclusive,
+                    "inconclusive": 0,
                     "max_residual": c.max_residual, "status": c.status,
                     "witnesses": c.witnesses} for c in report.checks],
         "overall": report.overall,

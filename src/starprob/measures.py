@@ -243,11 +243,11 @@ def _continuity_check(events: list[Subspace], values: list[float],
     first failure ends the scan."""
     for i, j, s_ab in ordered_similarities(events, similarities):
         a, b, pa, pb = events[i], events[j], values[i], values[j]
-        rhs = continuity_rhs(pb, s_ab)
+        rhs = continuity_rhs(pb, s_ab.value)
         if compare_leq(pa, rhs) == FAIL_CERTIFIED:
             return Check("continuity_bound", FAIL_CERTIFIED, witnesses=[{
                 "events": [a.to_literal(), b.to_literal()],
-                "p_A": pa, "p_B": pb, "similarity": s_ab.value, "bound": rhs[0]}])
+                "p_A": pa, "p_B": pb, "similarity": s_ab.value, "bound": rhs}])
     return Check("continuity_bound")
 
 

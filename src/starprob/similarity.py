@@ -16,9 +16,8 @@ of the pair (see :func:`subspace_similarity`).
 
 The seeded sampler :func:`sampled_similarity`, whose estimate is an upper
 bound on the true infimum, stays as an independent oracle; no exact path
-calls it.  Because sampled values only ever bound the infimum from above,
-inequality checks report ``pass`` / ``fail-certified`` / ``inconclusive``
-by interval reasoning instead of comparing point estimates blindly.
+calls it.  Every bound is therefore a comparison of two exact floats,
+decided by :func:`compare_leq` as ``pass`` or ``fail-certified``.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from .lattice import (
     similarity_to_subspace,
 )
 from .structures import TOL_EQ, Point, SPStructure, ensure_same_structure, similarity
-from .structures import FAIL_CERTIFIED, INCONCLUSIVE, PASS, Check, Report, worst
+from .structures import FAIL_CERTIFIED, PASS, Check, Report, worst
 
 EXACT = "exact"
 SAMPLED = "upper-bound-sampled"
@@ -93,12 +92,6 @@ class SimilarityEstimate:
     @property
     def is_exact(self) -> bool:
         return self.certainty == EXACT
-
-    def interval(self) -> tuple[float, float]:
-        """Bounds on the true value implied by this estimate."""
-        if self.is_exact:
-            return (self.value, self.value)
-        return (0.0, self.value)
 
     def as_dict(self) -> dict:
         out = {"value": self.value, "certainty": self.certainty}
@@ -386,51 +379,18 @@ def _refine(x0: np.ndarray, v0: float, fa: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# inequality checking with direction-aware certainty
+# exact bounds
 
 
-def compare_leq(lhs: SimilarityEstimate | tuple[float, float] | float,
-                rhs: SimilarityEstimate | tuple[float, float] | float,
-                tol: float = TOL_EQ) -> str:
-    """Verdict for ``lhs <= rhs`` given what each side's interval allows.
-
-    A side is an estimate, a ``(lo, hi)`` interval or an exact number.  Two
-    exact sides are single points, so the verdict is never undecided.
-    """
-    llo, lhi = _interval(lhs)
-    rlo, rhi = _interval(rhs)
-    if lhi <= rlo + tol:
-        return PASS
-    if llo > rhi + tol:
-        return FAIL_CERTIFIED
-    return INCONCLUSIVE
+def compare_leq(lhs: float, rhs: float) -> str:
+    """Verdict for ``lhs <= rhs`` on two exact values: ``pass`` within
+    ``TOL_EQ``, else ``fail-certified``."""
+    return PASS if lhs <= rhs + TOL_EQ else FAIL_CERTIFIED
 
 
-def _interval(v) -> tuple[float, float]:
-    if isinstance(v, SimilarityEstimate):
-        return v.interval()
-    if isinstance(v, tuple):
-        return v
-    return (float(v), float(v))
-
-
-def continuity_rhs(base: float, link: SimilarityEstimate | float) -> tuple[float, float]:
-    """Interval for ``base + sqrt(1 - s)/2 + (1 - s)`` over the link interval.
-
-    The bound loosens as the link similarity drops, so the lower end of the
-    result uses the upper end of the link and vice versa.
-    """
-    lo, hi = _interval(link)
-    lo_val = base + 0.5 * math.sqrt(max(0.0, 1.0 - hi)) + (1.0 - hi)
-    hi_val = base + 0.5 * math.sqrt(max(0.0, 1.0 - lo)) + (1.0 - lo)
-    return (lo_val, hi_val)
-
-
-def distinct_verdict(est: SimilarityEstimate) -> str:
-    """Verdict for ``s(A, B) < 1 - TOL_EQ``, which distinct subspaces need:
-    the negation of the verdict for ``1 - TOL_EQ <= s(A, B)``."""
-    return {PASS: FAIL_CERTIFIED, FAIL_CERTIFIED: PASS}.get(
-        compare_leq(1.0 - TOL_EQ, est, tol=0.0), INCONCLUSIVE)
+def continuity_rhs(base: float, link: float) -> float:
+    """``base + sqrt(1 - s)/2 + (1 - s)`` for the link similarity ``s``."""
+    return base + 0.5 * math.sqrt(max(0.0, 1.0 - link)) + (1.0 - link)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +400,7 @@ def distinct_verdict(est: SimilarityEstimate) -> str:
 def check_similarity_theorems(a: Subspace, b: Subspace, c: Subspace) -> Report:
     """Exercise the subspace-similarity laws on one triple.
 
-    Checks, with direction-aware verdicts: the vantage bound (a member of
+    Checks, on exact values: the vantage bound (a member of
     ``A`` can only over-estimate ``s(A, B)``), the identity characterization
     (``s(A, B) = 1`` exactly for equal subspaces), and the triangle-like
     continuity bound ``s(A,B) <= s(A,C) + sqrt(1 - s(B,C))/2 + (1 - s(B,C))``.
@@ -453,25 +413,20 @@ def check_similarity_theorems(a: Subspace, b: Subspace, c: Subspace) -> Report:
     detail: dict = {"pairs": []}
     for x in a.basis_points():
         sxb = similarity_to_subspace(x, b)
-        detail["pairs"].append({"s_xB": sxb, "verdict": compare_leq(s_ab, sxb)})
+        detail["pairs"].append({"s_xB": sxb, "verdict": compare_leq(s_ab.value, sxb)})
     vantage = Check("similarity.vantage_bound",
                     worst(pair["verdict"] for pair in detail["pairs"]), detail=detail)
 
     # identity characterization
     equal = a == b
-    if equal:
-        status = PASS if abs(s_ab.value - 1.0) <= TOL_EQ else FAIL_CERTIFIED
-    else:
-        status = distinct_verdict(s_ab)
-    identity = Check("similarity.identity_iff_equal", status, detail={
+    ok = abs(s_ab.value - 1.0) <= TOL_EQ if equal else s_ab.value < 1.0 - TOL_EQ
+    identity = Check("similarity.identity_iff_equal", PASS if ok else FAIL_CERTIFIED, detail={
         "equal": equal, "value": s_ab.value, "certainty": s_ab.certainty})
 
     # triangle-like bound through C
-    rhs = continuity_rhs(s_ac.interval()[0], s_bc)
-    rhs_hi = continuity_rhs(s_ac.interval()[1], s_bc)[1]
-    triangle = Check("similarity.triangle_bound", compare_leq(s_ab, (rhs[0], rhs_hi)), detail={
-        "s_AB": s_ab.value, "s_AC": s_ac.value, "s_BC": s_bc.value,
-        "rhs_interval": list(rhs)})
+    rhs = continuity_rhs(s_ac.value, s_bc.value)
+    triangle = Check("similarity.triangle_bound", compare_leq(s_ab.value, rhs), detail={
+        "s_AB": s_ab.value, "s_AC": s_ac.value, "s_BC": s_bc.value, "rhs": rhs})
 
     return Report([vantage, identity, triangle])
 

@@ -55,14 +55,12 @@ EXPLICIT_ENUM_MAX = 12  # largest explicit model enumerated exhaustively
 COMPLETION_MAX_NODES = 200_000  # search budget of explicit basis completion
 
 # Verdicts, pinned once and ranked on one ladder:
-# pass < sampled-pass / inconclusive < fail / fail-certified.
+# pass < sampled-pass < fail / fail-certified.
 PASS = "pass"
 SAMPLED_PASS = "sampled-pass"
-INCONCLUSIVE = "inconclusive"
 FAIL = "fail"
 FAIL_CERTIFIED = "fail-certified"
-_VERDICT_RANK = {PASS: 0, SAMPLED_PASS: 1, INCONCLUSIVE: 1,
-                 FAIL: 2, FAIL_CERTIFIED: 2}
+_VERDICT_RANK = {PASS: 0, SAMPLED_PASS: 1, FAIL: 2, FAIL_CERTIFIED: 2}
 
 
 def worst(statuses) -> str:
@@ -88,7 +86,6 @@ class Check:
     status: str = PASS
     trials: int = 0
     failures: int = 0
-    inconclusive: int = 0
     max_residual: float = 0.0
     witnesses: list = field(default_factory=list)
     detail: dict | None = None
@@ -106,16 +103,6 @@ class Check:
             self.max_residual = residual
         if not ok:
             self.fail(witness)
-
-    def soft(self, verdict: str, witness=None) -> None:
-        """Record one direction-aware verdict; ``fail-certified`` counts as
-        a failure and ``inconclusive`` as an uncertified trial."""
-        self.trials += 1
-        if verdict == FAIL_CERTIFIED:
-            self.fail(witness)
-        elif verdict == INCONCLUSIVE:
-            self.inconclusive += 1
-            self.status = worst((self.status, INCONCLUSIVE))
 
     def fail(self, witness=None, count: int = 1) -> None:
         """Count ``count`` failures (trials are counted by the caller)."""
@@ -399,6 +386,13 @@ class ExplicitStructure(DiscreteStructure):
         return found
 
     def explicit_lattice(self) -> dict:
+        """Enumerate every subspace of the model (cached on the structure).
+
+        Returns a dict with ``cliques`` (all pairwise-orthogonal point sets,
+        in deterministic DFS order), ``carriers`` (closure -> canonical
+        basis) and ``carrier_list`` (closures in canonical sorted order).
+        Feasible for ``n <= 12``; larger models raise :class:`BudgetRequired`.
+        """
         if self._lattice is not None:
             return self._lattice
         if self.n > EXPLICIT_ENUM_MAX:
@@ -683,26 +677,6 @@ def extend_to_basis(st: SPStructure, ortho: Sequence[Point]) -> tuple[Point, ...
     are distinguished on the error).
     """
     return st.complete_basis(ensure_ortho_set(st, ortho))
-
-
-# ---------------------------------------------------------------------------
-# discrete subspaces, carried by point sets
-
-
-def explicit_lattice(st: SPStructure) -> dict:
-    """Enumerate every subspace of an explicit model (cached on the structure).
-
-    Returns a dict with ``cliques`` (all pairwise-orthogonal point sets, in
-    deterministic DFS order), ``carriers`` (closure -> canonical basis) and
-    ``carrier_list`` (closures in canonical sorted order).  Feasible for
-    ``n <= 12``; larger models raise :class:`BudgetRequired`.
-    """
-    return st.explicit_lattice()
-
-
-def orthogonal_points(st: SPStructure, points) -> frozenset:
-    """Every point orthogonal to all of ``points`` (discrete models)."""
-    return st.orthogonal_points(points)
 
 
 # ---------------------------------------------------------------------------

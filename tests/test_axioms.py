@@ -111,7 +111,7 @@ class TestExplicitModel:
         n = 16
         st = SPStructure.explicit(np.eye(n).tolist())
         with pytest.raises(BudgetRequired):
-            core.explicit_lattice(st)
+            st.explicit_lattice()
         report = validate_sp_axioms(st, ValidationBudget(samples=50, seed=1))
         assert report.overall == SAMPLED_PASS
         assert report.check("boundedness").trials == 50

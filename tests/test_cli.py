@@ -64,6 +64,10 @@ def test_validate_large_explicit_is_sampled(capsys, tmp_path):
     assert code == 3
     assert payload["report"]["overall"] == "sampled-pass"
     assert payload["report"]["verdicts"]["boundedness"]["checks"] == 50
+    # every sample checks factorization too, so exit 3 never means zero checks
+    factorization = payload["report"]["verdicts"]["factorization"]
+    assert factorization["status"] == "sampled-pass"
+    assert factorization["checks"] > 0
 
 
 def test_validate_missing_file_is_usage_error(capsys):

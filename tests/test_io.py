@@ -16,7 +16,6 @@ from starprob.io import (
     load_structure,
     parse_point,
     parse_subspace,
-    structure_to_dict,
 )
 
 
@@ -28,12 +27,12 @@ def test_structure_round_trip(tmp_path):
         path = tmp_path / "st.json"
         path.write_text(json.dumps(spec))
         st = load_structure(path)
-        d = structure_to_dict(st)
+        d = st.to_dict()
         assert d["kind"] == spec["kind"]
         # a dict emitted by the library loads back to the same structure
         path.write_text(dump_json(d))
         again = load_structure(path)
-        assert structure_to_dict(again) == d
+        assert again.to_dict() == d
 
 
 def test_fixture_structures_load(fixture_dir):

@@ -236,7 +236,7 @@ def test_lattice_point_queries_skip_the_pair_check(monkeypatch, ray3, wheel,
     # validating structures functions are the oracle for the lattice queries
     discrete = []
     subsets = [c for r in range(5) for c in itertools.combinations(range(4), r)]
-    for st, carriers in ((wheel, core.explicit_lattice(wheel)["carrier_list"]),
+    for st, carriers in ((wheel, wheel.explicit_lattice()["carrier_list"]),
                          (classical4, subsets)):
         for carrier in carriers:
             sub = from_points(st, sorted(carrier))

@@ -202,8 +202,8 @@ class TestZeroWitness:
             mp.setattr(similarity_module, "sampled_similarity", _no_sampler)
             e = subspace_similarity(a, b)
         _assert_zero_witness(st, a, b, e)
-        assert e.interval() == (0.0, 0.0)
-        assert compare_leq(e, 0.0) == "pass"
+        assert e.value == 0.0 and e.is_exact
+        assert compare_leq(e.value, 0.0) == "pass"
 
     def test_nearly_equal_planes_are_exactly_zero_without_a_witness(self):
         # every principal angle below about 6e-5: a zero witness would sit
@@ -226,7 +226,7 @@ class TestZeroWitness:
                 got = [subspace_similarity(a, b), subspace_similarity(b, a)]
             for e in got:
                 assert (e.value, e.certainty, e.witness) == (0.0, EXACT, None)
-                assert e.interval() == (0.0, 0.0)
+                assert e.value == 0.0 and e.is_exact
             # the sampler, called directly, stays an upper bound of that 0
             oracle = sampled_similarity(a, b)
             assert oracle.certainty == SAMPLED
@@ -269,8 +269,6 @@ class TestSampledEstimates:
         # the true infimum here is 0 (vantage points orthogonal to the
         # shared directions exist); the estimate must stay above it
         assert 0.0 <= e.value <= 1e-6
-        lo, hi = e.interval()
-        assert lo == 0.0 and hi == e.value
 
     def test_deterministic_given_config(self):
         _, a, b = self._planes()
@@ -303,24 +301,13 @@ class TestSampledEstimates:
 
 
 # ---------------------------------------------------------------------------
-# interval comparison verdicts
+# exact comparison verdicts
 
 
 def test_compare_leq_verdicts():
     assert compare_leq(0.3, 0.5) == "pass"
     assert compare_leq(0.5, 0.3) == "fail-certified"
     assert compare_leq(0.5, 0.5) == "pass"
-
-
-def test_compare_leq_with_estimates():
-    st = SPStructure.ray(4)
-    a = from_span(st, [[1, 0, 0, 0], [0, 1, 0, 0]])
-    b = from_span(st, [[1, 0, 1, 0], [0, 1, 0, 1]])
-    e = sampled_similarity(a, b)  # interval [0, tiny]
-    assert compare_leq(e, 1.0) == "pass"
-    assert compare_leq(1.0, e) == "fail-certified"
-    # "is the estimate below zero" cannot be settled from an upper bound
-    assert compare_leq(e, 0.0) == "inconclusive"
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +355,8 @@ class TestPointContinuity:
                 for z in range(4):
                     assert check_point_continuity(wheel, x, y, z) >= -1e-12
 
-    def test_rhs_interval_is_exact_for_floats(self):
-        lo, hi = continuity_rhs(0.375, 0.9375)
-        assert lo == hi == 0.5625
+    def test_rhs_is_exact_for_floats(self):
+        assert continuity_rhs(0.375, 0.9375) == 0.5625
 
     def test_pinned_ray_counterexample(self, ray2):
         """Two lines 14.48 degrees apart defeat the half-coefficient bound.

@@ -24,9 +24,7 @@ from starprob.structures import (
     closure_of_ortho_set,
     ensure_ortho_set,
     ensure_same_structure,
-    explicit_lattice,
     extend_to_basis,
-    orthogonal_points,
     project_point,
     same_structure,
     similarity_to_ortho_set,
@@ -163,7 +161,7 @@ def test_orthogonal_points_match_a_scan_of_the_table(wheel):
             for pts in itertools.combinations(range(st.n), r):
                 want = frozenset(p for p in range(st.n)
                                  if all(st.matrix[p, q] <= 1e-9 for q in pts))
-                assert orthogonal_points(st, pts) == want
+                assert st.orthogonal_points(pts) == want
 
 
 def test_explicit_rejects_indistinguishable_points():
@@ -207,7 +205,7 @@ def test_wrong_model_calls_are_format_errors(classical4, ray2):
         closure_of_ortho_set(ray2, [[1.0, 0.0]])
     for st in (classical4, ray2):
         with pytest.raises(FormatError):
-            explicit_lattice(st)
+            st.explicit_lattice()
 
 
 def test_ortho_set_validation(ray2):
@@ -316,16 +314,7 @@ def test_check_records_trials_failures_and_the_first_witnesses():
     assert (check.trials, check.failures, check.max_residual) == (11, 5, 2.0)
     assert check.witnesses == [{"i": 0}, {"i": 1}, {"i": 2}]
     assert check.witness == {"i": 0}
-
-
-def test_check_soft_verdicts_climb_the_ladder():
-    check = Check("law")
-    check.soft("pass")
-    check.soft("inconclusive")
-    assert (check.status, check.trials, check.inconclusive) == ("inconclusive", 2, 1)
-    check.soft("fail-certified", {"w": 1})
-    check.soft("inconclusive")
-    assert (check.status, check.failures, check.witness) == ("fail", 1, {"w": 1})
+    # a trial that holds keeps the status the evidence started at
     sampled = Check("law", status="sampled-pass")
     sampled.hit(True)
     assert sampled.status == "sampled-pass"
