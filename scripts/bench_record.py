@@ -11,7 +11,9 @@ unpacked into a temporary directory (``git archive``, so the repository's
 own metadata is left alone) and every round runs both sides, alternating
 which goes first.  After the workloads each side also times the command
 line on its own source, best of three runs: ``suite <id> --seed 42 --json``
-for every suite id, and the cold start of ``--version``.
+for every suite id, ``validate <table> --json`` on a 13-point identity
+table (written once to a temporary file, so both sides read the same
+absolute path), and the cold start of ``--version``.
 
 The JSON on stdout holds, per side and workload, every run of each
 end-to-end metric with its median and quartiles, the result digests, the
@@ -45,9 +47,9 @@ ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 SEED = 5  # the seed the workloads' result digests are pinned to
 SUITES = ("lattice", "similarity", "sigma", "prob", "rv", "all")
-# the command lines timed after the workloads, by name
-COMMANDS = {**{f"suite {s}": ["suite", s, "--seed", "42", "--json"] for s in SUITES},
-            "cold_start": ["--version"]}
+# one point past the tables that are enumerated, so validate samples it
+IDENTITY13 = {"kind": "explicit",
+              "matrix": [[float(i == j) for j in range(13)] for i in range(13)]}
 # a command's time in a round is its fastest of this many runs: single runs
 # straight after the workloads spread by half their median on this 2-core box
 REPEATS = 3
@@ -78,13 +80,21 @@ def run_once(where: Path) -> dict:
     return {r["workload"]: r for r in reports}
 
 
-def time_commands(where: Path) -> dict:
-    """Each of ``COMMANDS``, run ``REPEATS`` times as ``python -m
+def commands(table: Path) -> dict:
+    """The command lines timed after the workloads, by name; ``table`` is
+    the file holding ``IDENTITY13``."""
+    return {**{f"suite {s}": ["suite", s, "--seed", "42", "--json"] for s in SUITES},
+            "validate identity13": ["validate", str(table), "--json"],
+            "cold_start": ["--version"]}
+
+
+def time_commands(where: Path, cmds: dict) -> dict:
+    """Each of ``cmds``, run ``REPEATS`` times as ``python -m
     starprob.cli`` on the source in ``where``: the fastest wall time, and
     the exit codes and stdout digests seen."""
     env = {**os.environ, "PYTHONPATH": str(where / "src")}
     out = {}
-    for name, args in COMMANDS.items():
+    for name, args in cmds.items():
         times, exits, digests = [], set(), set()
         for _ in range(REPEATS):
             t0 = time.perf_counter()
@@ -180,10 +190,15 @@ def main(argv=None) -> int:
     sides = {"change": {"dir": ROOT, "rev": git("rev-parse", "HEAD"),
                         "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}}
     with tempfile.TemporaryDirectory(prefix="bench-against-") as tmp:
+        table = Path(tmp, "identity13.json").resolve()
+        table.write_text(json.dumps(IDENTITY13))
+        cmds = commands(table)
         if args.against:
-            sides["parent"] = {"dir": Path(tmp), "rev": git("rev-parse", args.against),
+            parent_dir = Path(tmp, "parent")
+            parent_dir.mkdir()
+            sides["parent"] = {"dir": parent_dir, "rev": git("rev-parse", args.against),
                                "dirty": False}
-            unpack(sides["parent"]["rev"], Path(tmp))
+            unpack(sides["parent"]["rev"], parent_dir)
         runs = {side: [] for side in sides}
         timed = {side: [] for side in sides}
         for i in range(args.rounds):
@@ -191,7 +206,7 @@ def main(argv=None) -> int:
             for side in order:
                 print(f"round {i + 1}/{args.rounds}: {side}", file=sys.stderr, flush=True)
                 runs[side].append(run_once(sides[side]["dir"]))
-                timed[side].append(time_commands(sides[side]["dir"]))
+                timed[side].append(time_commands(sides[side]["dir"], cmds))
 
     result = {"command": BENCHMARK["command"], "seed": SEED,
               "seconds": BENCHMARK["run_seconds"], "rounds": args.rounds,
@@ -206,7 +221,7 @@ def main(argv=None) -> int:
         result["comparison"] = compare(parent["workloads"], change["workloads"])
         result["command_comparison"] = {
             name: duel(parent["commands"][name], change["commands"][name], 1.0)
-            for name in COMMANDS}
+            for name in cmds}
     print(json.dumps(result, indent=1, sort_keys=True))
     return 0
 

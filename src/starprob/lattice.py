@@ -275,6 +275,11 @@ class DiscreteSubspace(Subspace):
     def project(self, x: Point) -> Point:
         return self.structure.project_onto_basis(x, self.basis, self.points)
 
+    def sum_gap(self, parts) -> float:
+        """How far this join of orthogonal ``parts`` is from their sum: 0,
+        as orthogonal point sets add exactly."""
+        return 0.0
+
 
 def _least_containing(st: SPStructure, pts: frozenset, what: str) -> DiscreteSubspace:
     """The least discrete subspace containing ``pts``."""
@@ -383,6 +388,13 @@ class RaySubspace(Subspace):
 
     def project(self, x: Point) -> Point:
         return self.structure.project_onto_basis(x, self._own_basis())
+
+    def sum_gap(self, parts) -> float:
+        """How far this join of orthogonal ``parts`` is from their sum: the
+        spectral norm of ``P_J - sum P_i``, which is not 0 when the parts
+        are orthogonal only within ``TOL_EQ``."""
+        gap = self.projector() - sum(s.projector() for s in parts)
+        return float(np.linalg.norm(gap, 2))
 
 
 def _column_span(st: SPStructure, m: np.ndarray) -> RaySubspace:

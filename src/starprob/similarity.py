@@ -7,7 +7,14 @@ From a vantage point ``x`` two subspaces compare as
 * ``1`` when ``x`` is orthogonal to both,
 
 and the subspace similarity ``s(A, B)`` is the infimum over all vantage
-points.  Discrete models take the exact minimum over their finite point set.
+points.  Discrete models take the exact minimum over their finite point
+set, and the structure's class answers it without a per-point loop.  An
+explicit table compares every point at once in one pass over its matrix
+(the row sums against both bases, the projections and the orthogonal
+cases, then the first ``argmin``); where the table breaks an axiom,
+:func:`tau` raises at the first point that breaks it, as a point-by-point
+scan would.  The classical model gives 0 for distinct subspaces, attained
+at the least point of their symmetric difference, and visits no point.
 The ray model is exact for every pair: equal subspaces give 1; an empty or
 full side, orthogonal operands and one side meeting the other's complement
 give 0; two lines give the squared cosine of their angle; and every other
@@ -85,8 +92,6 @@ class SimilarityEstimate:
 
     value: float
     certainty: str
-    samples: int = 0
-    seed: int | None = None
     witness: list | None = None
 
     @property
@@ -95,9 +100,6 @@ class SimilarityEstimate:
 
     def as_dict(self) -> dict:
         out = {"value": self.value, "certainty": self.certainty}
-        if not self.is_exact:
-            out["samples"] = self.samples
-            out["seed"] = self.seed
         if self.witness is not None:
             out["witness"] = self.witness
         return out
@@ -261,13 +263,14 @@ def _zero_witness(a: Subspace, b: Subspace) -> Point | None:
 
 
 def _discrete_similarity(st: SPStructure, a: Subspace, b: Subspace) -> SimilarityEstimate:
-    best = None
-    arg = None
-    for x in range(st.n):
-        v = tau(x, a, b)
-        if best is None or v < best:
-            best, arg = v, x
-    return exact(best, witness=st.labels[arg])
+    """The exact minimum of :func:`tau` over the finite point set, and the
+    first point attaining it, from the structure's one-pass kernel."""
+    value, x = st.vantage_minimum(a, b)
+    if value is None:
+        # the table breaks an axiom at x: tau raises what a per-point scan meets first
+        tau(x, a, b)
+        raise AssertionError(f"the vantage kernel flagged point {x}, which tau accepts")
+    return exact(value, witness=st.labels[x])
 
 
 def sampled_similarity(a: Subspace, b: Subspace,
@@ -305,8 +308,6 @@ def sampled_similarity(a: Subspace, b: Subspace,
     return SimilarityEstimate(
         value=float(min(1.0, max(0.0, best_value))),
         certainty=SAMPLED,
-        samples=cfg.samples,
-        seed=cfg.seed,
         witness=st.as_point(best_x).tolist(),
     )
 

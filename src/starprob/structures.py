@@ -298,6 +298,12 @@ class ClassicalStructure(DiscreteStructure):
     def closure(self, pts) -> frozenset:
         return frozenset(int(p) for p in pts)
 
+    def vantage_minimum(self, a, b) -> tuple[float, int]:
+        """``s(A, B)`` for distinct subspaces and the first point attaining
+        it, in closed form: a point of one side only is orthogonal to the
+        other, so it compares the two at ``1 - 1 = 0``."""
+        return 0.0, min(a.points.symmetric_difference(b.points))
+
     def complete_basis(self, pts) -> tuple[int, ...]:
         return tuple(range(self.n))  # the only basis is the whole point set
 
@@ -324,12 +330,17 @@ class ExplicitStructure(DiscreteStructure):
     # for each point, the points orthogonal to it
     orthogonal: tuple[frozenset, ...] = field(repr=False)
     _lattice: dict | None = field(default=None, init=False, repr=False)
+    # the similarity of every pair, clamped to [0, 1]; both orders read the
+    # upper triangle, so s(x, y) = s(y, x) holds bit for bit
+    table: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        upper = np.triu(self.matrix) + np.triu(self.matrix, 1).T
+        self.table = _clamp01(upper)
+        self.table.flags.writeable = False
 
     def similarity(self, x, y) -> float:
-        x = self.check_point(x)
-        y = self.check_point(y)
-        i, j = (x, y) if x <= y else (y, x)  # one code path for both orders
-        return float(min(1.0, max(0.0, self.matrix[i, j])))
+        return float(self.table[self.check_point(x), self.check_point(y)])
 
     def raw_ortho_sum(self, x: int, pts) -> float:
         return float(np.sum(self.matrix[x, list(pts)])) if pts else 0.0
@@ -349,9 +360,49 @@ class ExplicitStructure(DiscreteStructure):
             "no member of the subspace attains the projection similarity; "
             "the matrix is not a similarity-projection space")
 
+    def row_sums(self, pts) -> np.ndarray:
+        """:meth:`raw_ortho_sum` of every point against ``pts``, in one pass
+        and with the same bits: ``take`` keeps each row contiguous, so each
+        row sums pairwise as one row does (``matrix[:, pts]`` is column-major
+        and sums in another order from eight columns on)."""
+        return self.matrix.take(list(pts), axis=1).sum(axis=1)
+
     def closure(self, pts) -> frozenset:
-        return frozenset(p for p in range(self.n)
-                         if abs(self.raw_ortho_sum(p, pts) - 1.0) <= TOL_EQ)
+        return frozenset(np.flatnonzero(np.abs(self.row_sums(pts) - 1.0) <= TOL_EQ).tolist())
+
+    def vantage_minimum(self, a, b) -> tuple[float | None, int]:
+        """``s(A, B)`` and the first point attaining it, from the table in one
+        pass: the vantage comparison of :func:`starprob.similarity.tau` at
+        every point at once, bit for bit.
+
+        Where the table breaks an axiom (a similarity sum above one, or no
+        member of a side attaining the projection similarity of a point that
+        sees both sides) the value is ``None`` and the point is the first
+        such point, at which ``tau`` raises."""
+        raw_a, raw_b = self.row_sums(a.basis), self.row_sums(b.basis)
+        sxa, sxb = _clamp01(raw_a), _clamp01(raw_b)
+        orth_a, orth_b = sxa <= TOL_EQ, sxb <= TOL_EQ
+        ta, found_a = self._projections(a.points, sxa)
+        tb, found_b = self._projections(b.points, sxb)
+        bad = ((raw_a > 1.0 + TOL_EQ) | (raw_b > 1.0 + TOL_EQ)
+               | ~(orth_a | orth_b | (found_a & found_b)))
+        if bad.any():
+            return None, int(bad.argmax())
+        values = np.where(orth_a, np.where(orth_b, 1.0, 1.0 - sxb),
+                          np.where(orth_b, 1.0 - sxa, self.table[ta, tb]))
+        x = int(values.argmin())
+        return float(values[x]), x
+
+    def _projections(self, carrier: frozenset, sxa: np.ndarray):
+        """:meth:`_project` of every point onto the subspace ``carrier``:
+        the first member, in sorted order, whose similarity is within
+        ``TOL_EQ`` of ``sxa``, and whether one is."""
+        members = np.array(sorted(carrier), dtype=int)
+        near = np.abs(self.table[:, members] - sxa[:, None]) <= TOL_EQ
+        found = near.any(axis=1)
+        if not members.size:  # the empty subspace, orthogonal to every point
+            return np.zeros(self.n, dtype=int), found
+        return members[near.argmax(axis=1)], found
 
     def complete_basis(self, pts) -> tuple[int, ...]:
         base = tuple(sorted(int(p) for p in pts))
@@ -573,6 +624,11 @@ def as_point(st: SPStructure, raw) -> Point:
     compare equal entrywise.
     """
     return st.as_point(raw)
+
+
+def _clamp01(v: np.ndarray) -> np.ndarray:
+    """``min(1.0, max(0.0, v))`` entrywise, with the same bits (no ``-0.0``)."""
+    return np.where(v > 0.0, np.minimum(v, 1.0), 0.0)
 
 
 def _canonical_sign(v: np.ndarray) -> np.ndarray:

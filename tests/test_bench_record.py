@@ -79,17 +79,21 @@ def test_each_run_uses_the_benchmarks_run_length_and_the_pinned_seed(monkeypatch
     assert cmd[cmd.index("--seconds") + 1] == str(bench_record.BENCHMARK["run_seconds"])
 
 
+TABLE = pathlib.Path("/tmp/identity13.json")
+COMMANDS = bench_record.commands(TABLE)
+
+
 def _timed(times, exit_code=0, digest="d"):
     return {name: {"s": t, "exits": [exit_code], "digests": [digest]}
-            for name, t in zip(bench_record.COMMANDS, times)}
+            for name, t in zip(COMMANDS, times)}
 
 
 def test_command_timings_give_median_quartiles_exits_and_digests():
-    n = len(bench_record.COMMANDS)
+    n = len(COMMANDS)
     rounds = [_timed([t] * n, exit_code=1, digest=f"d{int(t) % 2}")
               for t in (5.0, 1.0, 3.0, 2.0, 4.0)]
     out = bench_record.collect_commands(rounds)
-    assert list(out) == list(bench_record.COMMANDS)
+    assert list(out) == list(COMMANDS)
     row = out["suite all"]
     assert (row["q1"], row["median"], row["q3"], row["iqr"]) == (2.0, 3.0, 4.0, 2.0)
     assert row["runs"] == [5.0, 1.0, 3.0, 2.0, 4.0] and row["unit"] == "s"
@@ -97,7 +101,7 @@ def test_command_timings_give_median_quartiles_exits_and_digests():
 
 
 def test_command_timings_are_compared_by_wins_and_median():
-    n = len(bench_record.COMMANDS)
+    n = len(COMMANDS)
     parent = bench_record.collect_commands([_timed([t] * n) for t in (2.0, 2.2, 2.4)])
     change = bench_record.collect_commands([_timed([t] * n) for t in (1.0, 2.3, 1.2)])
     row = bench_record.duel(parent["cold_start"], change["cold_start"], 1.0)
@@ -105,10 +109,16 @@ def test_command_timings_are_compared_by_wins_and_median():
     assert abs(row["median_worse_by"] - (1.2 - 2.2) / 2.2) < 1e-12
 
 
+def test_the_identity_table_is_written_in_full():
+    m = bench_record.IDENTITY13["matrix"]
+    assert bench_record.IDENTITY13["kind"] == "explicit"
+    assert m == [[1.0 if i == j else 0.0 for j in range(13)] for i in range(13)]
+
+
 def test_each_suite_and_the_cold_start_run_on_the_sides_own_source(monkeypatch):
     seen = []
     # each command's three runs take 5, 2 and 3 s: a start and an end reading each
-    ticks = iter([t for _ in bench_record.COMMANDS for d in (5.0, 2.0, 3.0) for t in (0.0, d)])
+    ticks = iter([t for _ in COMMANDS for d in (5.0, 2.0, 3.0) for t in (0.0, d)])
 
     def fake_run(cmd, **kwargs):
         seen.append((cmd, kwargs["cwd"], kwargs["env"]["PYTHONPATH"]))
@@ -117,12 +127,13 @@ def test_each_suite_and_the_cold_start_run_on_the_sides_own_source(monkeypatch):
     monkeypatch.setattr(bench_record.subprocess, "run", fake_run)
     monkeypatch.setattr(bench_record, "time", types.SimpleNamespace(perf_counter=ticks.__next__))
     where = pathlib.Path("side")
-    out = bench_record.time_commands(where)
+    out = bench_record.time_commands(where, COMMANDS)
     repeats = bench_record.REPEATS
     assert [cmd[3:] for cmd, _, _ in seen[::repeats]] == [
         ["suite", s, "--seed", "42", "--json"]
-        for s in ("lattice", "similarity", "sigma", "prob", "rv", "all")] + [["--version"]]
-    assert len(seen) == repeats * len(bench_record.COMMANDS)
+        for s in ("lattice", "similarity", "sigma", "prob", "rv", "all")] + [
+        ["validate", str(TABLE), "--json"], ["--version"]]
+    assert len(seen) == repeats * len(COMMANDS)
     assert {tuple(cmd[1:3]) for cmd, _, _ in seen} == {("-m", "starprob.cli")}
     assert {(cwd, path) for _, cwd, path in seen} == {(where, str(where / "src"))}
     assert out["suite rv"]["s"] == 2.0  # the fastest of the three runs

@@ -8,10 +8,18 @@ The superseded implementations live here as oracles:
 * ``old_meet`` is the complement of the sum of complements; the library's
   ray ``meet`` takes the common nullspace of the residual maps from one SVD
   and must agree on dimension and, within ``TOL_EQ``, on the projector.
+* ``old_discrete_similarity`` takes the minimum of ``tau`` point by point;
+  the structures' one-pass kernels must give the same value and witness bit
+  for bit, and raise the same error on tables that break an axiom.
+* ``old_closure`` sums one table row per point; the explicit ``closure``
+  sums every row in one pass and must give the same point set.
 """
 
+import importlib.util
 import itertools
 import math
+import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -31,9 +39,14 @@ from starprob import (
     similarity_to_subspace,
 )
 from starprob import lattice
+from starprob import similarity as sim
 from starprob import structures as core
 from starprob.errors import SPError
+from starprob.io import load_structure
+from starprob.suites import wheel_structure
 from starprob.structures import TOL_EQ, as_point, random_frame
+
+FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def old_canonical_sign(v):
@@ -257,3 +270,199 @@ def test_lattice_point_queries_skip_the_pair_check(monkeypatch, ray3, wheel,
     for sub, p, want_s, want_t in discrete:
         assert _outcome(similarity_to_subspace, p, sub) == want_s, (sub, p)
         assert _outcome(project, p, sub) == want_t, (sub, p)
+
+
+# ---------------------------------------------------------------------------
+# discrete subspace similarity and explicit closure: one pass per call
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+sys.modules[_spec.name] = workloads  # its dataclasses look their module up
+_spec.loader.exec_module(workloads)
+
+
+def old_discrete_similarity(st, a, b):
+    """``s(A, B)`` as the minimum of ``tau`` over every point, in order."""
+    best = None
+    arg = None
+    for x in range(st.n):
+        v = sim.tau(x, a, b)
+        if best is None or v < best:
+            best, arg = v, x
+    return best, st.labels[arg]
+
+
+def old_closure(st, pts):
+    return frozenset(p for p in range(st.n)
+                     if abs(st.raw_ortho_sum(p, pts) - 1.0) <= TOL_EQ)
+
+
+def _bits(outcome):
+    """A result with its float as bits (``-0.0`` differs from ``0.0``), or
+    the type and message of the error raised."""
+    if isinstance(outcome, SPError):
+        return type(outcome), str(outcome)
+    value, witness = outcome
+    return float(value).hex(), witness
+
+
+def _kernel(a, b):
+    try:
+        est = sim.subspace_similarity(a, b)
+    except SPError as exc:
+        return exc
+    assert est.is_exact
+    return est.value, est.witness
+
+
+def _oracle(st, a, b):
+    try:
+        return old_discrete_similarity(st, a, b)
+    except SPError as exc:
+        return exc
+
+
+def _carriers(st):
+    """Every subspace: the enumerated carriers of a table, every point set
+    of a classical model."""
+    if st.kind == core.CLASSICAL:
+        sets = [c for r in range(st.n + 1) for c in itertools.combinations(range(st.n), r)]
+        return [from_points(st, c) for c in sets]
+    lat = st.explicit_lattice()
+    return [lattice.DiscreteSubspace(st, c, lat["carriers"][c]) for c in lat["carrier_list"]]
+
+
+def _assert_kernel_matches_the_loop(st, subs, monkeypatch):
+    """Every ordered pair of distinct subspaces; returns how many valid and
+    how many erroneous pairs were compared.  The kernel calls ``tau`` once
+    per erroneous pair, to raise, and never on a valid one."""
+    pairs = [(a, b) for a, b in itertools.permutations(subs, 2) if a != b]
+    want = [_bits(_oracle(st, a, b)) for a, b in pairs]
+    calls = []
+    real_tau = sim.tau
+
+    def counted_tau(x, a, b):
+        calls.append(x)
+        return real_tau(x, a, b)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(sim, "tau", counted_tau)
+        got = [_bits(_kernel(a, b)) for a, b in pairs]
+    for pair, g, w in zip(pairs, got, want):
+        assert g == w, pair
+    errors = sum(isinstance(w[0], type) for w in want)
+    assert len(calls) == errors
+    return len(want) - errors, errors
+
+
+PLANE_TABLES = [SPStructure.explicit(workloads.plane_table(k)) for k in range(3, 13)]
+
+
+@pytest.mark.parametrize("st", [load_structure(FIXTURES / "explicit4.json")]
+                         + PLANE_TABLES + [SPStructure.classical(n) for n in range(1, 6)],
+                         ids=["explicit4"] + [f"plane{k}" for k in range(3, 13)]
+                         + [f"classical{n}" for n in range(1, 6)])
+def test_discrete_similarity_matches_the_loop(st, monkeypatch):
+    valid, errors = _assert_kernel_matches_the_loop(st, _carriers(st), monkeypatch)
+    assert errors == 0
+    assert valid == len(_carriers(st)) * (len(_carriers(st)) - 1)
+
+
+def test_classical_similarity_visits_no_point(monkeypatch):
+    st = SPStructure.classical(5)
+    a, b = from_points(st, [3, 1]), from_points(st, [1, 4])
+
+    def no_visit(*args):
+        raise AssertionError("a point was visited")
+
+    monkeypatch.setattr(st, "similarity_to_basis", no_visit)
+    est = sim.subspace_similarity(a, b)
+    assert (est.value, est.witness) == (0.0, "3")  # the least of {3, 4}
+
+
+def _random_tables(seed, count):
+    """Seeded symmetric tables that are mostly not similarity-projection
+    spaces: entries from a few quarters, some nudged below 1e-12 out of
+    symmetry, so the upper triangle is the one read."""
+    rng = np.random.default_rng(seed)
+    tables = []
+    while len(tables) < count:
+        n = int(rng.integers(3, 8))
+        m = np.triu(rng.choice([0.0, 0.0, 0.25, 0.5, 0.75], size=(n, n)), 1)
+        m = m + m.T + np.eye(n)
+        if len(tables) % 3 == 0:
+            m = np.clip(m + np.triu(rng.uniform(-4e-13, 4e-13, (n, n)), 1), 0.0, 1.0)
+        try:
+            tables.append(SPStructure.explicit(m))
+        except SPError:  # identical rows
+            continue
+    return tables
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_discrete_similarity_raises_what_the_loop_raises(seed, monkeypatch):
+    valid = errors = 0
+    for st in _random_tables(seed, 12):
+        v, e = _assert_kernel_matches_the_loop(st, _carriers(st), monkeypatch)
+        valid, errors = valid + v, errors + e
+    assert valid > 100 and errors > 100
+
+
+def test_discrete_similarity_on_bases_of_eight_points_and_more(monkeypatch):
+    # nine orthogonal points, two that each see eight of them a little and
+    # one that sees none: row sums of eight or more entries are summed
+    # pairwise, as one row is
+    rng = np.random.default_rng(7)
+    m = np.eye(12)
+    m[9, :8] = rng.uniform(0.0, 0.1, 8)
+    m[10, 1:9] = rng.uniform(0.0, 0.1, 8)
+    m[:9, 9:] = m[9:, :9].T
+    st = SPStructure.explicit(m)
+    subs = _carriers(st)
+    big = [s for s in subs if s.dim >= 8]
+    assert len(big) > 10
+    # the point that sees none of the nine, and the empty subspace, keep
+    # every pair with a big subspace valid
+    small = [from_points(st, ["p11"]), empty(st)]
+    valid, errors = _assert_kernel_matches_the_loop(st, big + small, monkeypatch)
+    assert valid >= 4 * len(big) and errors > 100
+
+
+def _closure_structures():
+    bundled = [load_structure(path) for path in sorted(FIXTURES.glob("*.json"))
+               if path.name.startswith(("classical", "explicit"))]
+    suite = [wheel_structure()] + [SPStructure.classical(n) for n in (4, 6)]
+    eye13 = SPStructure.explicit(np.eye(13))
+    return bundled + suite + PLANE_TABLES + [eye13]
+
+
+def _kronecker_closure(st, pts):
+    return frozenset(p for p in range(st.n)
+                     if abs(sum(st.similarity(p, q) for q in pts) - 1.0) <= TOL_EQ)
+
+
+def test_closure_matches_the_row_by_row_sums():
+    rng = np.random.default_rng(11)
+    for st in _closure_structures():
+        oracle = old_closure if st.kind == core.EXPLICIT else _kronecker_closure
+        enumerable = st.kind == core.EXPLICIT and st.n <= core.EXPLICIT_ENUM_MAX
+        cliques = st.explicit_lattice()["cliques"] if enumerable else ()
+        drawn = [tuple(rng.permutation(st.n)[:int(rng.integers(0, st.n + 1))].tolist())
+                 for _ in range(40)]
+        for pts in list(cliques) + drawn + [frozenset(d) for d in drawn]:
+            assert st.closure(pts) == oracle(st, pts), (st, pts)
+        assert st.closure(()) == st.closure(frozenset()) == frozenset()
+
+
+def test_row_sums_have_the_bits_of_one_row():
+    # from eight columns on, numpy sums a column-major slice in another order
+    rng = np.random.default_rng(13)
+    m = np.triu(rng.random((13, 13)), 1)
+    st = SPStructure.explicit(m + m.T + np.eye(13))
+    for k in range(14):
+        for _ in range(5):
+            pts = tuple(rng.permutation(13)[:k].tolist())
+            want = [st.raw_ortho_sum(x, pts) for x in range(13)]
+            assert [float(v).hex() for v in st.row_sums(pts)] == [v.hex() for v in want]

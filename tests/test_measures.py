@@ -16,6 +16,7 @@ from starprob import (
     from_points,
     from_span,
     generate_sigma_star,
+    join,
     measures_equal,
     mix,
     ortho_complement,
@@ -25,6 +26,7 @@ from starprob import (
 )
 from starprob.errors import EventNotInField, WeightsNotConvex
 from starprob.io import load_field, load_measure, measure_report_to_dict
+from starprob.lattice import RaySubspace
 from starprob.measures import FAIL_CERTIFIED, PASS, evaluate, first_difference
 from starprob.structures import as_point
 
@@ -84,6 +86,39 @@ class TestPureStates:
         assert w["similarity"] == pytest.approx(1.0 - 1e-10, abs=1e-14)
         # the unit coefficient would hold: the gap stays within sin(g)
         assert w["bound"] < w["p_A"] <= w["p_B"] + math.sqrt(1.0 - w["similarity"])
+
+    def test_additivity_allows_the_projector_gap_of_nearly_orthogonal_parts(self, ray3):
+        # span(e3) and the 1e-5 plane are orthogonal within TOL_EQ (squared
+        # cosine 1e-10), so the join's projector is not their projectors'
+        # sum; a pure state misses additivity by 8.57e-6 on them, within
+        # the spectral norm of the gap
+        a = from_span(ray3, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        b = from_span(ray3, [[1.0, 0.0, 0.0], [0.0, 1.0, 1e-5]])
+        fld = generate_sigma_star(ray3, [a, b])
+        assert len(fld.events) == 12
+        p = pure_state(ray3, [1, 2, 3])
+        assert validate_measure(p, fld).check("orthogonal_additivity").status == PASS
+        line, plane = ortho_complement(a), b
+        joined = join(line, plane)
+        res = abs(evaluate(p, joined) - evaluate(p, line) - evaluate(p, plane))
+        assert res == pytest.approx(8.57e-6, abs=1e-8)
+        assert 1e-9 < res <= 1e-9 + joined.sum_gap((line, plane))
+        # a table keeps TOL_EQ: the same values as a table fail, certified
+        twin = table_measure(fld, [evaluate(p, e) for e in fld.events])
+        check = validate_measure(twin).check("orthogonal_additivity")
+        assert check.status == FAIL_CERTIFIED
+        assert check.witness["residual"] == pytest.approx(8.57e-6, abs=1e-8)
+
+    def test_additivity_takes_the_gap_only_past_the_tolerance(self, ray2, fixture_dir,
+                                                              monkeypatch):
+        def no_gap(self, parts):
+            raise AssertionError("a passing residual took the projector gap")
+
+        monkeypatch.setattr(RaySubspace, "sum_gap", no_gap)
+        fld = load_field(ray2, fixture_dir / "field_ray2_twolines.json")
+        for x in ([1.0, 0.0], [1.0, 2.0], [3.0, -1.0]):
+            report = validate_measure(pure_state(ray2, x, fld))
+            assert report.check("orthogonal_additivity").status == PASS
 
     def test_pure_state_point_is_canonicalized(self, ray2, fixture_dir):
         fld = load_field(ray2, fixture_dir / "field_ray2_line.json")
