@@ -26,6 +26,7 @@ immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
 
@@ -190,6 +191,9 @@ class SPStructure:
             labels = tuple(str(s) for s in labels)
             if len(labels) != n or len(set(labels)) != n:
                 raise FormatError("labels must be distinct and match the matrix size")
+        # equal labels of different tables are one string, so literals and
+        # witnesses kept from many tables do not each hold a copy
+        labels = tuple(map(sys.intern, labels))
         m = m.copy()
         m.flags.writeable = False
         return ExplicitStructure(n, labels, m, tuple(
