@@ -198,8 +198,8 @@ def _additivity_check(p: ProbabilityMeasure, events: list[Subspace],
                       values: list[float]) -> Check:
     """Additivity over every orthogonal pair and greedy maximal family.
 
-    A residual fails past ``TOL_EQ``, and for a point-backed measure only
-    past ``TOL_EQ + ||P_J - sum P_i||_2`` as well (see :func:`_certified`)."""
+    A residual fails past ``TOL_EQ``; for a point-backed measure, past
+    ``TOL_EQ + ||P_J - sum P_i||_2`` (see :func:`_certified`)."""
     worst = 0.0
     witness = None
     nonzero = [(e, v) for e, v in zip(events, values) if not e.is_empty]
