@@ -275,9 +275,10 @@ class DiscreteSubspace(Subspace):
     def project(self, x: Point) -> Point:
         return self.structure.project_onto_basis(x, self.basis, self.points)
 
-    def sum_gap(self, parts) -> float:
-        """How far this join of orthogonal ``parts`` is from their sum: 0,
-        as orthogonal point sets add exactly."""
+    @staticmethod
+    def sum_gap(parts) -> float:
+        """A bound on how far the join of orthogonal ``parts`` is from their
+        sum: 0, as orthogonal point sets add exactly."""
         return 0.0
 
 
@@ -389,12 +390,18 @@ class RaySubspace(Subspace):
     def project(self, x: Point) -> Point:
         return self.structure.project_onto_basis(x, self._own_basis())
 
-    def sum_gap(self, parts) -> float:
-        """How far this join of orthogonal ``parts`` is from their sum: the
-        spectral norm of ``P_J - sum P_i``, which is not 0 when the parts
-        are orthogonal only within ``TOL_EQ``."""
-        gap = self.projector() - sum(s.projector() for s in parts)
-        return float(np.linalg.norm(gap, 2))
+    @staticmethod
+    def sum_gap(parts) -> float:
+        """A bound on ``||P_J - sum P_i||_2`` for the join ``J`` of ``parts``
+        that are orthogonal within ``TOL_EQ``, from the parts alone.
+
+        With the parts' frames stacked as ``F``, ``sum P_i = F F^T``, whose
+        nonzero eigenvalues are those of ``F^T F``; ``P_J`` is the identity
+        on the range of ``F``, so the gap is at most ``||F^T F - I||_2``,
+        the cross cosines of the parts (0 when they are exactly
+        orthogonal)."""
+        frames = np.hstack([s.frame for s in parts])
+        return float(np.linalg.norm(frames.T @ frames - np.eye(frames.shape[1]), 2))
 
 
 def _column_span(st: SPStructure, m: np.ndarray) -> RaySubspace:

@@ -199,7 +199,7 @@ def _additivity_check(p: ProbabilityMeasure, events: list[Subspace],
     """Additivity over every orthogonal pair and greedy maximal family.
 
     A residual fails past ``TOL_EQ``; for a point-backed measure, past
-    ``TOL_EQ + ||P_J - sum P_i||_2`` (see :func:`_certified`)."""
+    ``TOL_EQ`` plus a bound on ``||P_J - sum P_i||_2`` (see :func:`_certified`)."""
     worst = 0.0
     witness = None
     nonzero = [(e, v) for e, v in zip(events, values) if not e.is_empty]
@@ -207,13 +207,12 @@ def _additivity_check(p: ProbabilityMeasure, events: list[Subspace],
         for b, pb in nonzero[i + 1:]:
             if not lat.is_orthogonal(a, b):
                 continue
-            joined = lat.join(a, b)
             try:
-                combined = evaluate(p, joined)
+                combined = evaluate(p, lat.join(a, b))
             except EventNotInField:  # sampled domains may step outside
                 continue
             res = abs(combined - (pa + pb))
-            if res > worst and _certified(p, res, joined, (a, b)):
+            if res > worst and _certified(p, res, (a, b)):
                 worst = res
                 witness = {"events": [a.to_literal(), b.to_literal()],
                            "residual": res}
@@ -230,33 +229,33 @@ def _additivity_check(p: ProbabilityMeasure, events: list[Subspace],
             continue
         seen.add(key)
         parts = [nonzero[k][0] for k in picked]
-        joined = lat.join(*parts)
         try:
-            total = evaluate(p, joined)
+            total = evaluate(p, lat.join(*parts))
         except EventNotInField:
             continue
         res = abs(total - sum(nonzero[k][1] for k in picked))
-        if res > worst and _certified(p, res, joined, parts):
+        if res > worst and _certified(p, res, parts):
             worst = res
             witness = {"family_size": len(picked), "residual": res}
     return _exact_check("orthogonal_additivity", worst, witness)
 
 
-def _certified(p: ProbabilityMeasure, res: float, joined: Subspace, parts) -> bool:
-    """Whether an additivity residual ``res`` on ``parts``, whose join is
-    ``joined``, counts against ``p``.
+def _certified(p: ProbabilityMeasure, res: float, parts) -> bool:
+    """Whether an additivity residual ``res`` on orthogonal ``parts`` counts
+    against ``p``.
 
     ``lat.is_orthogonal`` accepts ray subspaces whose squared cosines reach
-    ``TOL_EQ``, so the projector ``P_J`` of the join may differ from the sum
-    of the parts' projectors.  For a point-backed measure the residual is
-    ``|sum_w w x.(P_J - sum P_i).x|`` over unit points ``x`` and convex
-    weights ``w``, so it reaches at most ``||P_J - sum P_i||_2``: only a
-    residual past ``TOL_EQ`` plus that norm is certain.  The norm is taken
-    only for residuals already past ``TOL_EQ``; it is 0 on the discrete
-    models, and table measures keep ``TOL_EQ`` alone."""
+    ``TOL_EQ``, so the projector ``P_J`` of their join ``J`` may differ from
+    the sum of the parts' projectors.  For a point-backed measure the
+    residual is ``|sum_w w x.(P_J - sum P_i).x|`` over unit points ``x`` and
+    convex weights ``w``, so it reaches at most ``||P_J - sum P_i||_2``:
+    only a residual past ``TOL_EQ`` plus a bound on that norm is certain.
+    The bound comes from the parts alone (``sum_gap``), so a wrong join
+    still fails; it is taken only for residuals already past ``TOL_EQ``, it
+    is 0 on the discrete models, and table measures keep ``TOL_EQ`` alone."""
     if res <= TOL_EQ or p.values is not None:
         return True
-    return res > TOL_EQ + joined.sum_gap(parts)
+    return res > TOL_EQ + parts[0].sum_gap(parts)
 
 
 def _continuity_check(events: list[Subspace], values: list[float],

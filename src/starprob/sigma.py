@@ -216,7 +216,7 @@ def atoms(fld: SigmaStarField) -> list[Subspace]:
 
 
 def atomic_decomposition(fld: SigmaStarField, event: Subspace,
-                         atom_list: list[Subspace] | None = None) -> list[int] | None:
+                         atom_list: list[Subspace] | None = None) -> tuple[int, ...] | None:
     """Indices of pairwise-orthogonal atoms summing to ``event``, if any.
 
     One greedy pass takes, in canonical order, each atom below ``event`` that
@@ -229,14 +229,14 @@ def atomic_decomposition(fld: SigmaStarField, event: Subspace,
     lattice breaks the orthomodular law and :func:`validate_sigma_star` fails.
     """
     if event.is_empty:
-        return []
+        return ()
     ats = atom_list if atom_list is not None else atoms(fld)
     chosen: list[tuple[int, Subspace]] = []
     for i, a in enumerate(ats):
         if lat.is_subset(a, event) and all(lat.is_orthogonal(a, c) for _, c in chosen):
             chosen.append((i, a))
     if chosen and lat.join(*[c for _, c in chosen]) == event:
-        return [i for i, _ in chosen]
+        return tuple(i for i, _ in chosen)
     return None
 
 

@@ -26,7 +26,6 @@ immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
 
@@ -191,9 +190,6 @@ class SPStructure:
             labels = tuple(str(s) for s in labels)
             if len(labels) != n or len(set(labels)) != n:
                 raise FormatError("labels must be distinct and match the matrix size")
-        # equal labels of different tables are one string, so literals and
-        # witnesses kept from many tables do not each hold a copy
-        labels = tuple(map(sys.intern, labels))
         m = m.copy()
         m.flags.writeable = False
         return ExplicitStructure(n, labels, m, tuple(
@@ -267,9 +263,9 @@ class DiscreteStructure(SPStructure):
     def point_literal(self, x: int) -> str:
         return self.labels[int(x)]
 
-    def carrier_literal(self, points: frozenset) -> list:
+    def carrier_literal(self, points: frozenset) -> tuple:
         """A subspace literal: the labels of its points."""
-        return [self.labels[p] for p in sorted(points)]
+        return tuple(self.labels[p] for p in sorted(points))
 
     def summary(self) -> dict:
         """Kind and size, as a validation report names the structure."""
@@ -320,9 +316,9 @@ class ClassicalStructure(DiscreteStructure):
     def orthogonal_points(self, points) -> frozenset:
         return frozenset(range(self.n)).difference(points)
 
-    def carrier_literal(self, points: frozenset) -> list[int]:
+    def carrier_literal(self, points: frozenset) -> tuple[int, ...]:
         """A subspace literal: indices (a point literal is its label)."""
-        return sorted(int(p) for p in points)
+        return tuple(sorted(int(p) for p in points))
 
 
 @dataclass(eq=False)
@@ -414,8 +410,7 @@ class ExplicitStructure(DiscreteStructure):
         nodes = 0
 
         def is_basis(sel: tuple[int, ...]) -> bool:
-            sums = self.matrix[:, list(sel)].sum(axis=1)
-            return bool(np.all(np.abs(sums - 1.0) <= TOL_EQ))
+            return bool(np.all(np.abs(self.row_sums(sel) - 1.0) <= TOL_EQ))
 
         def search(sel: tuple[int, ...], start: int):
             nonlocal nodes

@@ -26,6 +26,7 @@ from starprob import (
 )
 from starprob.errors import EventNotInField, WeightsNotConvex
 from starprob.io import load_field, load_measure, measure_report_to_dict
+from starprob import lattice
 from starprob.lattice import RaySubspace
 from starprob.measures import FAIL_CERTIFIED, PASS, evaluate, first_difference
 from starprob.structures import as_point
@@ -99,22 +100,35 @@ class TestPureStates:
         p = pure_state(ray3, [1, 2, 3])
         assert validate_measure(p, fld).check("orthogonal_additivity").status == PASS
         line, plane = ortho_complement(a), b
-        joined = join(line, plane)
-        res = abs(evaluate(p, joined) - evaluate(p, line) - evaluate(p, plane))
+        res = abs(evaluate(p, join(line, plane)) - evaluate(p, line) - evaluate(p, plane))
         assert res == pytest.approx(8.57e-6, abs=1e-8)
-        assert 1e-9 < res <= 1e-9 + joined.sum_gap((line, plane))
+        # the allowance is the parts' cross cosine, 1e-5
+        assert RaySubspace.sum_gap((line, plane)) == pytest.approx(1e-5, rel=1e-6)
+        assert 1e-9 < res <= 1e-9 + RaySubspace.sum_gap((line, plane))
         # a table keeps TOL_EQ: the same values as a table fail, certified
         twin = table_measure(fld, [evaluate(p, e) for e in fld.events])
         check = validate_measure(twin).check("orthogonal_additivity")
         assert check.status == FAIL_CERTIFIED
         assert check.witness["residual"] == pytest.approx(8.57e-6, abs=1e-8)
 
+    def test_additivity_allowance_does_not_hide_a_wrong_join(self, ray3, monkeypatch):
+        # the allowance comes from the parts, not from the join under test:
+        # a join that returns its first operand misses p(B), far past 1e-5
+        a = from_span(ray3, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        b = from_span(ray3, [[1.0, 0.0, 0.0], [0.0, 1.0, 1e-5]])
+        fld = generate_sigma_star(ray3, [a, b])
+        p = pure_state(ray3, [1, 2, 3])
+        monkeypatch.setattr(lattice, "join", lambda first, *rest: first)
+        check = validate_measure(p, fld).check("orthogonal_additivity")
+        assert check.status == FAIL_CERTIFIED
+        assert check.witness["residual"] > 0.1
+
     def test_additivity_takes_the_gap_only_past_the_tolerance(self, ray2, fixture_dir,
                                                               monkeypatch):
-        def no_gap(self, parts):
+        def no_gap(parts):
             raise AssertionError("a passing residual took the projector gap")
 
-        monkeypatch.setattr(RaySubspace, "sum_gap", no_gap)
+        monkeypatch.setattr(RaySubspace, "sum_gap", staticmethod(no_gap))
         fld = load_field(ray2, fixture_dir / "field_ray2_twolines.json")
         for x in ([1.0, 0.0], [1.0, 2.0], [3.0, -1.0]):
             report = validate_measure(pure_state(ray2, x, fld))
@@ -236,7 +250,7 @@ def test_classical_points_print_as_labels_and_events_as_indices(classical4):
     assert p.describe() == {"kind": "pure", "point": "2"}
     m = mix([(0.5, p), (0.5, pure_state(classical4, 3))])
     assert m.describe() == {"kind": "mixed", "components": [[0.5, "2"], [0.5, "3"]]}
-    assert from_points(classical4, [2, 1]).to_literal() == [1, 2]
+    assert from_points(classical4, [2, 1]).to_literal() == (1, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -54,12 +54,12 @@ def test_two_lines_generate_six_events(ray2, fixture_dir):
 def test_wheel_two_generators_give_diamond(wheel, fixture_dir):
     fld = load_field(wheel, fixture_dir / "field_explicit4_twopoints.json")
     assert [e.to_literal() for e in fld.events] == [
-        [],
-        ["r0"],
-        ["r45"],
-        ["r90"],
-        ["r135"],
-        ["r0", "r45", "r90", "r135"],
+        (),
+        ("r0",),
+        ("r45",),
+        ("r90",),
+        ("r135",),
+        ("r0", "r45", "r90", "r135"),
     ]
 
 
@@ -117,11 +117,11 @@ def test_validator_rejects_truncated_family(ray2):
 def test_atomic_decomposition_indices(classical4):
     fld = generate_sigma_star(classical4, [[0], [1], [2], [3]])
     target = next(e for e in fld.events if e.points == frozenset({0, 2, 3}))
-    assert atomic_decomposition(fld, target) == [0, 2, 3]
+    assert atomic_decomposition(fld, target) == (0, 2, 3)
     full_event = next(e for e in fld.events if e.is_full)
-    assert atomic_decomposition(fld, full_event) == [0, 1, 2, 3]
+    assert atomic_decomposition(fld, full_event) == (0, 1, 2, 3)
     empty_event = next(e for e in fld.events if e.is_empty)
-    assert atomic_decomposition(fld, empty_event) == []
+    assert atomic_decomposition(fld, empty_event) == ()
 
 
 def test_ray_field_atoms_are_lines(ray2, fixture_dir):

@@ -125,14 +125,6 @@ def test_explicit_labels(wheel):
     assert wheel.label_index("r90") == 2
 
 
-def test_equal_labels_of_different_tables_are_one_string():
-    small, big = SPStructure.explicit(np.eye(2)), SPStructure.explicit(np.eye(3))
-    assert small.labels == ("p0", "p1") and big.labels[:2] == small.labels
-    assert all(a is b for a, b in zip(small.labels, big.labels))
-    given = SPStructure.explicit(np.eye(2), labels=["p1", "x"])
-    assert given.labels[0] is small.labels[1]
-
-
 def test_explicit_rejects_asymmetric_matrix():
     with pytest.raises(FormatError):
         SPStructure.explicit([[1.0, 0.3], [0.4, 1.0]])
