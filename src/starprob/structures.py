@@ -264,7 +264,8 @@ class DiscreteStructure(SPStructure):
         return self.labels[int(x)]
 
     def carrier_literal(self, points: frozenset) -> tuple:
-        """A subspace literal: the labels of its points."""
+        """A subspace literal: the labels of its points.  Literals are tuples,
+        one allocation each, as reports and witnesses keep many of them."""
         return tuple(self.labels[p] for p in sorted(points))
 
     def summary(self) -> dict:
