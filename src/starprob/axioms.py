@@ -132,7 +132,7 @@ def _explicit_exhaustive(st: SPStructure) -> list[Check]:
     oproj = Check("o_projection")
     fact = Check("factorization")
     for clique in st.explicit_lattice()["cliques"]:
-        sums = m[:, list(clique)].sum(axis=1) if clique else np.zeros(n)
+        sums = st.row_sums(clique)  # the bits closure() reads
         ortho_set = [labels[i] for i in clique]
         if clique:
             excess = float(np.max(sums) - 1.0)

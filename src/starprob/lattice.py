@@ -12,7 +12,11 @@ over a point set, the points orthogonal to a set) the structure's class
 answers.  A :class:`RaySubspace` carries a canonical
 orthonormal frame (column-pivoted, largest-residual-first, sign-canonical),
 so equal subspaces have byte-identical canonical forms after rounding to 12
-decimal places.  Equality is additionally backed by projector comparison.
+decimal places.  Ray relations are decided on the principal angles (Bjorck
+& Golub 1973) against ``TOL_EQ``, read from sines where small (Knyazev &
+Argentati 2002): ``A`` is orthogonal to ``B`` when every principal
+``cos^2`` is within it, ``A <= B`` (orthogonality to ``B'``) when every
+``sin^2`` is, and ``A == B`` when ``A <= B`` and the dimensions agree.
 
 The lattice operations are sum (least upper bound), intersection (greatest
 lower bound) and orthocomplement, kept on the subspace after its first use.
@@ -34,7 +38,6 @@ from . import structures as core
 from .errors import EmptySubspace, NotASubspace
 from .structures import (
     CANON_DECIMALS,
-    SV_RTOL,
     TOL_EQ,
     Point,
     SPStructure,
@@ -276,9 +279,7 @@ class DiscreteSubspace(Subspace):
         return self.structure.project_onto_basis(x, self.basis, self.points)
 
     @staticmethod
-    def sum_gap(parts) -> float:
-        """A bound on how far the join of orthogonal ``parts`` is from their
-        sum: 0, as orthogonal point sets add exactly."""
+    def sum_gap(parts) -> float:  # orthogonal point sets add exactly
         return 0.0
 
 
@@ -342,8 +343,7 @@ class RaySubspace(Subspace):
         return (self.dim, tuple(np.round(self.frame, CANON_DECIMALS).ravel()))
 
     def _same(self, other) -> bool:
-        return self.dim == other.dim and float(np.max(np.abs(
-            self.projector() - other.projector()))) <= TOL_EQ
+        return self.dim == other.dim and self.is_subset_of(other)
 
     def to_literal(self):
         """The frame's columns."""
@@ -357,27 +357,29 @@ class RaySubspace(Subspace):
         return RaySubspace(st, _canonical_frame(np.eye(st.d) - self.projector(),
                                                 st.d - self.dim))
 
+    # On a principal plane (angle g), the stacked frames [F_A F_B] and residual
+    # maps [I - P_A; I - P_B] have one sv^2 = 1 - cos g: sin^2 g = sv^2 (2 - sv^2).
+    # Other sv^2 are >= 1, or 0 (frames) and 2 (maps) off both sides.  The sum
+    # keeps sv^2 >= 1 and sin^2 g > TOL_EQ; the meet sv^2 < 1, sin^2 g <= TOL_EQ.
+    # For n operands sv^2 sums cos^2 or sin^2: operands lie in the join, the meet in each.
+
     def join(self, rest):
         return _column_span(self.structure, np.concatenate(
-            [s.frame for s in (self,) + rest], axis=1))
+            [s.frame for s in (self,) + rest], axis=1), frames=True)
 
     def meet(self, rest):
         """The common nullspace of the residual maps ``I - P``, from one SVD
         of the stacked maps."""
         eye = np.eye(self.structure.d)
-        _, sv, vt = np.linalg.svd(np.vstack([eye - s.projector()
-                                             for s in (self,) + rest]))
-        return _column_span(self.structure,
-                            vt[sv <= max(SV_RTOL * sv[0], core.TOL_UNIT)].T)
+        _, sv, vt = np.linalg.svd(np.vstack([eye - s.projector() for s in (self,) + rest]))
+        sq = sv * sv
+        return _column_span(self.structure, vt[(sq < 1.0) & (sq * (2.0 - sq) <= TOL_EQ)].T)
 
-    # initial=0.0: the empty subspace is orthogonal to, and inside, anything
-    def is_orthogonal_to(self, other) -> bool:
-        cross = (self.frame.T @ other.frame) ** 2
-        return float(np.max(cross, initial=0.0)) <= TOL_EQ
+    def is_orthogonal_to(self, other) -> bool:  # principal cos^2
+        return _within_tol(self.frame.T @ other.frame)
 
-    def is_subset_of(self, other) -> bool:
-        residual = other.projector() @ self.frame - self.frame
-        return float(np.max(np.abs(residual), initial=0.0)) <= TOL_EQ
+    def is_subset_of(self, other) -> bool:  # principal sin^2
+        return _within_tol(self.frame - other.frame @ (other.frame.T @ self.frame))
 
     def _own_basis(self) -> tuple[Point, ...]:
         # orthogonal by construction: no pairwise check.  as_point runs again
@@ -404,16 +406,28 @@ class RaySubspace(Subspace):
         return float(np.linalg.norm(frames.T @ frames - np.eye(frames.shape[1]), 2))
 
 
-def _column_span(st: SPStructure, m: np.ndarray) -> RaySubspace:
-    """The span of the columns of a finite ``d x m`` matrix; rank by SVD."""
+def _column_span(st: SPStructure, m: np.ndarray, frames: bool = False) -> RaySubspace:
+    """The span of the columns of a finite ``d x m`` matrix; rank by SVD:
+    ``sv^2 > TOL_EQ sv_0^2``, or the sum's rule for stacked ``frames``."""
     if not m.shape[1]:
         return RaySubspace.empty(st)
     u, sv, _ = np.linalg.svd(m, full_matrices=False)
     if sv[0] < core.TOL_UNIT:
         return RaySubspace.empty(st)
-    rank = int(np.sum(sv > SV_RTOL * sv[0]))
+    sq = sv * sv
+    keep = (sq >= 1.0) | (sq * (2.0 - sq) > TOL_EQ) if frames else sq > TOL_EQ * sq[0]
+    rank = int(np.sum(keep))
     basis = u[:, :rank]
     return RaySubspace(st, _canonical_frame(basis @ basis.T, rank))
+
+
+def _within_tol(m: np.ndarray) -> bool:
+    """``||m||_2^2 <= TOL_EQ``, by SVD only where the Frobenius norm cannot
+    tell, as ``||m||_2^2 <= ||m||_F^2 <= min(m.shape) ||m||_2^2``."""
+    frob = float(np.sum(m * m))
+    if frob <= TOL_EQ or frob > min(m.shape) * TOL_EQ:
+        return frob <= TOL_EQ
+    return float(np.linalg.norm(m, 2)) ** 2 <= TOL_EQ
 
 
 def _canonical_frame(proj: np.ndarray, rank: int) -> np.ndarray:

@@ -242,20 +242,14 @@ def _additivity_check(p: ProbabilityMeasure, events: list[Subspace],
 
 def _certified(p: ProbabilityMeasure, res: float, parts) -> bool:
     """Whether an additivity residual ``res`` on orthogonal ``parts`` counts
-    against ``p``.
-
-    ``lat.is_orthogonal`` accepts ray subspaces whose squared cosines reach
-    ``TOL_EQ``, so the projector ``P_J`` of their join ``J`` may differ from
-    the sum of the parts' projectors.  For a point-backed measure the
-    residual is ``|sum_w w x.(P_J - sum P_i).x|`` over unit points ``x`` and
-    convex weights ``w``, so it reaches at most ``||P_J - sum P_i||_2``:
-    only a residual past ``TOL_EQ`` plus a bound on that norm is certain.
-    The bound comes from the parts alone (``sum_gap``), so a wrong join
-    still fails; it is taken only for residuals already past ``TOL_EQ``, it
-    is 0 on the discrete models, and table measures keep ``TOL_EQ`` alone."""
-    if res <= TOL_EQ or p.values is not None:
-        return True
-    return res > TOL_EQ + parts[0].sum_gap(parts)
+    against ``p``.  Ray parts are orthogonal up to a principal ``cos^2`` of
+    ``TOL_EQ``, so their join's projector ``P_J`` may miss ``sum P_i``; a
+    point-backed residual ``|sum_w w x.(P_J - sum P_i).x|`` (unit ``x``,
+    convex ``w``) fails only past ``TOL_EQ`` plus ``sum_gap``, a bound on
+    ``||P_J - sum P_i||_2`` from the parts alone, so a wrong join still
+    fails.  Tables and the discrete models keep ``TOL_EQ`` alone."""
+    return (res <= TOL_EQ or p.values is not None
+            or res > TOL_EQ + parts[0].sum_gap(parts))
 
 
 def _continuity_check(events: list[Subspace], values: list[float],

@@ -122,17 +122,14 @@ def generate_sigma_star(st: SPStructure, generators, cap: int = DEFAULT_CAP) -> 
         rounds += 1
         snapshot = list(events)
         for a in snapshot:
-            if events.add(lat.ortho_complement(a)):
-                changed = True
+            changed |= events.add(lat.ortho_complement(a))
         _check_cap(st, events, gens, cap, rounds)
         snapshot = list(events)
         for i, a in enumerate(snapshot):
             for b in snapshot[i + 1:]:
                 if lat.is_orthogonal(a, b):
-                    if events.add(lat.join(a, b)):
-                        changed = True
-                if events.add(lat.meet(a, b)):
-                    changed = True
+                    changed |= events.add(lat.join(a, b))
+                changed |= events.add(lat.meet(a, b))
             _check_cap(st, events, gens, cap, rounds)
 
     ordered = tuple(sorted(events, key=Subspace.canonical_key))

@@ -56,12 +56,10 @@ _REFINE_TOL = 1e-12
 _REFINE_STEP0 = 0.25
 
 # Orthogonality cutoff for *sampled* vantage points, on the squared projection
-# mass.  This must be far tighter than the 1e-9 point-equality tolerance: a
-# cutoff of 1e-9 declares every vantage with component ~3e-5 "orthogonal" and
-# the fallback 1 - s(x, B) dips below the generic value by ~6e-5 inside that
-# band, which the refiner then happily descends into.  At 1e-24 the band is
-# ~1e-12 wide and every value inside it sits within 2e-12 of a true vantage
-# value, keeping sampled estimates upper bounds up to rounding.
+# mass.  At TOL_EQ every vantage with a component of ~3e-5 is "orthogonal",
+# where the fallback 1 - s(x, B) dips ~6e-5 below the generic value and the
+# refiner descends into it; at 1e-24 the band keeps sampled estimates upper
+# bounds up to rounding.
 _ORTH_EPS = 1e-24
 
 
@@ -74,12 +72,9 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.samples < 1:
-            raise FormatError(f"sampler needs samples >= 1, got {self.samples}")
-        if self.refine_top < 0:
-            raise FormatError(f"sampler needs refine_top >= 0, got {self.refine_top}")
-        if self.seed < 0:
-            raise FormatError(f"sampler needs seed >= 0, got {self.seed}")
+        for name, low in (("samples", 1), ("refine_top", 0), ("seed", 0)):
+            if (value := getattr(self, name)) < low:
+                raise FormatError(f"sampler needs {name} >= {low}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -143,17 +138,9 @@ def subspace_similarity(a: Subspace, b: Subspace) -> SimilarityEstimate:
     ``A = B``.
 
     Two ray lines ``span(u)`` and ``span(v)`` are answered right after the
-    orthogonality test, as their cross meets are provably empty.  The test
-    failed, so ``c^2 > TOL_EQ`` for ``c = u . v``.  The meet of ``A'`` and
-    ``B`` keeps the right singular vectors of the stacked residual maps
-    ``[I - P_A'; I - P_B]``, which is ``[P_A; I - P_B]`` up to rounding,
-    whose singular value is at most ``max(SV_RTOL * sv[0], TOL_UNIT)``.
-    The squared singular values are the eigenvalues of ``I + uu^T - vv^T``:
-    1 off ``span(u, v)`` and ``1 +- sqrt(1 - c^2)`` on it.  So the largest
-    is at most ``sqrt(2)`` and the cutoff at most ``2e-10``, while the
-    smallest is ``sqrt(1 - sqrt(1 - c^2)) >= |c|/sqrt(2) > 2e-5``; rounding
-    of order ``1e-15`` cannot close that gap, so nothing is kept.  The meet
-    of ``B'`` and ``A`` is the same with ``u`` and ``v`` swapped.
+    orthogonality test, as their cross meets are empty by the meet's own
+    rule: the test failed, so ``c^2 > TOL_EQ`` for ``c = u . v``, and ``c^2``
+    is the ``sin^2`` of ``v`` against ``A'`` (and of ``u`` against ``B'``).
 
     Ray pairs that pass every earlier branch have equal dimension
     ``2 <= k < d``: unequal dimensions always meet the other's complement
@@ -184,10 +171,11 @@ def subspace_similarity(a: Subspace, b: Subspace) -> SimilarityEstimate:
     for a fixed ``w-`` only one unit vector (up to sign) fails as ``w+``,
     and ``S`` has at least two positive eigenvectors, so some pair always
     works.  :func:`_zero_witness` tries the pairs and re-checks the winner
-    with :func:`tau`.  For nearly equal pairs (every principal angle below
-    about 6e-5) no pair passes: any zero witness shows one side less than
-    ``TOL_EQ`` of its mass, so ``tau`` reads it as orthogonal to that side.
-    The value is still 0 by the proof, so it is returned without a witness.
+    with :func:`tau`.  For unequal pairs whose principal angles ``g`` all lie
+    below ``sqrt(2 TOL_EQ)``, about 4.5e-5, no pair passes: a zero witness
+    shows one side about ``g^2/2 < TOL_EQ`` of its mass, so ``tau`` reads it
+    as orthogonal to that side.  The value is still 0 by the proof, so it
+    is returned without a witness.
     """
     ensure_same_structure(a.structure, b.structure)
     st = a.structure

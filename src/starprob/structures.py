@@ -46,9 +46,8 @@ from .errors import (
 )
 
 # Tolerances, pinned once and reused everywhere.
-TOL_EQ = 1e-9  # similarity comparisons and orthogonality tests
+TOL_EQ = 1e-9  # similarity; every ray relation, on principal sin^2 and cos^2
 TOL_UNIT = 1e-12  # unit-norm, canonical-sign and weight-sum checks
-SV_RTOL = 1e-10  # relative singular-value cutoff for rank decisions
 GS_DISCARD = 1e-10  # residual cutoff when completing a basis
 CANON_DECIMALS = 12  # rounding applied to canonical dedup keys
 EXPLICIT_ENUM_MAX = 12  # largest explicit model enumerated exhaustively
@@ -259,6 +258,9 @@ class DiscreteStructure(SPStructure):
                 return y
         raise ProjectionNotFound(
             "no orthogonal witness completes the similarity sum to one")
+
+    def points_equal(self, x, y) -> bool:
+        return self.similarity(x, y) >= 1.0 - TOL_EQ
 
     def point_literal(self, x: int) -> str:
         return self.labels[int(x)]
@@ -542,6 +544,11 @@ class RayStructure(SPStructure):
         dot = float(np.dot(self.check_point(x), self.check_point(y)))
         return min(1.0, dot * dot)
 
+    def points_equal(self, x, y) -> bool:
+        """``sin^2`` from the residual ``x - (x.y) y``, as lines compare."""
+        r = self.check_point(x) - np.dot(x, self.check_point(y)) * y
+        return float(np.dot(r, r)) <= TOL_EQ
+
     def raw_ortho_sum(self, x: np.ndarray, pts) -> float:
         if not pts:
             return 0.0
@@ -645,7 +652,7 @@ def check_point(st: SPStructure, x: Point) -> Point:
 
 def points_equal(st: SPStructure, x: Point, y: Point) -> bool:
     """Equality as rays / labels, i.e. similarity indistinguishable from 1."""
-    return st.similarity(x, y) >= 1.0 - TOL_EQ
+    return st.points_equal(x, y)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,10 @@ The superseded implementations live here as oracles:
   for bit, and raise the same error on tables that break an axiom.
 * ``old_closure`` sums one table row per point; the explicit ``closure``
   sums every row in one pass and must give the same point set.
+* ``principal_sin2`` and ``principal_cos2`` compute principal angles with
+  numpy from the raw spanning vectors; every ray relation must agree with
+  them on pairs swept through ``TOL_EQ``, and the lattice laws must hold
+  there.
 """
 
 import importlib.util
@@ -32,9 +36,12 @@ from starprob import (
     from_points,
     from_span,
     full,
+    is_orthogonal,
+    is_subset,
     join,
     meet,
     ortho_complement,
+    points_equal,
     project,
     similarity_to_subspace,
 )
@@ -144,14 +151,18 @@ def _assert_same_subspace(got, want):
         assert diff <= TOL_EQ
 
 
-def _tilted(st, frame, angle, rng):
+def _tilt(frame, angle, rng):
     """``frame`` with its last column turned by ``angle`` towards a
-    direction orthogonal to the whole frame."""
+    direction orthogonal to the whole frame, and that direction."""
     d, k = frame.shape
     q, _ = np.linalg.qr(np.concatenate([frame, rng.standard_normal((d, 1))], axis=1))
     out = frame.copy()
     out[:, -1] = math.cos(angle) * frame[:, -1] + math.sin(angle) * q[:, k]
-    return from_span(st, out.T)
+    return out, q[:, k]
+
+
+def _tilted(st, frame, angle, rng):
+    return from_span(st, _tilt(frame, angle, rng)[0].T)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 8])
@@ -163,11 +174,13 @@ def test_meet_matches_the_complement_route_on_structured_pairs(d):
     nested = from_span(st, big[:, : d // 2].T)
     same = from_span(st, (big @ random_frame(d - 1, d - 1, rng)).T)
     perp = ortho_complement(a)
-    near = _tilted(st, big, 1e-6, rng)
+    # tilts with sin^2 1e-6, outside TOL_EQ, and 1e-12, inside it
+    near = _tilted(st, big, 1e-3, rng)
+    equal = _tilted(st, big, 1e-6, rng)
     cases = [
         (a, nested), (nested, a), (a, same), (a, perp), (a, near),
         (a, a), (a, empty(st)), (a, full(st)), (full(st), full(st)),
-        (empty(st), empty(st)),
+        (empty(st), empty(st)), (a, equal),
     ]
     for x, y in cases:
         _assert_same_subspace(meet(x, y), old_meet(x, y))
@@ -176,6 +189,10 @@ def test_meet_matches_the_complement_route_on_structured_pairs(d):
     assert meet(a, same) == a
     assert meet(a, perp).is_empty
     assert meet(a, nested) == nested
+    # a tilt within the tolerance keeps every direction
+    assert equal == a
+    assert meet(a, equal) == a == join(a, equal)
+    assert meet(a, equal).dim == join(a, equal).dim == d - 1
 
 
 @pytest.mark.parametrize("d", [3, 4, 6])
@@ -203,6 +220,109 @@ def test_meet_matches_the_complement_route_on_random_operands(seed, d, count):
         k = int(rng.integers(0, d + 1))
         subs.append(from_span(st, random_frame(d, k, rng).T) if k else empty(st))
     _assert_same_subspace(meet(*subs), old_meet(*subs))
+
+
+# ---------------------------------------------------------------------------
+# one tolerance scale: every ray relation on principal angles
+
+
+def _orthonormal(rows):
+    return np.linalg.qr(np.asarray(rows, dtype=float).T)[0]
+
+
+def principal_sin2(va, vb):
+    """The largest principal ``sin^2`` of ``span(va)`` against ``span(vb)``
+    (rows are spanning vectors), from numpy's QR and SVD."""
+    qa, qb = _orthonormal(va), _orthonormal(vb)
+    return float(np.linalg.svd(qa - qb @ (qb.T @ qa), compute_uv=False)[0] ** 2)
+
+
+def principal_cos2(va, vb):
+    """The largest principal ``cos^2`` of the two spans."""
+    qa, qb = _orthonormal(va), _orthonormal(vb)
+    return float(np.linalg.svd(qa.T @ qb, compute_uv=False)[0] ** 2)
+
+
+# sin^2 of the tilt: a sweep through the decades, and points around TOL_EQ
+# that a factor of 2 in the cut would misplace.  TOL_EQ itself is left out:
+# there the last bits of each route decide, so even a == b and b == a can
+# differ (equality within a tolerance is a coin flip at the tolerance)
+SWEEP = [10.0 ** -e for e in (3, 4, 5, 6, 7, 8, 10)]
+BOUNDARY = [f * TOL_EQ for f in (0.5, 0.9, 1.1, 1.5, 1.9, 2.5, 4.0)]
+# lines and planes of R^3, then tilted frames of R^4 to R^8
+SHAPES = [(3, 1), (3, 2)] + [(d, k) for d in range(4, 9) for k in (2, d - 1)]
+
+
+def _swept_pair(d, k, s2):
+    """Raw spanning rows of ``A`` (a frame), ``B`` (it with the last column
+    tilted by ``sin^2 = s2``), ``C`` (that column) and ``Q`` (the direction
+    it tilts to)."""
+    rng = np.random.default_rng(1000 * d + k)
+    frame = np.eye(3)[:, :2] if (d, k) == (3, 2) else random_frame(d, k, rng)
+    tilted, q = _tilt(frame, math.asin(math.sqrt(s2)), rng)
+    return frame.T, tilted.T, frame[:, -1:].T, q[None, :]
+
+
+@pytest.mark.parametrize("d,k", SHAPES)
+@pytest.mark.parametrize("s2", SWEEP + BOUNDARY)
+def test_ray_relations_follow_the_principal_angles(d, k, s2):
+    st = SPStructure.ray(d)
+    raw = _swept_pair(d, k, s2)
+    a, b, c, q = (from_span(st, v) for v in raw)
+    subs = dict(zip("abcq", zip((a, b, c, q), raw)))
+    inside = s2 <= TOL_EQ
+    assert principal_sin2(raw[0], raw[1]) == pytest.approx(s2, rel=1e-6)
+    assert (a == b) is (b == a) is inside
+    assert is_subset(c, b) is inside
+    assert is_orthogonal(q, b) is inside
+    assert (meet(a, b).dim, join(a, b).dim) == ((k, k) if inside else (k - 1, k + 1))
+    # three operands: the meet inside each, each inside the join
+    lo, hi = meet(a, b, c), join(a, b, q)
+    assert all(is_subset(lo, x) for x in (a, b, c))
+    assert all(is_subset(x, hi) for x in (a, b, q))
+    for (x, vx), (y, vy) in itertools.permutations(subs.values(), 2):
+        # the oracle decides: every sweep point is 10 % or more off TOL_EQ
+        sub = x.dim <= y.dim and principal_sin2(vx, vy) <= TOL_EQ
+        assert is_subset(x, y) is sub, (x, y)
+        assert is_orthogonal(x, y) is (principal_cos2(vx, vy) <= TOL_EQ), (x, y)
+        # the orthomodular identity: x <= y exactly when x is orthogonal to y'
+        assert is_subset(x, y) is is_orthogonal(x, ortho_complement(y))
+        lo, hi = meet(x, y), join(x, y)
+        assert is_subset(lo, x) and is_subset(lo, y)
+        assert is_subset(x, hi) and is_subset(y, hi)
+        assert lo.dim + hi.dim == x.dim + y.dim
+        if x == y:
+            assert lo == x == hi
+        ident = sim.check_similarity_theorems(x, y, a).check("similarity.identity_iff_equal")
+        assert ident.status == core.PASS, ident.detail
+
+
+@pytest.mark.parametrize("d", [2, 3, 6])
+@pytest.mark.parametrize("s2", SWEEP + BOUNDARY)
+def test_points_are_equal_exactly_when_their_lines_are(d, s2):
+    st = SPStructure.ray(d)
+    rng = np.random.default_rng(d)
+    u = random_frame(d, 1, rng)
+    v = _tilt(u, math.asin(math.sqrt(s2)), rng)[0]
+    x, y = as_point(st, u[:, 0]), as_point(st, v[:, 0])
+    lines = from_span(st, u.T), from_span(st, v.T)
+    assert points_equal(st, x, y) is points_equal(st, y, x) is (s2 <= TOL_EQ)
+    assert (lines[0] == lines[1]) is (s2 <= TOL_EQ)
+
+
+def test_orthogonality_reads_the_spectral_norm():
+    # every entry of F_A^T F_B has square 7.5e-10, within TOL_EQ, but the
+    # principal cos^2 is twice that: the pair is not orthogonal
+    st = SPStructure.ray(4)
+    c = math.sqrt(7.5e-10)
+    a = from_span(st, [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+    b = from_span(st, [[c, c, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+    cross = a.frame.T @ b.frame
+    assert float(np.max(cross ** 2)) == pytest.approx(7.5e-10, rel=1e-6)
+    assert principal_cos2(a.frame.T, b.frame.T) == pytest.approx(1.5e-9, rel=1e-6)
+    assert not is_orthogonal(a, b) and not is_orthogonal(b, a)
+    assert not is_subset(b, ortho_complement(a))
+    assert not is_subset(a, ortho_complement(b))
 
 
 # ---------------------------------------------------------------------------

@@ -521,10 +521,11 @@ def test_an_all_exact_field_computes_each_pair_once(classical4):
 
 
 def nearly_equal_planes_field(ray3):
-    """Two planes of R^3 at 1e-5, closed into a field of 12 events: every
-    principal angle is below about 6e-5, so no zero witness holds."""
+    """Two planes of R^3 at 4e-5, closed into a field of 12 events: the
+    principal angle is below about 4.5e-5, so no zero witness holds, and
+    its sin^2, 1.6e-9, is past TOL_EQ, so the planes differ."""
     a = from_span(ray3, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    b = from_span(ray3, [[1.0, 0.0, 0.0], [0.0, 1.0, 1e-5]])
+    b = from_span(ray3, [[1.0, 0.0, 0.0], [0.0, 1.0, 4e-5]])
     return a, b, generate_sigma_star(ray3, [a, b])
 
 
@@ -544,6 +545,16 @@ def test_a_nearly_equal_pair_of_a_field_is_computed_once(ray3):
     assert all(est.is_exact for est in fld.similarities.values())
     i, j = sorted((fld.index_of(a), fld.index_of(b)))
     assert fld.similarities[i, j] == sim.exact(0.0)
+
+
+def test_planes_within_the_tolerance_are_one_event(ray3):
+    # sin^2 1e-10, within TOL_EQ: the two planes generate the field of one
+    a = from_span(ray3, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    b = from_span(ray3, [[1.0, 0.0, 0.0], [0.0, 1.0, 1e-5]])
+    fld = generate_sigma_star(ray3, [a, b])
+    assert len(fld.events) == 4
+    assert fld.index_of(a) == fld.index_of(b)
+    assert validate_measure(pure_state(ray3, [1.0, 2.0, 3.0]), fld).overall == PASS
 
 
 def test_a_nearly_equal_pair_serves_both_orders(ray3):

@@ -205,20 +205,25 @@ class TestZeroWitness:
         assert e.value == 0.0 and e.is_exact
         assert compare_leq(e.value, 0.0) == "pass"
 
-    def test_nearly_equal_planes_are_exactly_zero_without_a_witness(self):
-        # every principal angle below about 6e-5: a zero witness would sit
-        # within 1e-9 of orthogonal to one side, so the re-check rejects it,
-        # but the infimum is still 0 and no sampler runs
-        g = 1e-5
+    @staticmethod
+    def _tilted_planes(g, h):
+        """A plane of R^4 against one at angle ``g`` on both principal
+        planes, and a plane of R^3 against one at angle ``h``."""
         r3, r4 = SPStructure.ray(3), SPStructure.ray(4)
-        plane3 = from_span(r3, [[1, 0, 0], [0, 1, 0]])
-        pairs = [
+        return [
             (from_span(r4, [[1, 0, 0, 0], [0, 1, 0, 0]]),
              from_span(r4, [[math.cos(g), 0, math.sin(g), 0],
                             [0, math.cos(g), 0, math.sin(g)]])),
-            (plane3, from_span(r3, [[1, 0, 0], [0, 1, g]])),
-            (plane3, from_span(r3, [[1, 0, 0], [0, 1, 1e-7]])),
+            (from_span(r3, [[1, 0, 0], [0, 1, 0]]),
+             from_span(r3, [[1, 0, 0], [0, 1, h]])),
         ]
+
+    def test_nearly_equal_planes_are_exactly_zero_without_a_witness(self):
+        # every principal angle below about 4.5e-5, where a zero witness
+        # keeps g^2/2 of its mass on a side: within 1e-9 of orthogonal to
+        # it, so the re-check rejects it, but the infimum is still 0 and no
+        # sampler runs.  sin^2 g is past TOL_EQ, so the planes differ
+        pairs = self._tilted_planes(4e-5, 4e-5) + self._tilted_planes(3.5e-5, 3.5e-5)
         for a, b in pairs:
             assert a != b
             with pytest.MonkeyPatch.context() as mp:
@@ -231,6 +236,13 @@ class TestZeroWitness:
             oracle = sampled_similarity(a, b)
             assert oracle.certainty == SAMPLED
             assert 0.0 <= oracle.value <= 1e-9
+
+    def test_planes_within_the_tolerance_are_equal(self):
+        # sin^2 g within TOL_EQ: the planes are one subspace, similarity 1
+        for a, b in self._tilted_planes(1e-5, 1e-5) + self._tilted_planes(3e-5, 1e-7):
+            assert a == b and b == a
+            for e in (subspace_similarity(a, b), subspace_similarity(b, a)):
+                assert (e.value, e.certainty, e.witness) == (1.0, EXACT, None)
 
     @given(hs.integers(min_value=0, max_value=2 ** 32 - 1), hs.integers(3, 8),
            hs.data())
