@@ -342,8 +342,9 @@ class RaySubspace(Subspace):
     def _key(self):
         return (self.dim, tuple(np.round(self.frame, CANON_DECIMALS).ravel()))
 
-    def _same(self, other) -> bool:
-        return self.dim == other.dim and self.is_subset_of(other)
+    def _same(self, other) -> bool:  # sin^2 read both ways, so == is symmetric
+        return (self.dim == other.dim and self.is_subset_of(other)
+                and other.is_subset_of(self))
 
     def to_literal(self):
         """The frame's columns."""

@@ -433,5 +433,4 @@ def check_point_continuity(st: SPStructure, x: Point, y: Point, z: Point) -> flo
     """
     sxy = similarity(st, x, y)
     lhs = similarity(st, z, x)
-    rhs = similarity(st, z, y) + 0.5 * math.sqrt(max(0.0, 1.0 - sxy)) + (1.0 - sxy)
-    return rhs - lhs
+    return continuity_rhs(similarity(st, z, y), sxy) - lhs

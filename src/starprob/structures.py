@@ -48,7 +48,6 @@ from .errors import (
 # Tolerances, pinned once and reused everywhere.
 TOL_EQ = 1e-9  # similarity; every ray relation, on principal sin^2 and cos^2
 TOL_UNIT = 1e-12  # unit-norm, canonical-sign and weight-sum checks
-GS_DISCARD = 1e-10  # residual cutoff when completing a basis
 CANON_DECIMALS = 12  # rounding applied to canonical dedup keys
 EXPLICIT_ENUM_MAX = 12  # largest explicit model enumerated exhaustively
 COMPLETION_MAX_NODES = 200_000  # search budget of explicit basis completion
@@ -545,9 +544,10 @@ class RayStructure(SPStructure):
         return min(1.0, dot * dot)
 
     def points_equal(self, x, y) -> bool:
-        """``sin^2`` from the residual ``x - (x.y) y``, as lines compare."""
-        r = self.check_point(x) - np.dot(x, self.check_point(y)) * y
-        return float(np.dot(r, r)) <= TOL_EQ
+        """``sin^2`` from the residuals ``x - (x.y) y`` and ``y - (x.y) x``,
+        as lines compare; the larger decides, so the relation is symmetric."""
+        dot = np.dot(self.check_point(x), self.check_point(y))
+        return max(float(np.dot(r, r)) for r in (x - dot * y, y - dot * x)) <= TOL_EQ
 
     def raw_ortho_sum(self, x: np.ndarray, pts) -> float:
         if not pts:
@@ -576,23 +576,24 @@ class RayStructure(SPStructure):
     carrier_basis = least_carrier = orthogonal_points = closure
 
     def complete_basis(self, pts) -> tuple[np.ndarray, ...]:
-        """Gram-Schmidt over the standard basis in index order."""
-        frame = [np.asarray(p, dtype=float) for p in pts]
+        """Gram-Schmidt over the standard basis in index order, against an
+        orthonormal frame of the span of ``pts`` (which are orthogonal only
+        within ``TOL_EQ``).  A candidate whose residual ``sin^2`` is within
+        ``TOL_EQ`` lies in that span, as lines compare, and is skipped."""
+        frame = list(np.linalg.qr(np.array(pts).T)[0].T) if pts else []
         for i in range(self.d):
             v = np.zeros(self.d)
             v[i] = 1.0
             for c in frame:
                 v = v - np.dot(c, v) * c
-            norm = float(np.linalg.norm(v))
-            if norm < GS_DISCARD:
+            if float(np.dot(v, v)) <= TOL_EQ:
                 continue
-            v = v / norm
+            v = v / float(np.linalg.norm(v))
             for c in frame:  # second sweep tightens orthogonality
                 v = v - np.dot(c, v) * c
             v = v / float(np.linalg.norm(v))
             frame.append(v)
-        assert len(frame) == self.d
-        return tuple(self.as_point(v) for v in frame)
+        return (*pts, *(self.as_point(v) for v in frame[len(pts):]))
 
     def point_literal(self, x: np.ndarray) -> list[float]:
         return [float(v) for v in x]
@@ -732,8 +733,9 @@ def extend_to_basis(st: SPStructure, ortho: Sequence[Point]) -> tuple[Point, ...
 
     A basis is an orthogonal set whose total similarity against every point
     is one.  Deterministic: the ray model runs Gram-Schmidt over standard
-    basis candidates in index order (residuals below 1e-10 are discarded);
-    discrete models search candidates in index order.
+    basis candidates in index order (a candidate whose residual ``sin^2`` is
+    within ``TOL_EQ`` lies in the span and is skipped); discrete models
+    search candidates in index order.
 
     Raises :class:`CompletionNotFound` when no completion exists or the
     search budget of ``COMPLETION_MAX_NODES`` nodes runs out (the two cases

@@ -152,6 +152,18 @@ def test_validate_missing_file_is_usage_error(capsys):
      "not a point of a discrete model: 0.5"),
     # and a suite's scale is a count
     (["suite", "rv"], None, ["--scale", -3, "--json"], "scale >= 0"),
+    # a lattice op takes as many subspaces as it has operands, no fewer or more
+    (["lattice", "orthomodular"], "classical4.json", ["[0]"],
+     "lattice orthomodular takes 2 subspaces, got 1"),
+    (["lattice", "orthomodular"], "classical4.json", ["[0]", "[0, 1]", "[2]"],
+     "lattice orthomodular takes 2 subspaces, got 3"),
+    (["lattice", "demorgan"], "classical4.json", ["[0]"],
+     "lattice demorgan takes 2 subspaces, got 1"),
+    (["lattice", "demorgan"], "ray3.json",
+     ["[[1, 0, 0]]", "[[0, 1, 0]]", "[[0, 0, 1]]", "--json"],
+     "lattice demorgan takes 2 subspaces, got 3"),
+    (["lattice", "complement"], "classical4.json", ["[0]", "[1]"],
+     "lattice complement takes 1 subspace, got 2"),
 ], ids=["validate-samples", "sim-samples", "sim-refine-top",
         "validate-structure-dimension", "validate-explicit-entries",
         "prob-measure-key", "rv-value", "sigma-cap", "prob-mix-weight",
@@ -160,7 +172,9 @@ def test_validate_missing_file_is_usage_error(capsys):
         "suite-seed", "prob-validate-event-samples", "prob-equal-event-samples",
         "lattice-scalar-vectors", "lattice-nan-vector", "sigma-field-vector",
         "prob-measure-field", "prob-pure-fractional-point", "prob-pure-boolean-point",
-        "lattice-fractional-points", "suite-scale"])
+        "lattice-fractional-points", "suite-scale", "lattice-orthomodular-one",
+        "lattice-orthomodular-three", "lattice-demorgan-one", "lattice-demorgan-three",
+        "lattice-complement-two"])
 def test_bad_sampler_budget_is_usage_error(capsys, fixture_dir, cmd, fixture,
                                            rest, message):
     files = [fixture_dir / fixture] if fixture else []

@@ -3,15 +3,19 @@
 Each example takes one bundled invocation and mutates one of its inputs: a
 JSON input file (one node replaced by another JSON value, or one key or item
 dropped), a flag value (``--seed``, ``--samples``, ``--scale``, ``--cap``,
-``--event-samples``), a ``prob mix`` component weight, or a point or
-subspace literal of ``lattice sum``, ``prob pure`` and ``sim subspace``.
-Then it runs the command.  Whatever the input, the exit code must keep the
+``--event-samples``), a ``prob mix`` component weight, or a point,
+subspace or value literal of every ``lattice`` op, ``sim`` command, ``prob
+pure``/``evaluate`` and ``rv eval``/``preimage``/``theorem``; or it drops or
+repeats one such literal, so the operand count is wrong.  Then it runs the
+command.  Whatever the input, the exit code must keep the
 contract of ``starprob.cli``:
 
 * it is one of 0, 1, 2 and 3; an internal error (4) fails the test;
 * 2 prints nothing on stdout and an ``error:`` line on stderr (argparse's
-  usage message when a flag value is no integer);
-* 1 comes with a failed check that carries a witness;
+  usage message when a flag value is no integer or a positional argument
+  is missing or left over);
+* 1 comes with a failed check that carries a witness (for a pass/fail
+  verdict on the given operands, the operands are the witness);
 * 3 comes with checks that actually ran;
 * the stdout of 0, 1 and 3 is strict JSON: no ``NaN`` or ``Infinity``.
 
@@ -72,9 +76,20 @@ ARGUMENT_INVOCATIONS = [
     ["lattice", "sum", "classical4.json", "[0, 1]", "[2]"],
     ["lattice", "sum", "explicit4.json", "[\"r0\"]", "[\"r90\"]"],
     ["lattice", "sum", "ray2.json", "[[1, 0]]", "[[1, 1]]"],
+    ["lattice", "meet", "ray3.json", "[[1, 0, 0], [0, 1, 0]]", "[[0, 1, 0], [0, 0, 1]]"],
+    ["lattice", "complement", "explicit4.json", "r45"],
+    ["lattice", "orthomodular", "classical4.json", "[0]", "[0, 1]"],
+    ["lattice", "demorgan", "ray3.json", "[[1, 0, 0]]", "[[0, 1, 1]]"],
+    ["sim", "tau", "ray3.json", "[1, 1, 0]", "[[1, 0, 0]]", "[[0, 1, 0]]"],
+    ["sim", "continuity", "explicit4.json", "r0", "r45", "r90"],
+    ["sim", "continuity", "ray2.json", "[1, 0]", "[0.96, 0.25]", "[0.83, -0.55]"],
     ["prob", "pure", "classical4.json", "2", "[1, 2]"],
     ["prob", "pure", "explicit4.json", "r0", "[\"r0\", \"r45\"]"],
     ["prob", "pure", "ray2.json", "[1, 0]", "[[1, 1]]"],
+    ["prob", "evaluate", "classical6.json", "measure_uniform6.json", "[0, 1, 2]"],
+    ["rv", "eval", "ray2.json", "rv_pm45.json", "[1, 0]"],
+    ["rv", "preimage", "classical6.json", "rv_die6.json", "--values", "2,4,6"],
+    ["rv", "theorem", "classical6.json", "rv_die6.json", "2"],
     ["prob", "equal", "ray2.json", "measure_pure_e1.json", "measure_mix_axes.json",
      "--event-samples", "5", "--seed", "0"],
     ["prob", "mix", "ray2.json", "--component", "0.5", "measure_pure_e1.json",
@@ -82,7 +97,11 @@ ARGUMENT_INVOCATIONS = [
 ]
 FLAGS = ("--seed", "--samples", "--scale", "--cap", "--event-samples")
 WEIGHT = "--component"
-LITERAL_COMMANDS = (("lattice", "sum"), ("prob", "pure"), ("sim", "subspace"))
+LITERAL_COMMANDS = (("lattice", "sum"), ("lattice", "meet"), ("lattice", "complement"),
+                    ("lattice", "orthomodular"), ("lattice", "demorgan"),
+                    ("sim", "tau"), ("sim", "subspace"), ("sim", "continuity"),
+                    ("prob", "pure"), ("prob", "evaluate"),
+                    ("rv", "eval"), ("rv", "preimage"), ("rv", "theorem"))
 
 LEAVES = hs.one_of(
     hs.none(), hs.booleans(), hs.integers(min_value=-2, max_value=6),
@@ -136,9 +155,11 @@ def workdir(tmp_path_factory):
 def _failed_with_witness(payload) -> bool:
     report = payload.get("report")
     if report is None:  # sigma atoms: an event without a decomposition;
-        # prob equal: an event where the measures differ
+        # prob equal: an event where the measures differ; a verdict on the
+        # given operands (lattice, sim continuity, rv theorem): the operands
         return (None in payload.get("decompositions", {}).values()
-                or payload.get("witness") is not None)
+                or payload.get("witness") is not None
+                or payload.get("holds") is False)
     rows = (report["verdicts"].values() if "verdicts" in report
             else report["checks"])
     return any((row.get("status") in ("fail", "fail-certified")
@@ -169,11 +190,22 @@ def test_mutated_inputs_keep_the_exit_contract(workdir, case, data, value, drop)
     _assert_exit_contract(argv)
 
 
+def _literal_targets(case):
+    """Indices of the point, subspace and value literals of an invocation:
+    past the structure file, neither a file nor a flag nor an integer flag's
+    value."""
+    if tuple(case[:2]) not in LITERAL_COMMANDS:
+        return []
+    return [i for i, a in enumerate(case)
+            if i >= 3 and not a.endswith(".json") and not a.startswith("--")
+            and case[i - 1] not in FLAGS]
+
+
 def _argument_targets(case):
     """Indices of the flag values, weights and literal arguments of an invocation."""
-    literals = tuple(case[:2]) in LITERAL_COMMANDS
-    return [i for i, a in enumerate(case)
-            if case[i - 1] in FLAGS + (WEIGHT,) or (literals and i >= 3)]
+    literals = _literal_targets(case)
+    return [i for i in range(1, len(case))
+            if case[i - 1] in FLAGS + (WEIGHT,) or i in literals]
 
 
 def _is_int(text: str) -> bool:
@@ -210,12 +242,34 @@ def test_mutated_arguments_keep_the_exit_contract(workdir, case, data, value, dr
     _assert_exit_contract(argv, usage=flag is not None and not _is_int(argv[target]))
 
 
+COUNT_INVOCATIONS = [c for c in ARGUMENT_INVOCATIONS if _literal_targets(c)]
+
+
+@pytest.mark.parametrize("case", COUNT_INVOCATIONS,
+                         ids=[" ".join(c[:3]).replace(".json", "")
+                              for c in COUNT_INVOCATIONS])
+@settings(max_examples=6)
+@given(data=hs.data(), repeat=hs.booleans())
+def test_dropped_or_repeated_literals_keep_the_exit_contract(workdir, case, data,
+                                                             repeat):
+    target = data.draw(hs.sampled_from(_literal_targets(case)), label="literal")
+    argv = [str(workdir / a) if a.endswith(".json") else a for a in case]
+    if repeat:
+        argv.insert(target, argv[target])
+    else:
+        del argv[target]
+    code = _assert_exit_contract(argv, count=True)
+    if case[0] == "lattice" and case[1] not in ("sum", "meet"):
+        assert code == 2  # a fixed operand count is never padded or cut
+
+
 def _not_json(constant):
     raise AssertionError(f"stdout is not strict JSON: it holds {constant}")
 
 
-def _assert_exit_contract(argv, usage=False):
-    """Run the command; ``usage`` says argparse must reject a flag value."""
+def _assert_exit_contract(argv, usage=False, count=False):
+    """Run the command; ``usage`` says argparse must reject a flag value,
+    ``count`` that argparse may reject the number of positional arguments."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run_command(argv + ["--json"])
@@ -224,12 +278,15 @@ def _assert_exit_contract(argv, usage=False):
     if usage:
         assert code == 2 and out == "" and err.startswith("usage: ")
         assert "error: argument" in err
-        return
+        return code
     if code == 2:
-        assert out == "" and err.startswith("error: ")
-        return
+        assert out == ""
+        assert err.startswith("error: ") or (
+            count and err.startswith("usage: ") and "error: " in err), err
+        return code
     payload = json.loads(out, parse_constant=_not_json)
     if code == 1:
         assert _failed_with_witness(payload), out
     if code == 3:
         assert _ran_checks(payload), out
+    return code

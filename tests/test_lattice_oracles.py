@@ -244,11 +244,13 @@ def principal_cos2(va, vb):
 
 
 # sin^2 of the tilt: a sweep through the decades, and points around TOL_EQ
-# that a factor of 2 in the cut would misplace.  TOL_EQ itself is left out:
-# there the last bits of each route decide, so even a == b and b == a can
-# differ (equality within a tolerance is a coin flip at the tolerance)
+# that a factor of 2 in the cut would misplace.  At TOL_EQ itself the last
+# bits of each route decide which side a relation lands on, so there (and
+# just beside it) only the symmetry of == is asserted: equality reads sin^2
+# both ways round, so a == b and b == a land on the same side
 SWEEP = [10.0 ** -e for e in (3, 4, 5, 6, 7, 8, 10)]
 BOUNDARY = [f * TOL_EQ for f in (0.5, 0.9, 1.1, 1.5, 1.9, 2.5, 4.0)]
+AT_TOL = [f * TOL_EQ for f in (0.999, 1.0, 1.001)]
 # lines and planes of R^3, then tilted frames of R^4 to R^8
 SHAPES = [(3, 1), (3, 2)] + [(d, k) for d in range(4, 9) for k in (2, d - 1)]
 
@@ -297,17 +299,38 @@ def test_ray_relations_follow_the_principal_angles(d, k, s2):
         assert ident.status == core.PASS, ident.detail
 
 
+@pytest.mark.parametrize("d,k", SHAPES)
+@pytest.mark.parametrize("s2", AT_TOL)
+def test_ray_equality_is_symmetric_at_the_tolerance(d, k, s2):
+    st = SPStructure.ray(d)
+    a, b = (from_span(st, v) for v in _swept_pair(d, k, s2)[:2])
+    assert (a == b) is (b == a)
+
+
+def _swept_points(d, s2):
+    """Unit rows ``u`` and ``v`` (``u`` tilted by ``sin^2 = s2``)."""
+    rng = np.random.default_rng(d)
+    u = random_frame(d, 1, rng)
+    return u.T, _tilt(u, math.asin(math.sqrt(s2)), rng)[0].T
+
+
 @pytest.mark.parametrize("d", [2, 3, 6])
 @pytest.mark.parametrize("s2", SWEEP + BOUNDARY)
 def test_points_are_equal_exactly_when_their_lines_are(d, s2):
     st = SPStructure.ray(d)
-    rng = np.random.default_rng(d)
-    u = random_frame(d, 1, rng)
-    v = _tilt(u, math.asin(math.sqrt(s2)), rng)[0]
-    x, y = as_point(st, u[:, 0]), as_point(st, v[:, 0])
-    lines = from_span(st, u.T), from_span(st, v.T)
+    u, v = _swept_points(d, s2)
+    x, y = as_point(st, u[0]), as_point(st, v[0])
+    lines = from_span(st, u), from_span(st, v)
     assert points_equal(st, x, y) is points_equal(st, y, x) is (s2 <= TOL_EQ)
     assert (lines[0] == lines[1]) is (s2 <= TOL_EQ)
+
+
+@pytest.mark.parametrize("d", [2, 3, 6])
+@pytest.mark.parametrize("s2", AT_TOL)
+def test_point_equality_is_symmetric_at_the_tolerance(d, s2):
+    st = SPStructure.ray(d)
+    x, y = (as_point(st, w[0]) for w in _swept_points(d, s2))
+    assert points_equal(st, x, y) is points_equal(st, y, x)
 
 
 def test_orthogonality_reads_the_spectral_norm():

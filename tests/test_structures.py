@@ -15,7 +15,9 @@ from starprob.errors import (
     MixedStructures,
     NotOrthoSet,
 )
+from starprob.lattice import from_basis, full
 from starprob.structures import (
+    TOL_EQ,
     Check,
     ClassicalStructure,
     ExplicitStructure,
@@ -26,6 +28,7 @@ from starprob.structures import (
     ensure_same_structure,
     extend_to_basis,
     project_point,
+    random_frame,
     same_structure,
     similarity_to_ortho_set,
 )
@@ -280,6 +283,43 @@ def test_extend_to_basis_ray(ray3):
     assert len(basis) == 3
     g = np.array(basis) @ np.array(basis).T
     np.testing.assert_allclose(g, np.eye(3), atol=1e-10)
+
+
+def _completes_to_the_full_space(st_, pts):
+    basis = extend_to_basis(st_, pts)
+    assert len(basis) == st_.d
+    ensure_ortho_set(st_, basis)
+    assert from_basis(st_, basis) == full(st_)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6])
+def test_extend_to_basis_ray_completes_points_orthogonal_within_tolerance(d):
+    """Points that ensure_ortho_set accepts, though not exactly orthogonal,
+    still complete to d rays: the second point is tilted towards the first by
+    cos^2 up to just under TOL_EQ (0 included), in 25 random frames each."""
+    rng = np.random.default_rng(d)
+    ray = RayStructure(d)
+    for cos2 in [0.0, *np.geomspace(1e-14, 0.999 * TOL_EQ, 20)]:
+        for _ in range(25):
+            q = random_frame(d, 2, rng)
+            tilted = math.sqrt(1 - cos2) * q[:, 1] + math.sqrt(cos2) * q[:, 0]
+            _completes_to_the_full_space(ray, [q[:, 0], tilted])
+
+
+@pytest.mark.parametrize("d", [3, 6, 12])
+def test_extend_to_basis_ray_completes_many_tilted_points(d):
+    """Every pair of k points tilted by cos^2 just under TOL_EQ: projecting
+    on the points one by one would leave residuals that overflow the basis."""
+    rng = np.random.default_rng(d)
+    ray = RayStructure(d)
+    for k in range(2, d + 1):
+        for _ in range(10):
+            signs = np.triu(rng.choice([-1.0, 1.0], size=(k, k)), 1)
+            eps = math.sqrt(0.999 * TOL_EQ) / 2 * rng.uniform(0.5, 1.0)
+            pts = (random_frame(d, k, rng) @ (np.eye(k) + eps * (signs + signs.T))).T
+            if max(point_similarity(ray, *map(ray.as_point, pair)) for pair
+                   in itertools.combinations(pts, 2)) <= TOL_EQ:
+                _completes_to_the_full_space(ray, list(pts))
 
 
 @given(st.integers(min_value=0, max_value=5), st.integers(min_value=0, max_value=5))
