@@ -298,7 +298,8 @@ def _least_containing(st: SPStructure, pts: frozenset, what: str) -> DiscreteSub
 class RaySubspace(Subspace):
     """A subspace of ``R^d``: its canonical frame, one column per dimension."""
 
-    __slots__ = ("frame",)
+    # _basis is filled by the first _own_basis call
+    __slots__ = ("frame", "_basis")
 
     def __init__(self, st: SPStructure, frame: np.ndarray):
         frame.flags.writeable = False
@@ -306,7 +307,7 @@ class RaySubspace(Subspace):
         self.frame = frame
         self.dim = frame.shape[1]
         self.is_full = self.dim == st.d
-        self._complement = None
+        self._complement = self._basis = None
 
     @staticmethod
     def empty(st):
@@ -385,7 +386,9 @@ class RaySubspace(Subspace):
     def _own_basis(self) -> tuple[Point, ...]:
         # orthogonal by construction: no pairwise check.  as_point runs again
         # on basis_points, which fixes the last bits of what is computed here
-        return tuple(self.structure.as_point(p) for p in self.basis_points())
+        if self._basis is None:
+            self._basis = tuple(map(self.structure.as_point, self.basis_points()))
+        return self._basis
 
     def similarity_to(self, x: Point) -> float:
         return self.structure.similarity_to_basis(x, self._own_basis())

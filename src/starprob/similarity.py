@@ -16,10 +16,11 @@ cases, then the first ``argmin``); where the table breaks an axiom,
 scan would.  The classical model gives 0 for distinct subspaces, attained
 at the least point of their symmetric difference, and visits no point.
 The ray model is exact for every pair: equal subspaces give 1; an empty or
-full side, orthogonal operands and one side meeting the other's complement
-give 0; two lines give the squared cosine of their angle; and every other
-pair gives 0, attained at a vantage point built from the principal angles
-of the pair (see :func:`subspace_similarity`).
+full side and orthogonal operands give 0; two lines give the squared cosine
+of their angle; and every other pair gives 0, attained at a vantage point
+read from one SVD of the principal cosines: a point of one side orthogonal
+to the other, or one built from the principal vectors (see
+:func:`subspace_similarity`).
 
 The seeded sampler :func:`sampled_similarity`, whose estimate is an upper
 bound on the true infimum, stays as an independent oracle; no exact path
@@ -39,7 +40,6 @@ from .errors import FormatError
 from .lattice import (
     Subspace,
     is_orthogonal,
-    meet,
     ortho_complement,
     project,
     similarity_to_subspace,
@@ -138,44 +138,40 @@ def subspace_similarity(a: Subspace, b: Subspace) -> SimilarityEstimate:
     ``A = B``.
 
     Two ray lines ``span(u)`` and ``span(v)`` are answered right after the
-    orthogonality test, as their cross meets are empty by the meet's own
-    rule: the test failed, so ``c^2 > TOL_EQ`` for ``c = u . v``, and ``c^2``
-    is the ``sin^2`` of ``v`` against ``A'`` (and of ``u`` against ``B'``).
+    orthogonality test, which failed, so ``c^2 > TOL_EQ`` for ``c = u . v``:
+    neither line holds a point orthogonal to the other.
 
-    Ray pairs that pass every earlier branch have equal dimension
-    ``2 <= k < d``: unequal dimensions always meet the other's complement
-    (``dim A > dim B`` forces ``dim(A & B') >= dim A - dim B > 0``), and
-    lines, an empty or full side and orthogonal pairs are answered before.
-    For these pairs ``s(A, B) = 0`` and a vantage point attains it.
+    Every other ray pair gives ``s(A, B) = 0``, attained at a vantage point
+    read from one SVD of ``F_A^T F_B``: the principal cosines ``c_i`` and
+    vectors ``u_i`` of ``A`` and ``v_i`` of ``B``, with
+    ``u_i . v_j = c_i [i = j]`` (Bjorck & Golub, Math. Comp. 1973).  A point
+    of one side orthogonal to the other compares them at ``1 - 1 = 0``:
+    ``u_last`` when ``dim A > dim B`` (``F_B^T`` annihilates it),
+    ``v_last`` when ``dim B > dim A``, or when the dimensions are equal and
+    ``c_last^2 <= TOL_EQ``.
 
-    Proof.  For ``x`` seen from both sides, ``P_A x . P_B x = x.S.x`` with
-    ``S = (P_A P_B + P_B P_A)/2``, so ``tau(x) = 0`` exactly when
-    ``x.S.x = 0``.  Take principal vectors ``u_i`` of ``A`` and ``v_i`` of
-    ``B`` with ``u_i . v_j = cos(g_i) [i = j]`` (Bjorck & Golub, Math. Comp.
-    1973).  No cross meet means every ``g_i < pi/2``, and ``A != B`` means
-    some ``g_i > 0``.  ``S`` splits over orthogonal pieces invariant under
-    both projectors: it is 0 on ``(A + B)'``, 1 on each shared direction
-    (``g_i = 0``), and on each plane ``span(u_i, v_i)`` with ``0 < g_i``
-    it has the eigenpairs ``c(1 + c)/2`` at ``u_i + v_i`` and
-    ``-c(1 - c)/2 < 0`` at ``u_i - v_i``, where ``c = cos(g_i)``.  As
-    ``k >= 2``, a second such plane or a shared direction exists, so ``S``
-    has a negative eigenvector ``w-`` and a positive one ``w+`` in different
-    pieces.  Then ``x = sqrt(l+) w- + sqrt(-l-) w+`` has ``x.S.x = 0``, and
-    ``P_A x``, ``P_B x`` are non-zero, since ``w-`` alone already projects
-    to non-zero vectors on both sides and ``w+`` adds a part in an
-    orthogonal piece.  Inside a single plane the same recipe gives an ``x``
-    orthogonal to ``u_i`` or to ``v_i``, which is why two lines keep
-    ``cos^2``.
+    Proof for the rest, of equal dimension ``2 <= k < d`` and every
+    ``c_i^2 > TOL_EQ``.  For ``x`` seen from both sides,
+    ``P_A x . P_B x = x.S.x`` with ``S = (P_A P_B + P_B P_A)/2``, so
+    ``tau(x) = 0`` exactly when ``x.S.x = 0``.  ``S`` splits over orthogonal
+    pieces invariant under both projectors: it is 0 on ``(A + B)'``, 1 on
+    each shared direction (``c_i = 1``), and on each plane
+    ``span(u_i, v_i)`` with ``c = c_i < 1`` it has the eigenpairs
+    ``c(1 + c)/2`` at ``u_i + v_i`` and ``-c(1 - c)/2 < 0`` at
+    ``u_i - v_i``.  ``A != B`` gives such a plane ``i``, with
+    ``w- ~ u_i - v_i`` at ``l- < 0``, and as ``k >= 2`` any ``j != i`` gives
+    ``w+ ~ u_j + v_j`` at ``l+ > 0`` in another piece.  Then
+    ``x = sqrt(l+) w- + sqrt(-l-) w+`` has ``x.S.x = 0``, and ``P_A x``,
+    ``P_B x`` are non-zero, since ``w-`` alone already projects to non-zero
+    vectors on both sides and ``w+`` adds a part in an orthogonal piece.
+    Inside a single plane the same recipe gives an ``x`` orthogonal to
+    ``u_i`` or to ``v_i``, which is why two lines keep ``c^2``.
 
-    ``eigh`` may return any orthonormal basis of a repeated eigenvalue, but
-    for a fixed ``w-`` only one unit vector (up to sign) fails as ``w+``,
-    and ``S`` has at least two positive eigenvectors, so some pair always
-    works.  :func:`_zero_witness` tries the pairs and re-checks the winner
-    with :func:`tau`.  For unequal pairs whose principal angles ``g`` all lie
-    below ``sqrt(2 TOL_EQ)``, about 4.5e-5, no pair passes: a zero witness
-    shows one side about ``g^2/2 < TOL_EQ`` of its mass, so ``tau`` reads it
-    as orthogonal to that side.  The value is still 0 by the proof, so it
-    is returned without a witness.
+    :func:`_zero_witness` tries the pairs and re-checks the winner with
+    :func:`tau`.  For unequal subspaces whose principal angles ``g`` all lie
+    below ``sqrt(2 TOL_EQ)``, about 4.5e-5, none passes: a zero witness shows
+    one side about ``g^2/2 < TOL_EQ`` of its mass, which ``tau`` reads as
+    orthogonal.  The value is still 0 by the proof, returned without a witness.
     """
     ensure_same_structure(a.structure, b.structure)
     st = a.structure
@@ -195,14 +191,7 @@ def subspace_similarity(a: Subspace, b: Subspace) -> SimilarityEstimate:
     if a.dim == 1 and b.dim == 1:
         dot = float(np.dot(a.frame[:, 0], b.frame[:, 0]))
         return exact(min(1.0, dot * dot))
-    cross_a = meet(ortho_complement(a), b)
-    if not cross_a.is_empty:
-        return exact(0.0, witness=np.asarray(cross_a.basis_points()[0]).tolist())
-    cross_b = meet(ortho_complement(b), a)
-    if not cross_b.is_empty:
-        return exact(0.0, witness=np.asarray(cross_b.basis_points()[0]).tolist())
-    witness = _zero_witness(a, b)
-    return exact(0.0, witness=None if witness is None else witness.tolist())
+    return exact(0.0, witness=_zero_witness(a, b))
 
 
 def ordered_similarities(subs, table: dict | None = None):
@@ -225,29 +214,39 @@ def ordered_similarities(subs, table: dict | None = None):
             yield i, j, est
 
 
-def _zero_witness(a: Subspace, b: Subspace) -> Point | None:
-    """A vantage point with ``tau = 0`` that sees both subspaces, if found.
-
-    Builds ``x = sqrt(l+) w- + sqrt(-l-) w+`` from one ``eigh`` of
-    ``S = (P_A P_B + P_B P_A)/2``, trying negative eigenpairs from the most
-    negative and positive ones from the largest, so eigenvalues that are
-    zero up to rounding come last.  A candidate is kept when more than
-    ``TOL_EQ`` of its mass projects onto each side and :func:`tau` confirms
-    a value within ``TOL_EQ`` of zero.
-    """
+def _zero_witness(a: Subspace, b: Subspace) -> list | None:
+    """A vantage point with ``tau = 0`` as a list, if found, from one SVD of
+    ``F_A^T F_B``, as :func:`subspace_similarity` builds it.  Pairs ``(i, j)``
+    are tried from the most negative ``l-`` and the largest ``l+``; one is
+    kept when more than ``TOL_EQ`` of its mass projects onto each side and
+    :func:`tau` confirms a value within ``TOL_EQ`` of zero."""
     fa, fb = a.frame, b.frame
-    cross = a.projector() @ b.projector()
-    lam, w = np.linalg.eigh((cross + cross.T) / 2.0)
-    for i in np.flatnonzero(lam < 0.0):
-        for j in np.flatnonzero(lam > 0.0)[::-1]:
-            x = math.sqrt(lam[j]) * w[:, i] + math.sqrt(-lam[i]) * w[:, j]
-            x /= np.linalg.norm(x)
+    u, cos, vt = np.linalg.svd(fa.T @ fb)
+    if a.dim > b.dim:
+        return a.structure.as_point(fa @ u[:, -1]).tolist()
+    if a.dim < b.dim or cos[-1] ** 2 <= TOL_EQ:
+        return b.structure.as_point(fb @ vt[-1]).tolist()
+    pu, pv = fa @ u, fb @ vt.T
+    lam_neg, lam_pos = -cos * (1.0 - cos) / 2.0, cos * (1.0 + cos) / 2.0
+    for i in np.argsort(lam_neg, kind="stable"):
+        if lam_neg[i] >= 0.0:
+            break
+        w_neg = _unit(pu[:, i] - pv[:, i])
+        for j in range(len(cos)):  # every c_j^2 > TOL_EQ; cos falls, l+ with it
+            if j == i:
+                continue
+            x = _unit(math.sqrt(lam_pos[j]) * w_neg
+                      + math.sqrt(-lam_neg[i]) * _unit(pu[:, j] + pv[:, j]))
             if min(np.sum((x @ fa) ** 2), np.sum((x @ fb) ** 2)) <= TOL_EQ:
                 continue
             pt = a.structure.as_point(x)
             if tau(pt, a, b) <= TOL_EQ:
-                return pt
+                return pt.tolist()
     return None
+
+
+def _unit(v: np.ndarray) -> np.ndarray:
+    return v / np.linalg.norm(v)
 
 
 def _discrete_similarity(st: SPStructure, a: Subspace, b: Subspace) -> SimilarityEstimate:

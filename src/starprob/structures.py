@@ -640,10 +640,11 @@ def _clamp01(v: np.ndarray) -> np.ndarray:
 
 
 def _canonical_sign(v: np.ndarray) -> np.ndarray:
-    lead = np.flatnonzero(np.abs(v) > TOL_UNIT)
-    if not lead.size:
+    big = np.abs(v) > TOL_UNIT
+    i = int(big.argmax())
+    if not big[i]:
         return v
-    return -v if v[lead[0]] < 0 else +v
+    return -v if v[i] < 0 else +v
 
 
 def check_point(st: SPStructure, x: Point) -> Point:

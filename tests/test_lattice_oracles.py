@@ -13,6 +13,11 @@ The superseded implementations live here as oracles:
   for bit, and raise the same error on tables that break an axiom.
 * ``old_closure`` sums one table row per point; the explicit ``closure``
   sums every row in one pass and must give the same point set.
+* ``old_subspace_similarity`` answers the ray pairs past the line branch
+  through the two cross meets ``A' & B`` and ``B' & A``, then an ``eigh``
+  of ``S = (P_A P_B + P_B P_A)/2``; the library reads one SVD of
+  ``F_A^T F_B`` and must give the same value bits and certainty, and a
+  witness whenever the oracle has one.
 * ``principal_sin2`` and ``principal_cos2`` compute principal angles with
   numpy from the raw spanning vectors; every ray relation must agree with
   them on pairs swept through ``TOL_EQ``, and the lattice laws must hold
@@ -133,9 +138,15 @@ def test_canonical_frame_of_every_axis_prefix(d):
 
 
 def test_canonical_sign_matches_the_scan():
+    below, above = np.nextafter(core.TOL_UNIT, 0.0), np.nextafter(core.TOL_UNIT, 1.0)
     vectors = [np.array(v, dtype=float) for v in (
         [0.0, -0.6, 0.8], [1e-13, -1.0, 0.0], [0.0, 0.0, 0.0],
-        [-1e-12, 0.5, 0.5], [-2e-12, 1.0, 0.0], [0.3, -0.4, 0.0])]
+        [-1e-12, 0.5, 0.5], [-2e-12, 1.0, 0.0], [0.3, -0.4, 0.0],
+        # all zero, signed zeros, entries exactly at the cut and beside it
+        [-0.0, -0.0, -0.0], [-0.0, -0.5, 0.5], [0.0, -0.0, -1.0],
+        [core.TOL_UNIT, -core.TOL_UNIT, 0.0], [-core.TOL_UNIT, core.TOL_UNIT, -0.5],
+        [-below, -0.3, 0.4], [below, -0.3, 0.4], [-above, 0.3, 0.4],
+        [-below, -below, -above], [-below, below, 0.0])]
     for v in vectors:
         assert core._canonical_sign(v).tobytes() == old_canonical_sign(v).tobytes()
 
@@ -368,6 +379,41 @@ def test_complement_memo_does_not_leak_between_equal_objects(ray3):
     assert a == b
     assert ortho_complement(a) is not ortho_complement(b)
     assert ortho_complement(a) == ortho_complement(b)
+
+
+def _count_as_point(monkeypatch):
+    calls = []
+    real = core.RayStructure.as_point
+
+    def counted(self, raw):
+        calls.append(raw)
+        return real(self, raw)
+
+    monkeypatch.setattr(core.RayStructure, "as_point", counted)
+    return calls
+
+
+def test_own_basis_is_built_once_per_object(monkeypatch, ray3):
+    plane = from_span(ray3, [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
+    x = as_point(ray3, [1.0, 2.0, 2.0])
+    fresh = tuple(as_point(ray3, p) for p in plane.basis_points())
+    calls = _count_as_point(monkeypatch)
+    values = {similarity_to_subspace(x, plane) for _ in range(5)}
+    # basis_points and _own_basis each canonicalize every frame column once
+    assert len(calls) == 2 * plane.dim and len(values) == 1
+    projections = {project(x, plane).tobytes() for _ in range(5)}
+    assert len(calls) == 2 * plane.dim + 5 and len(projections) == 1  # one per result
+    basis = plane._own_basis()
+    assert plane._own_basis() is basis
+    assert [p.tobytes() for p in basis] == [p.tobytes() for p in fresh]
+
+
+def test_own_basis_memo_does_not_leak_between_equal_objects(ray3):
+    rows = [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]
+    a, b = from_span(ray3, rows), from_span(ray3, rows)
+    assert a == b and a is not b
+    assert a._own_basis() is not b._own_basis()
+    assert [p.tobytes() for p in a._own_basis()] == [p.tobytes() for p in b._own_basis()]
 
 
 # ---------------------------------------------------------------------------
@@ -609,3 +655,146 @@ def test_row_sums_have_the_bits_of_one_row():
             pts = tuple(rng.permutation(13)[:k].tolist())
             want = [st.raw_ortho_sum(x, pts) for x in range(13)]
             assert [float(v).hex() for v in st.row_sums(pts)] == [v.hex() for v in want]
+
+
+# ---------------------------------------------------------------------------
+# ray subspace similarity: one SVD of the principal cosines
+
+
+def old_zero_witness(a, b):
+    """A ``tau = 0`` vantage point from one ``eigh`` of ``S``, or ``None``."""
+    fa, fb = a.frame, b.frame
+    cross = a.projector() @ b.projector()
+    lam, w = np.linalg.eigh((cross + cross.T) / 2.0)
+    for i in np.flatnonzero(lam < 0.0):
+        for j in np.flatnonzero(lam > 0.0)[::-1]:
+            x = math.sqrt(lam[j]) * w[:, i] + math.sqrt(-lam[i]) * w[:, j]
+            x /= np.linalg.norm(x)
+            if min(np.sum((x @ fa) ** 2), np.sum((x @ fb) ** 2)) <= TOL_EQ:
+                continue
+            pt = a.structure.as_point(x)
+            if sim.tau(pt, a, b) <= TOL_EQ:
+                return pt
+    return None
+
+
+def old_subspace_similarity(a, b):
+    """``s(A, B)`` on rays by the cross-meet route, and the branch that
+    answered: ``"closed"``, ``"cross"`` or ``"eigh"``."""
+    if a == b:
+        return sim.exact(1.0), "closed"
+    if a.is_empty or b.is_empty:
+        return sim.exact(0.0), "closed"
+    if a.is_full or b.is_full:
+        other = b if a.is_full else a
+        wit = ortho_complement(other).basis_points()[0]
+        return sim.exact(0.0, witness=np.asarray(wit).tolist()), "closed"
+    if is_orthogonal(a, b):
+        return sim.exact(0.0, witness=np.asarray(a.basis_points()[0]).tolist()), "closed"
+    if a.dim == 1 and b.dim == 1:
+        dot = float(np.dot(a.frame[:, 0], b.frame[:, 0]))
+        return sim.exact(min(1.0, dot * dot)), "closed"
+    for side, other in ((b, a), (a, b)):
+        cross = meet(ortho_complement(other), side)
+        if not cross.is_empty:
+            return sim.exact(0.0, witness=np.asarray(cross.basis_points()[0]).tolist()), "cross"
+    witness = old_zero_witness(a, b)
+    return sim.exact(0.0, witness=None if witness is None else witness.tolist()), "eigh"
+
+
+def _assert_similarity_matches_the_old_route(a, b, at_tol=False):
+    """Returns the oracle's branch and whether the library gave a witness.
+    ``at_tol``: the smallest principal ``cos^2`` is ``TOL_EQ`` itself, where
+    the last bits decide whether a cross point is taken on either route."""
+    got = sim.subspace_similarity(a, b)
+    want, branch = old_subspace_similarity(a, b)
+    assert (float(got.value).hex(), got.certainty) == (float(want.value).hex(), want.certainty)
+    if branch == "closed":
+        assert got == want
+    elif want.witness is not None or got.witness is not None:
+        assert got.witness is not None, "the old route found a witness"
+        x = as_point(a.structure, got.witness)
+        assert sim.tau(x, a, b) <= TOL_EQ
+        if branch == "cross" and not at_tol:
+            # a point of one side orthogonal to the other: the larger side,
+            # or B for equal dimensions
+            side, other = (a, b) if a.dim > b.dim else (b, a)
+            assert similarity_to_subspace(x, side) >= 1.0 - TOL_EQ
+            assert similarity_to_subspace(x, other) <= TOL_EQ
+    return branch, got.witness is not None
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_similarity_matches_the_old_route_on_every_dimension_pair(d):
+    st = SPStructure.ray(d)
+    rng = np.random.default_rng(20 + d)
+    branches = set()
+    for ka, kb in itertools.product(range(d + 1), repeat=2):
+        for _ in range(3):
+            a = from_span(st, rng.standard_normal((ka, d)))
+            b = from_span(st, rng.standard_normal((kb, d)))
+            branch, has_witness = _assert_similarity_matches_the_old_route(a, b)
+            branches.add(branch)
+            if branch != "closed":
+                assert has_witness
+    assert branches == ({"closed"} if d == 2 else {"closed", "cross", "eigh"})
+
+
+def _principal_pair(st, k, cosines, rng):
+    """A random ``k``-plane and one whose principal cosines against it are
+    ``cosines``, tilted into ``k`` directions orthogonal to it."""
+    q = random_frame(st.d, 2 * k, rng)
+    c = np.asarray(cosines)
+    return from_span(st, q[:, :k].T), from_span(st, (q[:, :k] * c + q[:, k:] * np.sqrt(1.0 - c * c)).T)
+
+
+@pytest.mark.parametrize("f", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("d,k", [(4, 2), (5, 2), (6, 3), (7, 3), (8, 2), (8, 4)])
+def test_similarity_matches_the_old_route_at_the_orthogonal_edge(d, k, f):
+    # the smallest principal cos^2 at f x TOL_EQ: generic other angles, or
+    # the others shared (cos 1), as a tilt of one frame column
+    st = SPStructure.ray(d)
+    rng = np.random.default_rng(100 * d + k)
+    last = math.sqrt(f * TOL_EQ)
+    pairs = [_principal_pair(st, k, list(rng.uniform(0.2, 0.95, k - 1)) + [last], rng)
+             for _ in range(4)]
+    frame = random_frame(d, k, rng)
+    pairs.append((from_span(st, frame.T), _tilted(st, frame, math.acos(last), rng)))
+    for a, b in pairs:
+        assert principal_cos2(a.frame.T, b.frame.T) > TOL_EQ  # not orthogonal
+        for x, y in ((a, b), (b, a)):
+            _, has_witness = _assert_similarity_matches_the_old_route(x, y, f == 1.0)
+            assert has_witness
+
+
+def test_similarity_matches_the_old_route_in_the_near_equal_band():
+    # planes 3.5e-5 and 4e-5 apart on every principal plane: unequal, value
+    # 0 with no witness on both routes
+    for g in (3.5e-5, 4e-5):
+        r3, r4 = SPStructure.ray(3), SPStructure.ray(4)
+        pairs = [
+            (from_span(r4, [[1, 0, 0, 0], [0, 1, 0, 0]]),
+             from_span(r4, [[math.cos(g), 0, math.sin(g), 0],
+                            [0, math.cos(g), 0, math.sin(g)]])),
+            (from_span(r3, [[1, 0, 0], [0, 1, 0]]), from_span(r3, [[1, 0, 0], [0, 1, g]])),
+        ]
+        for a, b in pairs:
+            assert a != b
+            for x, y in ((a, b), (b, a)):
+                assert _assert_similarity_matches_the_old_route(x, y) == ("eigh", False)
+                assert old_subspace_similarity(x, y)[0].witness is None
+
+
+def test_similarity_reads_no_meet_and_no_complement(monkeypatch):
+    st = SPStructure.ray(5)
+    rng = np.random.default_rng(3)
+    pairs = [(from_span(st, rng.standard_normal((ka, 5))), from_span(st, rng.standard_normal((kb, 5))))
+             for ka, kb in ((2, 2), (3, 3), (2, 3), (4, 1), (3, 2))]
+
+    def forbidden(*args):
+        raise AssertionError("a lattice operation ran")
+
+    monkeypatch.setattr(lattice.RaySubspace, "meet", forbidden)
+    monkeypatch.setattr(lattice.RaySubspace, "complement", forbidden)
+    for a, b in pairs:
+        assert sim.subspace_similarity(a, b).witness is not None
