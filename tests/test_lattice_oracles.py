@@ -745,7 +745,8 @@ def _principal_pair(st, k, cosines, rng):
     ``cosines``, tilted into ``k`` directions orthogonal to it."""
     q = random_frame(st.d, 2 * k, rng)
     c = np.asarray(cosines)
-    return from_span(st, q[:, :k].T), from_span(st, (q[:, :k] * c + q[:, k:] * np.sqrt(1.0 - c * c)).T)
+    tilted = q[:, :k] * c + q[:, k:] * np.sqrt(1.0 - c * c)
+    return from_span(st, q[:, :k].T), from_span(st, tilted.T)
 
 
 @pytest.mark.parametrize("f", [0.5, 1.0, 2.0])
@@ -788,7 +789,8 @@ def test_similarity_matches_the_old_route_in_the_near_equal_band():
 def test_similarity_reads_no_meet_and_no_complement(monkeypatch):
     st = SPStructure.ray(5)
     rng = np.random.default_rng(3)
-    pairs = [(from_span(st, rng.standard_normal((ka, 5))), from_span(st, rng.standard_normal((kb, 5))))
+    pairs = [(from_span(st, rng.standard_normal((ka, 5))),
+              from_span(st, rng.standard_normal((kb, 5))))
              for ka, kb in ((2, 2), (3, 3), (2, 3), (4, 1), (3, 2))]
 
     def forbidden(*args):
