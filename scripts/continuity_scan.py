@@ -20,8 +20,12 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
+
+# run from a checkout without installing: import this checkout's src/
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from starprob import SPStructure, check_point_continuity
 from starprob.structures import as_point, similarity

@@ -18,8 +18,12 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
+
+# run from a checkout without installing: import this checkout's src/
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from starprob import SPStructure, generate_sigma_star, table_measure, validate_measure
 from starprob.lattice import from_span, full, ortho_complement, similarity_to_subspace

@@ -31,7 +31,7 @@ from typing import Any
 from . import lattice as lat
 from . import measures as meas
 from . import structures as core
-from .errors import FormatError, SPError
+from .errors import BudgetRequired, FormatError, SPError
 from .lattice import Subspace
 from .sigma import DEFAULT_CAP, SigmaStarField, generate_sigma_star
 from .randomvars import RealRandomVariable, make_rv
@@ -112,7 +112,7 @@ def parse_subspace(st: SPStructure, literal) -> Subspace:
     try:
         return lat.from_points(st, literal)
     except SPError as exc:
-        if isinstance(exc, FormatError):
+        if isinstance(exc, (FormatError, BudgetRequired)):  # a budget, not the literal
             raise
         raise FormatError(f"bad subspace literal: {exc}") from exc
 

@@ -22,7 +22,10 @@ The lattice operations are sum (least upper bound), intersection (greatest
 lower bound) and orthocomplement, kept on the subspace after its first use.
 For rays the sum is one SVD of the operands' stacked frames, the
 intersection one SVD of their stacked residual maps ``I - P`` (the common
-nullspace), and the complement the frame of ``I - P``.  The lattice is
+nullspace), and the complement the frame of ``I - P``.  Ray 0 and 1 are
+decided from dimensions: a span of rank ``d`` is 1, with the identity frame;
+``0' = 1``, ``1' = 0``, and 0 and 1 drop out of sums and intersections
+(``x + 0 = x``, ``x + 1 = 1``, ``x & 1 = x``, ``x & 0 = 0``).  The lattice is
 orthomodular but not distributive; ``check_orthomodular`` and
 ``distributes`` exercise both laws.
 """
@@ -321,6 +324,8 @@ class RaySubspace(Subspace):
     def from_basis(st, pts):
         if not pts:
             return RaySubspace.empty(st)
+        if len(pts) == st.d:  # d orthogonal points span R^d
+            return RaySubspace.full(st)
         return RaySubspace(st, _canonical_frame(sum(np.outer(p, p) for p in pts),
                                                 len(pts)))
 
@@ -356,6 +361,8 @@ class RaySubspace(Subspace):
 
     def complement(self):
         st = self.structure
+        if self.is_empty or self.is_full:  # 0' = 1 and 1' = 0
+            return RaySubspace.full(st) if self.is_empty else RaySubspace.empty(st)
         return RaySubspace(st, _canonical_frame(np.eye(st.d) - self.projector(),
                                                 st.d - self.dim))
 
@@ -366,14 +373,22 @@ class RaySubspace(Subspace):
     # For n operands sv^2 sums cos^2 or sin^2: operands lie in the join, the meet in each.
 
     def join(self, rest):
+        subs = [s for s in (self,) + rest if not s.is_empty] or [self]  # x + 0 = x
+        most = max(subs, key=lambda s: s.dim)
+        if len(subs) == 1 or most.is_full:  # x + 1 = 1
+            return most
         return _column_span(self.structure, np.concatenate(
-            [s.frame for s in (self,) + rest], axis=1), frames=True)
+            [s.frame for s in subs], axis=1), frames=True)
 
     def meet(self, rest):
         """The common nullspace of the residual maps ``I - P``, from one SVD
         of the stacked maps."""
+        subs = [s for s in (self,) + rest if not s.is_full] or [self]  # x & 1 = x
+        least = min(subs, key=lambda s: s.dim)
+        if len(subs) == 1 or least.is_empty:  # x & 0 = 0
+            return least
         eye = np.eye(self.structure.d)
-        _, sv, vt = np.linalg.svd(np.vstack([eye - s.projector() for s in (self,) + rest]))
+        _, sv, vt = np.linalg.svd(np.vstack([eye - s.projector() for s in subs]))
         sq = sv * sv
         return _column_span(self.structure, vt[(sq < 1.0) & (sq * (2.0 - sq) <= TOL_EQ)].T)
 
@@ -421,6 +436,8 @@ def _column_span(st: SPStructure, m: np.ndarray, frames: bool = False) -> RaySub
     sq = sv * sv
     keep = (sq >= 1.0) | (sq * (2.0 - sq) > TOL_EQ) if frames else sq > TOL_EQ * sq[0]
     rank = int(np.sum(keep))
+    if rank == st.d:  # a span of rank d is 1
+        return RaySubspace.full(st)
     basis = u[:, :rank]
     return RaySubspace(st, _canonical_frame(basis @ basis.T, rank))
 
@@ -441,7 +458,8 @@ def _canonical_frame(proj: np.ndarray, rank: int) -> np.ndarray:
     after removing the columns already chosen, normalizes it, and fixes the
     sign so the first component above 1e-12 is positive.  The outcome depends
     only on the projector, so every construction route for the same subspace
-    lands on the same frame.
+    lands on the same frame up to its last bits; for 0 and 1, which never
+    reach this function, it holds byte for byte.
 
     One residual is carried through the steps and each step subtracts only
     the newest column's outer product, so a step costs O(d^2); the

@@ -9,6 +9,7 @@ Exit code contract:
 """
 
 import json
+import math
 import pathlib
 
 import pytest
@@ -68,6 +69,22 @@ def test_validate_large_explicit_is_sampled(capsys, tmp_path):
     factorization = payload["report"]["verdicts"]["factorization"]
     assert factorization["status"] == "sampled-pass"
     assert factorization["checks"] > 0
+
+
+def test_budget_error_is_not_a_bad_literal(capsys, tmp_path):
+    # the literals are valid; enumerating a 24-line plane table needs a budget
+    ang = [math.pi * i / 24 for i in range(24)]
+    table = tmp_path / "plane24.json"
+    table.write_text(json.dumps({"kind": "explicit", "matrix": [
+        [math.cos(x - y) ** 2 for y in ang] for x in ang]}))
+    field = tmp_path / "two_lines.json"
+    field.write_text(json.dumps({"generators": [["p0"], ["p1"]]}))
+    for argv in (("lattice", "sum", table, '["p0"]', '["p1"]'),
+                 ("sigma", "generate", table, field)):
+        code = run_command([str(a) for a in argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: BudgetRequired: explicit model has 24 > 12 points")
 
 
 def test_validate_missing_file_is_usage_error(capsys):

@@ -5,8 +5,8 @@ The superseded implementations live here as oracles:
 * ``old_canonical_frame`` rebuilds the residual from a copy of the projector
   at every rank step and fixes signs with a Python scan; the library carries
   one residual and must produce byte-identical frames.
-* ``old_meet`` is the complement of the sum of complements; the library's
-  ray ``meet`` takes the common nullspace of the residual maps from one SVD
+* ``complement_route_meet`` is the complement of the sum of complements;
+  the library's ray ``meet`` takes the common nullspace of the residual maps from one SVD
   and must agree on dimension and, within ``TOL_EQ``, on the projector.
 * ``old_discrete_similarity`` takes the minimum of ``tau`` point by point;
   the structures' one-pass kernels must give the same value and witness bit
@@ -18,6 +18,11 @@ The superseded implementations live here as oracles:
   of ``S = (P_A P_B + P_B P_A)/2``; the library reads one SVD of
   ``F_A^T F_B`` and must give the same value bits and certainty, and a
   witness whenever the oracle has one.
+* ``old_column_span``, ``old_join``, ``old_meet`` and ``old_complement``
+  build every ray result through an SVD and a canonical frame, with no
+  shortcut for the empty and the full subspace; the library decides 0 and 1
+  from dimensions and must give the same dimension, ``==`` both ways and
+  canonical key, with the frame of 1 exactly the identity.
 * ``principal_sin2`` and ``principal_cos2`` compute principal angles with
   numpy from the raw spanning vectors; every ray relation must agree with
   them on pairs swept through ``TOL_EQ``, and the lattice laws must hold
@@ -38,6 +43,7 @@ from hypothesis import strategies as hs
 from starprob import (
     SPStructure,
     empty,
+    from_basis,
     from_points,
     from_span,
     full,
@@ -88,7 +94,7 @@ def old_canonical_frame(proj, rank):
     return np.stack(cols, axis=1)
 
 
-def old_meet(*subs):
+def complement_route_meet(*subs):
     return ortho_complement(join(*[ortho_complement(s) for s in subs]))
 
 
@@ -194,7 +200,7 @@ def test_meet_matches_the_complement_route_on_structured_pairs(d):
         (empty(st), empty(st)), (a, equal),
     ]
     for x, y in cases:
-        _assert_same_subspace(meet(x, y), old_meet(x, y))
+        _assert_same_subspace(meet(x, y), complement_route_meet(x, y))
     # the nearly equal pair shares all but the tilted direction
     assert meet(a, near).dim == d - 2
     assert meet(a, same) == a
@@ -217,7 +223,7 @@ def test_meet_matches_the_complement_route_on_triples(d):
     triples = [(a, b, c), (a, a, a), (a, b, ortho_complement(c)),
                (full(st), a, c), (a, empty(st), b)]
     for x, y, z in triples:
-        _assert_same_subspace(meet(x, y, z), old_meet(x, y, z))
+        _assert_same_subspace(meet(x, y, z), complement_route_meet(x, y, z))
 
 
 @given(hs.integers(min_value=0, max_value=2 ** 31 - 1),
@@ -230,7 +236,7 @@ def test_meet_matches_the_complement_route_on_random_operands(seed, d, count):
     for _ in range(count):
         k = int(rng.integers(0, d + 1))
         subs.append(from_span(st, random_frame(d, k, rng).T) if k else empty(st))
-    _assert_same_subspace(meet(*subs), old_meet(*subs))
+    _assert_same_subspace(meet(*subs), complement_route_meet(*subs))
 
 
 # ---------------------------------------------------------------------------
@@ -800,3 +806,128 @@ def test_similarity_reads_no_meet_and_no_complement(monkeypatch):
     monkeypatch.setattr(lattice.RaySubspace, "complement", forbidden)
     for a, b in pairs:
         assert sim.subspace_similarity(a, b).witness is not None
+
+
+# ---------------------------------------------------------------------------
+# top and bottom from dimensions: the route that always built a frame
+
+
+def old_column_span(st, m, frames=False):
+    if not m.shape[1]:
+        return lattice.RaySubspace.empty(st)
+    u, sv, _ = np.linalg.svd(m, full_matrices=False)
+    if sv[0] < core.TOL_UNIT:
+        return lattice.RaySubspace.empty(st)
+    sq = sv * sv
+    keep = (sq >= 1.0) | (sq * (2.0 - sq) > TOL_EQ) if frames else sq > TOL_EQ * sq[0]
+    rank = int(np.sum(keep))
+    basis = u[:, :rank]
+    return lattice.RaySubspace(st, lattice._canonical_frame(basis @ basis.T, rank))
+
+
+def old_join(*subs):
+    return old_column_span(subs[0].structure, np.concatenate(
+        [s.frame for s in subs], axis=1), frames=True)
+
+
+def old_meet(*subs):
+    st = subs[0].structure
+    _, sv, vt = np.linalg.svd(np.vstack([np.eye(st.d) - s.projector() for s in subs]))
+    sq = sv * sv
+    return old_column_span(st, vt[(sq < 1.0) & (sq * (2.0 - sq) <= TOL_EQ)].T)
+
+
+def old_complement(a):
+    st = a.structure
+    return lattice.RaySubspace(st, lattice._canonical_frame(
+        np.eye(st.d) - a.projector(), st.d - a.dim))
+
+
+def _assert_same_route(got, want, operands=()):
+    """Same dimension, ``==`` both ways and canonical key.  Where the library
+    returned an operand as it is, the old route rebuilt that operand's frame
+    from its projector: the same frame up to its last bits, whose keys at 12
+    decimals can round apart (15 of the 1,251 pairs at ``d = 16, 32``)."""
+    assert got.dim == want.dim
+    assert got == want and want == got
+    if any(got is s for s in operands):
+        assert np.max(np.abs(got.frame - want.frame), initial=0.0) <= 1e-13
+    else:
+        assert got.canonical_key() == want.canonical_key()
+    if got.is_full:
+        assert got.frame.tobytes() == np.eye(got.structure.d).tobytes()
+
+
+def _assert_ops_match_the_old_route(*subs):
+    _assert_same_route(join(*subs), old_join(*subs), subs)
+    _assert_same_route(meet(*subs), old_meet(*subs), subs)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8, 16, 32])
+def test_lattice_ops_match_the_old_route_on_every_dimension_pair(d):
+    st = SPStructure.ray(d)
+    rng = np.random.default_rng(40 + d)
+    spans = []
+    for k in range(d + 1):
+        rows = rng.standard_normal((k, d))
+        spans.append(from_span(st, rows))
+        _assert_same_route(spans[-1], old_column_span(st, rows.T))
+        _assert_same_route(ortho_complement(spans[-1]), old_complement(spans[-1]))
+    for a, b in itertools.product(spans, repeat=2):
+        _assert_ops_match_the_old_route(a, b)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_lattice_ops_match_the_old_route_on_triples_with_empty_and_full(d):
+    st = SPStructure.ray(d)
+    rng = np.random.default_rng(60 + d)
+    pool = [empty(st), full(st)] + [from_span(st, rng.standard_normal((k, d)))
+                                    for k in sorted({1, d // 2, d - 1})]
+    for subs in itertools.product(pool, repeat=3):
+        _assert_ops_match_the_old_route(*subs)
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_empty_and_full_operands_return_the_other_operand(d):
+    st = SPStructure.ray(d)
+    rng = np.random.default_rng(d)
+    zero, one = empty(st), full(st)
+    for k in range(1, d):
+        x = from_span(st, rng.standard_normal((k, d)))
+        assert join(x, zero) is x and join(zero, x) is x and join(x, zero, zero) is x
+        assert meet(x, one) is x and meet(one, x) is x and meet(x, one, one) is x
+        assert meet(x, zero).is_empty and meet(zero, x, one).is_empty
+        for top in (join(x, one), join(one, x, zero)):
+            assert top.frame.tobytes() == np.eye(d).tobytes()
+
+
+def _count_frames(monkeypatch):
+    calls = []
+    real = lattice._canonical_frame
+
+    def counted(proj, rank):
+        calls.append(rank)
+        return real(proj, rank)
+
+    monkeypatch.setattr(lattice, "_canonical_frame", counted)
+    return calls
+
+
+@pytest.mark.parametrize("d", [3, 5, 32])
+def test_top_and_bottom_build_no_frame(monkeypatch, d):
+    st = SPStructure.ray(d)
+    rng = np.random.default_rng(80 + d)
+    a = from_span(st, rng.standard_normal((d // 2, d)))
+    ca = ortho_complement(a)
+    basis = random_frame(d, d, rng).T
+    line = from_span(st, rng.standard_normal((1, d)))
+    calls = _count_frames(monkeypatch)
+    results = [join(a, ca), ortho_complement(empty(st)), ortho_complement(full(st)),
+               from_basis(st, basis), join(ca, a, empty(st))]
+    assert calls == []
+    assert [r.dim for r in results] == [d, d, 0, d, d]
+    for r in results:
+        if r.is_full:
+            assert r.frame.tobytes() == np.eye(d).tobytes()
+    # a proper subspace still builds its frame
+    assert join(a, line).dim == d // 2 + 1 and len(calls) == 1
