@@ -7,13 +7,7 @@ import sys
 
 import pytest
 
-SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
-
-
-def run_script(name, *args):
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    return subprocess.run([sys.executable, str(SCRIPTS / name), *args], cwd=SCRIPTS.parent,
-                          env=env, capture_output=True, text=True, timeout=120)
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("name,args,expect", [
@@ -23,6 +17,8 @@ def run_script(name, *args):
     ("mixture_grid.py", ("--angles", "7", "--weights", "5"), ""),
 ])
 def test_script_runs_without_pythonpath(name, args, expect):
-    out = run_script(name, *args)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    out = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args], cwd=ROOT,
+                         env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert expect in out.stdout
