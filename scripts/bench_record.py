@@ -47,7 +47,7 @@ ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 SEED = 5  # the seed the workloads' result digests are pinned to
 SUITES = ("lattice", "similarity", "sigma", "prob", "rv", "all")
-# one point past the tables that are enumerated, so validate samples it
+# 2**13 orthogonal point sets, past the enumeration budget, so validate samples it
 IDENTITY13 = {"kind": "explicit",
               "matrix": [[float(i == j) for j in range(13)] for i in range(13)]}
 # a command's time in a round is its fastest of this many runs: single runs

@@ -6,10 +6,10 @@ of an orthogonal witness completing any deficient sum to one, factorization
 of similarities through projections, and standardness (no two points are
 similarity-indistinguishable).
 
-Classical models satisfy everything by construction.  Explicit models with
-at most 12 points are checked exhaustively over every pairwise-orthogonal
-point set; larger explicit models and ray models are spot-checked with a
-seeded sample and report ``sampled-pass`` rather than ``pass``.
+Classical models satisfy everything by construction.  Explicit models are
+checked over every pairwise-orthogonal point set; models past the budget of
+``explicit_lattice``, and ray models, are spot-checked with a seeded sample
+and report ``sampled-pass`` rather than ``pass``.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import structures as core
-from .errors import FormatError
+from .errors import BudgetRequired, FormatError
 from .structures import (
-    EXPLICIT_ENUM_MAX,
     SAMPLED_PASS,
     TOL_EQ,
     TOL_UNIT,
@@ -41,11 +40,8 @@ _STRICT_GAP = 1e-6
 
 @dataclass(frozen=True)
 class ValidationBudget:
-    """How much work the validator may do.
-
-    ``samples`` drives the seeded checks of ray models and of explicit
-    models larger than ``EXPLICIT_ENUM_MAX`` points.
-    """
+    """How much work the validator may do: ``samples`` drives the seeded
+    checks of ray models and of explicit models past the enumeration budget."""
 
     samples: int = 10_000
     seed: int = 0
@@ -89,9 +85,10 @@ def validate_sp_axioms(st: SPStructure,
     if st.kind == core.CLASSICAL:
         return Report([Check(name, trials=st.n) for name in AXIOMS])
     if st.kind == core.EXPLICIT:
-        if st.n <= EXPLICIT_ENUM_MAX:
+        try:
             return Report(_explicit_exhaustive(st))
-        return Report(_explicit_sampled(st, budget))
+        except BudgetRequired:  # too many orthogonal sets to enumerate
+            return Report(_explicit_sampled(st, budget))
     return Report(_ray_sampled(st, budget))
 
 
@@ -182,7 +179,7 @@ def _factorization(st: SPStructure, fact: Check, carrier: list[int], x: int,
 
 
 # ---------------------------------------------------------------------------
-# explicit model, sampled (only for models past the enumeration cap)
+# explicit model, sampled (only for models past the enumeration budget)
 
 
 def _explicit_sampled(st: SPStructure, budget: ValidationBudget) -> list[Check]:

@@ -10,9 +10,10 @@ that route, in which every point set is its own closure; where it differs
 from an explicit table (a carrier's basis and literal, the least carrier
 over a point set, the points orthogonal to a set) the structure's class
 answers.  A :class:`RaySubspace` carries a canonical
-orthonormal frame (column-pivoted, largest-residual-first, sign-canonical),
-so equal subspaces have byte-identical canonical forms after rounding to 12
-decimal places.  Ray relations are decided on the principal angles (Bjorck
+orthonormal frame (column-pivoted, largest-residual-first, sign-canonical);
+equal subspaces built by different routes, even ``a + b`` and ``b + a``, can
+round apart at 12 decimals, so ``==`` decides equality and the canonical key
+is only a hint.  Ray relations are decided on the principal angles (Bjorck
 & Golub 1973) against ``TOL_EQ``, read from sines where small (Knyazev &
 Argentati 2002): ``A`` is orthogonal to ``B`` when every principal
 ``cos^2`` is within it, ``A <= B`` (orthogonality to ``B'``) when every
@@ -65,7 +66,8 @@ class Subspace:
         return self.dim == 0
 
     def canonical_key(self):
-        """Hashable dedup and sort key; ties are broken by ``==``."""
+        """Hashable sort key and dedup hint; ``==`` decides equality, as
+        equal ray subspaces built by different routes can differ in it."""
         return self._key()
 
     def __eq__(self, other) -> bool:

@@ -49,7 +49,7 @@ from .errors import (
 TOL_EQ = 1e-9  # similarity; every ray relation, on principal sin^2 and cos^2
 TOL_UNIT = 1e-12  # unit-norm, canonical-sign and weight-sum checks
 CANON_DECIMALS = 12  # rounding applied to canonical dedup keys
-EXPLICIT_ENUM_MAX = 12  # largest explicit model enumerated exhaustively
+ENUM_MAX_SETS = 2 ** 12  # cliques one explicit_lattice may hold: every subset of 12 points
 COMPLETION_MAX_NODES = 200_000  # search budget of explicit basis completion
 
 # Verdicts, pinned once and ranked on one ladder:
@@ -443,19 +443,19 @@ class ExplicitStructure(DiscreteStructure):
         Returns a dict with ``cliques`` (all pairwise-orthogonal point sets,
         in deterministic DFS order), ``carriers`` (closure -> canonical
         basis) and ``carrier_list`` (closures in canonical sorted order).
-        Feasible for ``n <= 12``; larger models raise :class:`BudgetRequired`.
+        More than ``ENUM_MAX_SETS`` cliques raise :class:`BudgetRequired`.
         """
         if self._lattice is not None:
             return self._lattice
-        if self.n > EXPLICIT_ENUM_MAX:
-            raise BudgetRequired(
-                f"explicit model has {self.n} > {EXPLICIT_ENUM_MAX} points; "
-                "exhaustive subspace enumeration is out of budget")
         cliques: list[tuple[int, ...]] = [()]
 
         def grow(clique: tuple[int, ...], start: int) -> None:
             for v in range(start, self.n):
                 if self.orthogonal[v].issuperset(clique):
+                    if len(cliques) == ENUM_MAX_SETS:
+                        raise BudgetRequired(
+                            f"explicit model has more than {ENUM_MAX_SETS} orthogonal "
+                            "point sets; exhaustive subspace enumeration is out of budget")
                     nxt = clique + (v,)
                     cliques.append(nxt)
                     grow(nxt, v + 1)

@@ -7,6 +7,8 @@ and reports ``pass`` (proved for every case it enumerated), ``sampled-pass``
 each model and the exact witness for a deliberately broken table.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -106,8 +108,8 @@ class TestExplicitModel:
         assert report.check("boundedness").status == PASS
 
     def test_large_explicit_is_sampled_without_opt_in(self):
-        # past EXPLICIT_ENUM_MAX points the table is sampled, as rays are;
-        # only the exhaustive enumeration refuses it
+        # past the enumeration budget (2**16 orthogonal sets here) the table
+        # is sampled, as rays are; only the exhaustive enumeration refuses it
         n = 16
         st = SPStructure.explicit(np.eye(n).tolist())
         with pytest.raises(BudgetRequired):
@@ -115,6 +117,67 @@ class TestExplicitModel:
         report = validate_sp_axioms(st, ValidationBudget(samples=50, seed=1))
         assert report.overall == SAMPLED_PASS
         assert report.check("boundedness").trials == 50
+
+    def test_one_point_past_the_budget_is_sampled(self):
+        # the 12-point identity is the whole budget, 2**12 orthogonal sets;
+        # the 13-point one doubles it
+        assert len(SPStructure.explicit(np.eye(12)).explicit_lattice()["cliques"]) == 4096
+        st = SPStructure.explicit(np.eye(13))
+        with pytest.raises(BudgetRequired, match="more than 4096 orthogonal point sets"):
+            st.explicit_lattice()
+        report = validate_sp_axioms(st, ValidationBudget(samples=50, seed=1))
+        assert report.overall == SAMPLED_PASS
+        assert report.check("boundedness").trials == 50
+
+    @pytest.mark.parametrize("k", [14, 24, 36, 60])
+    def test_even_plane_tables_pass_exhaustively(self, k):
+        # k lines and k/2 orthogonal pairs: few sets however many points
+        st = SPStructure.explicit(_plane_table(k))
+        sets = len(st.explicit_lattice()["cliques"])
+        assert sets == 1 + k + k // 2
+        assert len(st.explicit_lattice()["carrier_list"]) == k + 2  # 0, the lines, 1
+        report = validate_sp_axioms(st)
+        assert {c.status for c in report.checks} == {PASS}
+        assert report.check("boundedness").trials == k * (sets - 1)
+        assert report.check("o_projection").trials == k * k
+
+    @pytest.mark.parametrize("k", [13, 15])
+    def test_odd_plane_tables_fail_exhaustively(self, k):
+        # no line is orthogonal to another, so no point completes p0's
+        # similarity to p1 to one
+        report = validate_sp_axioms(SPStructure.explicit(_plane_table(k)))
+        assert report.overall == FAIL
+        verdict = report.check("o_projection")
+        assert verdict.status == FAIL
+        assert verdict.witness["point"] == "p1"
+        assert verdict.witness["ortho_set"] == ["p0"]
+        assert verdict.witness["similarity_sum"] == pytest.approx(
+            math.cos(math.pi / k) ** 2, abs=1e-12)
+
+
+def _plane_table(k):
+    """Similarity table of ``k`` lines of the plane spaced ``180/k`` degrees."""
+    ang = [math.pi * i / k for i in range(k)]
+    return [[math.cos(x - y) ** 2 for y in ang] for x in ang]
+
+
+def _guard_structures(fixture_dir):
+    bundled = [(path.stem, load_structure(path)) for path in sorted(fixture_dir.glob("*.json"))
+               if path.name.startswith(("classical", "explicit", "ray", "bad3x3"))]
+    planes = [(f"plane{k}", SPStructure.explicit(_plane_table(k))) for k in range(4, 61)]
+    eyes = [(f"eye{n}", SPStructure.explicit(np.eye(n))) for n in (12, 13, 16)]
+    return bundled + planes + eyes
+
+
+def test_no_sampled_pass_stands_for_zero_checks(fixture_dir):
+    # exit code 3 reads "sampled evidence only": every sampled law must have
+    # run at least one check (a small budget makes a zero count likelier)
+    structures = _guard_structures(fixture_dir)
+    assert {"bad3x3", "classical4", "explicit4", "ray2", "ray3"} <= {n for n, _ in structures}
+    for name, st in structures:
+        report = validate_sp_axioms(st, ValidationBudget(samples=200, seed=0))
+        for check in report.checks:
+            assert check.status != SAMPLED_PASS or check.trials > 0, (name, check.law)
 
 
 class TestOrthogonalWitness:

@@ -57,7 +57,8 @@ def test_validate_ray_is_sampled(capsys, fixture_dir):
 
 
 def test_validate_large_explicit_is_sampled(capsys, tmp_path):
-    # past 12 points a table is sampled, as a ray model is, without a flag
+    # past the enumeration budget (2**13 orthogonal sets here) a table is
+    # sampled, as a ray model is, without a flag
     path = tmp_path / "eye13.json"
     path.write_text(json.dumps({"kind": "explicit", "matrix": [
         [float(i == j) for j in range(13)] for i in range(13)]}))
@@ -72,19 +73,65 @@ def test_validate_large_explicit_is_sampled(capsys, tmp_path):
 
 
 def test_budget_error_is_not_a_bad_literal(capsys, tmp_path):
-    # the literals are valid; enumerating a 24-line plane table needs a budget
-    ang = [math.pi * i / 24 for i in range(24)]
-    table = tmp_path / "plane24.json"
+    # the literals are valid; the 13-point identity has 2**13 orthogonal
+    # point sets, past what one enumeration holds
+    table = tmp_path / "eye13.json"
     table.write_text(json.dumps({"kind": "explicit", "matrix": [
-        [math.cos(x - y) ** 2 for y in ang] for x in ang]}))
-    field = tmp_path / "two_lines.json"
+        [float(i == j) for j in range(13)] for i in range(13)]}))
+    field = tmp_path / "two_points.json"
     field.write_text(json.dumps({"generators": [["p0"], ["p1"]]}))
     for argv in (("lattice", "sum", table, '["p0"]', '["p1"]'),
                  ("sigma", "generate", table, field)):
         code = run_command([str(a) for a in argv])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith("error: BudgetRequired: explicit model has 24 > 12 points")
+        assert err.startswith("error: BudgetRequired: explicit model has more than "
+                              "4096 orthogonal point sets")
+        assert "bad subspace literal" not in err
+
+
+def _plane24(tmp_path):
+    """A 24-line plane table (37 orthogonal point sets) and a field
+    generated by two lines 7.5 degrees apart."""
+    ang = [math.pi * i / 24 for i in range(24)]
+    table = tmp_path / "plane24.json"
+    table.write_text(json.dumps({"kind": "explicit", "matrix": [
+        [math.cos(x - y) ** 2 for y in ang] for x in ang]}))
+    field = tmp_path / "two_lines.json"
+    field.write_text(json.dumps({"generators": [["p0"], ["p1"]]}))
+    return table, field
+
+
+def test_plane24_is_validated_exhaustively(capsys, tmp_path):
+    table, _ = _plane24(tmp_path)
+    code, payload = run_json(capsys, "validate", table)
+    assert code == 0
+    verdicts = payload["report"]["verdicts"]
+    assert {v["status"] for v in verdicts.values()} == {"pass"}
+    assert verdicts["o_projection"]["checks"] == 24 * 24
+    assert verdicts["boundedness"]["checks"] == 24 * 36
+
+
+def test_plane24_answers_lattice_sigma_and_prob(capsys, tmp_path):
+    table, field = _plane24(tmp_path)
+    # two orthogonal lines span the plane
+    code, payload = run_json(capsys, "lattice", "sum", table, '["p0"]', '["p12"]')
+    assert code == 0
+    assert payload["dim"] == 2
+    assert payload["subspace"] == [f"p{i}" for i in range(24)]
+    # 0, the two lines, their complements and 1
+    code, payload = run_json(capsys, "sigma", "generate", table, field)
+    assert code == 0
+    assert len(payload["field"]["events"]) == 6
+    # the two lines and one complement break distributivity
+    code, payload = run_json(capsys, "sigma", "boolean", table, field)
+    assert code == 0
+    assert payload["boolean"] is False and payload["witness"] == [1, 2, 3]
+    measure = tmp_path / "pure_p3.json"
+    measure.write_text(json.dumps({"kind": "pure", "point": "p3"}))
+    code, payload = run_json(capsys, "prob", "validate", table, measure, "--field", field)
+    assert code == 0
+    assert payload["report"]["overall"] == "pass"
 
 
 def test_validate_missing_file_is_usage_error(capsys):

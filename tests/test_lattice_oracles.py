@@ -13,6 +13,10 @@ The superseded implementations live here as oracles:
   for bit, and raise the same error on tables that break an axiom.
 * ``old_closure`` sums one table row per point; the explicit ``closure``
   sums every row in one pass and must give the same point set.
+* ``old_cliques`` grows every pairwise-orthogonal point set from the table's
+  entries, and ``old_least_carrier`` takes the smallest closure of one that
+  contains a point set; ``explicit_lattice`` and ``least_carrier`` must agree,
+  on plane tables past 12 points too.
 * ``old_subspace_similarity`` answers the ray pairs past the line branch
   through the two cross meets ``A' & B`` and ``B' & A``, then an ``eigh``
   of ``S = (P_A P_B + P_B P_A)/2``; the library reads one SVD of
@@ -59,7 +63,7 @@ from starprob import (
 from starprob import lattice
 from starprob import similarity as sim
 from starprob import structures as core
-from starprob.errors import SPError
+from starprob.errors import BudgetRequired, SPError
 from starprob.io import load_structure
 from starprob.suites import wheel_structure
 from starprob.structures import TOL_EQ, as_point, random_frame
@@ -553,6 +557,8 @@ def _assert_kernel_matches_the_loop(st, subs, monkeypatch):
 
 
 PLANE_TABLES = [SPStructure.explicit(workloads.plane_table(k)) for k in range(3, 13)]
+# past 12 points, yet within the enumeration budget: 1 + k + k/2 orthogonal sets
+LARGE_PLANE_TABLES = [SPStructure.explicit(workloads.plane_table(k)) for k in (14, 24, 60)]
 
 
 @pytest.mark.parametrize("st", [load_structure(FIXTURES / "explicit4.json")]
@@ -630,7 +636,7 @@ def _closure_structures():
                if path.name.startswith(("classical", "explicit"))]
     suite = [wheel_structure()] + [SPStructure.classical(n) for n in (4, 6)]
     eye13 = SPStructure.explicit(np.eye(13))
-    return bundled + suite + PLANE_TABLES + [eye13]
+    return bundled + suite + PLANE_TABLES + LARGE_PLANE_TABLES + [eye13]
 
 
 def _kronecker_closure(st, pts):
@@ -642,13 +648,59 @@ def test_closure_matches_the_row_by_row_sums():
     rng = np.random.default_rng(11)
     for st in _closure_structures():
         oracle = old_closure if st.kind == core.EXPLICIT else _kronecker_closure
-        enumerable = st.kind == core.EXPLICIT and st.n <= core.EXPLICIT_ENUM_MAX
-        cliques = st.explicit_lattice()["cliques"] if enumerable else ()
+        cliques = _enumerated_cliques(st)
         drawn = [tuple(rng.permutation(st.n)[:int(rng.integers(0, st.n + 1))].tolist())
                  for _ in range(40)]
         for pts in list(cliques) + drawn + [frozenset(d) for d in drawn]:
             assert st.closure(pts) == oracle(st, pts), (st, pts)
         assert st.closure(()) == st.closure(frozenset()) == frozenset()
+
+
+def _enumerated_cliques(st):
+    """The cliques of an explicit table; none for a classical model or a
+    table past the enumeration budget."""
+    if st.kind != core.EXPLICIT:
+        return ()
+    try:
+        return st.explicit_lattice()["cliques"]
+    except BudgetRequired:
+        return ()
+
+
+def old_cliques(st):
+    """Every pairwise-orthogonal point set, grown from the table's entries."""
+    found = [()]
+    for p in range(st.n):
+        found += [c + (p,) for c in found if all(st.matrix[p, q] <= TOL_EQ for q in c)]
+    return found
+
+
+def old_least_carrier(closures, pts):
+    """The smallest closure containing ``pts``, checked to lie inside every
+    other one that does; None when none does."""
+    containing = [c for c in closures if pts <= c]
+    if not containing:
+        return None
+    least = min(containing, key=len)
+    assert all(least <= c for c in containing)
+    return least
+
+
+@pytest.mark.parametrize("st", [load_structure(FIXTURES / "explicit4.json"), wheel_structure()]
+                         + PLANE_TABLES + LARGE_PLANE_TABLES,
+                         ids=["explicit4", "wheel"] + [f"plane{k}" for k in range(3, 13)]
+                         + [f"plane{k}" for k in (14, 24, 60)])
+def test_least_carrier_matches_the_smallest_closure_of_a_clique(st):
+    cliques = old_cliques(st)
+    assert sorted(st.explicit_lattice()["cliques"]) == sorted(cliques)
+    closures = {old_closure(st, c) for c in cliques}
+    assert set(st.explicit_lattice()["carrier_list"]) == closures
+    rng = np.random.default_rng(st.n)
+    drawn = [frozenset(rng.permutation(st.n)[:int(rng.integers(0, 4))].tolist())
+             for _ in range(60)]
+    pairs = [frozenset(c) for c in itertools.combinations(range(st.n), 2)]
+    for pts in closures | set(drawn) | set(pairs):
+        assert st.least_carrier(pts) == old_least_carrier(closures, pts), (st, pts)
 
 
 def test_row_sums_have_the_bits_of_one_row():

@@ -1,17 +1,24 @@
 """Event-field generation: closure under complement, orthogonal sum, meet."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from starprob import (
+    SigmaStarField,
     SPStructure,
     atomic_decomposition,
     atoms,
     distributivity_witness,
+    empty,
     from_points,
     from_span,
+    full,
     generate_sigma_star,
     is_boolean,
+    join,
+    meet,
     validate_sigma_star,
 )
 from starprob.errors import ClosureCapExceeded
@@ -177,3 +184,23 @@ def test_three_orthogonal_lines_in_d3():
     assert len(fld.events) == 8
     assert is_boolean(fld)
     assert validate_sigma_star(fld).ok
+
+
+def test_field_finds_an_event_built_in_the_other_order():
+    # the frames of a + b and b + a (or a & b and b & a) can round apart at
+    # CANON_DECIMALS while the subspaces are equal: the canonical key is a
+    # hint and the field must fall back to ==
+    st = SPStructure.ray(16)
+    rng = np.random.default_rng(56)
+    spans = [from_span(st, rng.standard_normal((int(rng.integers(1, 16)), 16)))
+             for _ in range(24)]
+    split = 0
+    for a, b in itertools.combinations(spans, 2):
+        for op in (join, meet):
+            ab, ba = op(a, b), op(b, a)
+            if ab.is_empty or ab.is_full:
+                continue
+            fld = SigmaStarField(st, (empty(st), ab, full(st)))
+            assert fld.index_of(ba) == 1
+            split += ab.canonical_key() != ba.canonical_key()
+    assert split > 0  # the fallback was needed
