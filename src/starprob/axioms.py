@@ -209,13 +209,13 @@ def _explicit_sampled(st: SPStructure, budget: ValidationBudget) -> list[Check]:
 
 
 def _random_clique(m: np.ndarray, n: int, rng: np.random.Generator) -> tuple[int, ...]:
-    order = rng.permutation(n)
+    order, size = rng.permutation(n), int(rng.integers(7))  # 0..6 points, not only maximal
     clique: list[int] = []
     for p in order:
+        if len(clique) >= size:
+            break
         if all(m[p, q] <= TOL_EQ for q in clique):
             clique.append(int(p))
-        if len(clique) >= 6:
-            break
     return tuple(sorted(clique))
 
 

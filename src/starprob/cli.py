@@ -240,7 +240,7 @@ def _cmd_prob_mix(args, st):
 def _cmd_prob_validate(args, st):
     p = spio.load_measure(st, args.measure)
     fld = spio.load_field(st, args.field) if args.field else None
-    report = meas.validate_measure(p, fld, args.seed, args.event_samples)
+    report = meas.validate_measure(p, fld)
     payload = {"command": "prob.validate", "measure": p.describe(),
                "report": spio.measure_report_to_dict(report)}
     return payload, _report_lines(report, counts=False), _EXIT[report.overall]
@@ -249,7 +249,7 @@ def _cmd_prob_validate(args, st):
 def _cmd_prob_equal(args, st):
     p, q = spio.load_measure(st, args.measure), spio.load_measure(st, args.other)
     fld = spio.load_field(st, args.field) if args.field else None
-    diff = meas.first_difference(p, q, fld, args.event_samples, args.seed)
+    diff = meas.first_difference(p, q, fld)
     payload = {"command": "prob.equal", "equal": diff is None}
     lines = [f"equal: {str(diff is None).lower()}"]
     if diff is None:
@@ -386,14 +386,11 @@ def _build_parser() -> argparse.ArgumentParser:
                  _cmd_prob_mix)
     q.add_argument("--component", nargs=2, metavar=("WEIGHT", "MEASURE"),
                    action="append", required=True)
-    for name, text, args, handler, seed_help in (
-            ("validate", "check the measure axioms", "", _cmd_prob_validate,
-             "seeds the events drawn when no field is given"),
-            ("equal", "compare two measures", "other", _cmd_prob_equal, None)):
+    for name, text, args, handler in (
+            ("validate", "check the measure axioms", "", _cmd_prob_validate),
+            ("equal", "compare two measures", "other", _cmd_prob_equal)):
         q = _command(prob_sub, name, text, f"structure measure {args}", handler)
         q.add_argument("--field", default=None)
-        q.add_argument("--event-samples", type=int, default=200)
-        q.add_argument("--seed", type=int, default=0, help=seed_help)
 
     p = sub.add_parser("rv", help="partial real random variables")
     rv_sub = p.add_subparsers(dest="op", required=True)

@@ -9,25 +9,24 @@ which replaces monotonicity in this non-distributive setting.  Two
 backings are supported: an explicit value table over a field, and a convex
 mixture of points ``B -> sum_i w_i s(x_i, B)``.  A pure state, induced by a
 single point, is the mixture of one point with weight one.  Point-backed
-measures are defined on every subspace; tables only on their field.
+measures are defined on every subspace, and decided there by a few events
+(:func:`_deciding_events`); tables only on their field.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from . import lattice as lat
-from .errors import EventNotInField, FormatError, WeightsNotConvex
+from .errors import FormatError, WeightsNotConvex
 from .lattice import Subspace, similarity_to_subspace
 from .sigma import SigmaStarField
 from .similarity import compare_leq, continuity_rhs, ordered_similarities
 from .structures import TOL_EQ, TOL_UNIT, Point, SPStructure, as_point, ensure_same_structure
-from .structures import FAIL_CERTIFIED, Check, Report
+from .structures import CLASSICAL, EXPLICIT, FAIL_CERTIFIED, Check, Report
 from .structures import PASS  # noqa: F401 - verdicts re-exported with the validator
 
 TABLE = "table"
@@ -142,11 +141,9 @@ def evaluate(p: ProbabilityMeasure, event: Subspace) -> float:
 
 
 def validate_measure(p: ProbabilityMeasure,
-                     fld: SigmaStarField | None = None,
-                     seed: int = 0,
-                     event_samples: int = 200) -> Report:
-    """Check the four measure axioms over a field (or ``event_samples``
-    subspaces drawn with ``seed``).
+                     fld: SigmaStarField | None = None) -> Report:
+    """Check the four measure axioms over a field (``p``'s own by default)
+    or, with none, on every subspace (see :func:`_deciding_events`).
 
     Normalization and the empty event are exact checks; additivity runs over
     every orthogonal pair plus greedily-extended maximal orthogonal
@@ -158,7 +155,7 @@ def validate_measure(p: ProbabilityMeasure,
     """
     st = p.structure
     fld = p.field if fld is None else fld
-    events = list(_domain(st, fld, seed, event_samples))
+    events = _deciding_events(p) if fld is None else list(fld.events)
     values = [evaluate(p, e) for e in events]
     v_empty = evaluate(p, lat.empty(st))
     v_full = evaluate(p, lat.full(st))
@@ -178,20 +175,35 @@ def _exact_check(law: str, residual: float, witness: dict) -> Check:
     return Check(law, FAIL_CERTIFIED, witnesses=[witness])
 
 
-def _domain(st: SPStructure, fld: SigmaStarField | None, seed: int,
-            count: int) -> Iterator[Subspace]:
-    """The events of ``fld``, or without one the empty and full subspaces
-    plus ``count`` random spans drawn with ``seed``.  The spans are built
-    one at a time, as the reader asks for them."""
-    if count < 0:
-        raise FormatError(f"event samples must be >= 0, got {count}")
-    if seed < 0:
-        raise FormatError(f"events need seed >= 0, got {seed}")
-    if fld is not None:
-        return iter(fld.events)
-    rng = np.random.default_rng(seed)
-    return chain([lat.empty(st), lat.full(st)],
-                 (lat.from_span(st, st.random_span(rng)) for _ in range(count)))
+def _deciding_events(p: ProbabilityMeasure,
+                     q: ProbabilityMeasure | None = None) -> list[Subspace]:
+    """The events that decide the laws of a point-backed ``p``, or its agreement
+    with ``q``, on every subspace.  Explicit: every carrier.  Classical: 0, 1,
+    the atoms; for ``q`` the points where ``p`` outweighs ``q``.  Rays: 0, 1,
+    ``rho``'s eigenlines and the two lines ``g`` apart, ``sin g = (D - 1/2)/2``
+    (``D = lmax - lmin``), where continuity fails most, if ``sin^2 g > TOL_EQ``;
+    for ``q`` the positive eigenspace of ``rho_p - rho_q``, where ``|p - q|`` peaks."""
+    st = p.structure
+    if st.kind == EXPLICIT:
+        return [lat.DiscreteSubspace(st, c) for c in st.explicit_lattice()["carrier_list"]]
+    if st.kind == CLASSICAL:
+        atoms = [lat.from_points(st, [x]) for x in range(st.n)]
+        if q is None:
+            return [lat.empty(st), lat.full(st), *atoms]
+        return [lat.from_points(st, [x for x, a in enumerate(atoms)
+                                     if evaluate(p, a) > evaluate(q, a)])]
+    rho = [sum(w * np.outer(x, x) for w, x in m.components) for m in (p, q) if m is not None]
+    if q is not None:
+        lam, vecs = np.linalg.eigh(rho[0] - rho[1])
+        return [lat.from_span(st, vecs[:, lam > 0].T)]
+    lam, vecs = np.linalg.eigh(rho[0])
+    events = [lat.empty(st), lat.full(st), *(lat.from_span(st, [v]) for v in vecs.T)]
+    sin_g = (lam[-1] - lam[0] - 0.5) / 2
+    if sin_g > 0 and sin_g * sin_g > TOL_EQ:
+        g = math.asin(sin_g)
+        events += [lat.from_span(st, [math.cos(a) * vecs[:, -1] + math.sin(a) * vecs[:, 0]])
+                   for a in (math.pi / 4 - g / 2, math.pi / 4 + g / 2)]
+    return events
 
 
 def _additivity_check(p: ProbabilityMeasure, events: list[Subspace],
@@ -207,11 +219,7 @@ def _additivity_check(p: ProbabilityMeasure, events: list[Subspace],
         for b, pb in nonzero[i + 1:]:
             if not lat.is_orthogonal(a, b):
                 continue
-            try:
-                combined = evaluate(p, lat.join(a, b))
-            except EventNotInField:  # sampled domains may step outside
-                continue
-            res = abs(combined - (pa + pb))
+            res = abs(evaluate(p, lat.join(a, b)) - (pa + pb))
             if res > worst and _certified(p, res, (a, b)):
                 worst = res
                 witness = {"events": [a.to_literal(), b.to_literal()],
@@ -229,11 +237,7 @@ def _additivity_check(p: ProbabilityMeasure, events: list[Subspace],
             continue
         seen.add(key)
         parts = [nonzero[k][0] for k in picked]
-        try:
-            total = evaluate(p, lat.join(*parts))
-        except EventNotInField:
-            continue
-        res = abs(total - sum(nonzero[k][1] for k in picked))
+        res = abs(evaluate(p, lat.join(*parts)) - sum(nonzero[k][1] for k in picked))
         if res > worst and _certified(p, res, parts):
             worst = res
             witness = {"family_size": len(picked), "residual": res}
@@ -270,15 +274,13 @@ def _continuity_check(events: list[Subspace], values: list[float],
 
 def first_difference(p: ProbabilityMeasure, q: ProbabilityMeasure,
                      fld: SigmaStarField | None = None,
-                     samples: int = 1000, seed: int = 0,
                      tol: float = TOL_UNIT) -> Subspace | None:
     """The first event where ``p`` and ``q`` differ by more than ``tol``, or
-    ``None`` when they agree on all.  The events are those of ``fld``, else
-    of ``p``'s or ``q``'s own field, else seeded subspaces, built only up
-    to the first difference."""
+    ``None`` when they agree on all: the events of ``fld``, else of ``p``'s
+    or ``q``'s own field, else every subspace (see :func:`_deciding_events`)."""
     ensure_same_structure(p.structure, q.structure)
     fld = next((f for f in (fld, p.field, q.field) if f is not None), None)
-    events = _domain(p.structure, fld, seed, samples)
+    events = _deciding_events(p, q) if fld is None else fld.events
     return next((e for e in events
                  if not abs(evaluate(p, e) - evaluate(q, e)) <= tol), None)
 
@@ -287,5 +289,5 @@ def measures_equal(p: ProbabilityMeasure, q: ProbabilityMeasure,
                    fld: SigmaStarField | None = None,
                    samples: int = 1000, seed: int = 0,
                    tol: float = TOL_UNIT) -> bool:
-    """Agreement within ``tol`` on a field (or on seeded subspaces)."""
-    return first_difference(p, q, fld, samples, seed, tol) is None
+    """Agreement within ``tol``; exact, so ``samples`` and ``seed`` go unused."""
+    return first_difference(p, q, fld, tol) is None

@@ -166,7 +166,10 @@ def _guard_structures(fixture_dir):
                if path.name.startswith(("classical", "explicit", "ray", "bad3x3"))]
     planes = [(f"plane{k}", SPStructure.explicit(_plane_table(k))) for k in range(4, 61)]
     eyes = [(f"eye{n}", SPStructure.explicit(np.eye(n))) for n in (12, 13, 16)]
-    return bundled + planes + eyes
+    # three 12-line planes side by side: 19^3 orthogonal sets, past the budget,
+    # and every maximal one is a 6-point basis, where o_projection has no case
+    planes3 = [("plane12x3", SPStructure.explicit(np.kron(np.eye(3), _plane_table(12))))]
+    return bundled + planes + eyes + planes3
 
 
 def test_no_sampled_pass_stands_for_zero_checks(fixture_dir):

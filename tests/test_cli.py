@@ -185,19 +185,7 @@ def test_validate_missing_file_is_usage_error(capsys):
     (["sim", "subspace"], "ray3.json",
      ["[[1, 0, 0], [0, 1, 0]]", "[[1, 0, 0], [0, 1, 1e-7]]", "--seed", -1],
      "unrecognized arguments: --seed"),
-    (["prob", "equal"], "ray2.json",
-     [FIXTURES / "measure_mix_axes.json", FIXTURES / "measure_mix_diagonals.json",
-      "--seed", -1], "seed >= 0"),
-    (["prob", "validate"], "ray2.json",
-     [FIXTURES / "measure_pure_e1.json", "--seed", -1], "seed >= 0"),
     (["suite", "rv"], None, ["--seed", -1], "seed >= 0"),
-    # and so is a negative count of sampled events
-    (["prob", "validate"], "ray2.json",
-     [FIXTURES / "measure_pure_e1.json", "--event-samples", -1],
-     "event samples must be >= 0"),
-    (["prob", "equal"], "ray2.json",
-     [FIXTURES / "measure_mix_axes.json", FIXTURES / "measure_mix_diagonals.json",
-      "--event-samples", -1], "event samples must be >= 0"),
     # a ray vector must be d finite numbers, in literals and in field files
     (["lattice", "sum"], "ray2.json", ["[1]", "[0]"], "expected a vector of 2 numbers"),
     (["lattice", "sum"], "ray2.json", ["[[1, NaN]]"], "non-finite entries"),
@@ -232,8 +220,7 @@ def test_validate_missing_file_is_usage_error(capsys):
         "validate-structure-dimension", "validate-explicit-entries",
         "prob-measure-key", "rv-value", "sigma-cap", "prob-mix-weight",
         "prob-mix-nan-weights", "prob-mix-one-nan-weight", "prob-mix-inf-weight",
-        "rv-preimage-values", "validate-seed", "sim-seed", "prob-equal-seed", "prob-validate-seed",
-        "suite-seed", "prob-validate-event-samples", "prob-equal-event-samples",
+        "rv-preimage-values", "validate-seed", "sim-seed", "suite-seed",
         "lattice-scalar-vectors", "lattice-nan-vector", "sigma-field-vector",
         "prob-measure-field", "prob-pure-fractional-point", "prob-pure-boolean-point",
         "lattice-fractional-points", "suite-scale", "lattice-orthomodular-one",

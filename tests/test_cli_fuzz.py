@@ -2,8 +2,8 @@
 
 Each example takes one bundled invocation and mutates one of its inputs: a
 JSON input file (one node replaced by another JSON value, or one key or item
-dropped), a flag value (``--seed``, ``--samples``, ``--scale``, ``--cap``,
-``--event-samples``), a ``prob mix`` component weight, or a point,
+dropped), a flag value (``--seed``, ``--samples``, ``--scale``, ``--cap``),
+a ``prob mix`` component weight, or a point,
 subspace or value literal of every ``lattice`` op, ``sim`` command, ``prob
 pure``/``evaluate`` and ``rv eval``/``preimage``/``theorem``; or it drops or
 repeats one such literal, so the operand count is wrong.  Then it runs the
@@ -47,19 +47,20 @@ INVOCATIONS = [
     ["sigma", "validate", "ray2.json", "field_ray2_line.json"],
     ["sigma", "atoms", "explicit4.json", "field_explicit4_twopoints.json"],
     ["sigma", "boolean", "ray2.json", "field_ray2_twolines.json"],
-    ["prob", "validate", "ray2.json", "measure_table_bad_additivity.json",
-     "--event-samples", "5"],
+    ["prob", "validate", "ray2.json", "measure_table_bad_additivity.json"],
     ["prob", "validate", "ray2.json", "measure_mix_axes.json",
      "--field", "field_ray2_twolines.json"],
-    ["prob", "validate", "classical6.json", "measure_uniform6.json",
-     "--event-samples", "5"],
+    ["prob", "validate", "classical6.json", "measure_uniform6.json"],
     ["rv", "compatible", "ray2.json", "rv_pm45.json", "rv_axis.json"],
     ["rv", "compatible", "classical6.json", "rv_die6.json", "rv_die6.json"],
     ["prob", "equal", "ray2.json", "measure_mix_axes.json",
-     "measure_mix_diagonals.json", "--event-samples", "5"],
+     "measure_mix_diagonals.json"],
     ["prob", "equal", "ray2.json", "measure_pure_e1.json",
-     "measure_mix_axes.json", "--event-samples", "5"],
+     "measure_mix_axes.json"],
     ["rv", "expect", "ray2.json", "rv_axis.json", "measure_table_bad_additivity.json"],
+    # prob validate and prob equal take no flag value any more: their field-free
+    # invocations are mutated through their files only
+    ["prob", "validate", "ray2.json", "measure_pure_e1.json"],
 ]
 
 # invocations whose flag values and literal arguments are mutated
@@ -70,8 +71,6 @@ ARGUMENT_INVOCATIONS = [
     ["sigma", "boolean", "ray2.json", "field_ray2_twolines.json", "--cap", "10"],
     ["sigma", "atoms", "explicit4.json", "field_explicit4_twopoints.json",
      "--cap", "10"],
-    ["prob", "validate", "ray2.json", "measure_pure_e1.json", "--event-samples",
-     "5", "--seed", "0"],
     ["suite", "rv", "--seed", "0", "--scale", "2"],
     ["lattice", "sum", "classical4.json", "[0, 1]", "[2]"],
     ["lattice", "sum", "explicit4.json", "[\"r0\"]", "[\"r90\"]"],
@@ -90,12 +89,10 @@ ARGUMENT_INVOCATIONS = [
     ["rv", "eval", "ray2.json", "rv_pm45.json", "[1, 0]"],
     ["rv", "preimage", "classical6.json", "rv_die6.json", "--values", "2,4,6"],
     ["rv", "theorem", "classical6.json", "rv_die6.json", "2"],
-    ["prob", "equal", "ray2.json", "measure_pure_e1.json", "measure_mix_axes.json",
-     "--event-samples", "5", "--seed", "0"],
     ["prob", "mix", "ray2.json", "--component", "0.5", "measure_pure_e1.json",
      "--component", "0.5", "measure_mix_axes.json"],
 ]
-FLAGS = ("--seed", "--samples", "--scale", "--cap", "--event-samples")
+FLAGS = ("--seed", "--samples", "--scale", "--cap")
 WEIGHT = "--component"
 LITERAL_COMMANDS = (("lattice", "sum"), ("lattice", "meet"), ("lattice", "complement"),
                     ("lattice", "orthomodular"), ("lattice", "demorgan"),

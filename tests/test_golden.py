@@ -4,9 +4,8 @@
 fixture files written as ``fixtures/<name>``), the exact ``stdout`` and the
 ``exit`` code.  Every subcommand is covered on classical, explicit and ray
 fixtures, including the broken ``bad3x3`` table (exits 1 and 2).  Slow
-invocations (``prob validate`` over 200 sampled classical events, ray
-``validate`` at 10k samples, ``suite sigma``) are left out to keep the
-replay well under five seconds.
+invocations (ray ``validate`` at 10k samples, ``suite sigma``) are left out
+to keep the replay well under five seconds.
 
 ``tests/golden/cli_options.json`` pins the option strings of every command
 path, so a new or removed flag shows up in review.

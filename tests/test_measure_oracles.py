@@ -17,8 +17,12 @@ The superseded implementations live here as oracles:
 * A fresh copy of a field, whose similarity table is empty, is the oracle
   for the same field after other measures filled its table: every report
   must be the same, byte for byte.
-* ``old_first_difference`` builds every seeded event before comparing the
-  first.  The library builds them only up to the first difference.
+* ``old_seeded_events`` is the seeded domain that decided field-free
+  measures before the closed form of ``_deciding_events``:
+  ``old_first_difference`` compares two measures on it and
+  ``old_seeded_continuity`` checks the continuity bound on it.  Wherever
+  the seeded route finds a difference or a certified continuity failure,
+  the closed form must find one at least as large.
 * ``old_continuity_verdict``, ``old_triangle_verdict`` and
   ``old_identity_verdict`` are the hand-written interval ladders that the
   measure validator and ``check_similarity_theorems`` carried before every
@@ -49,7 +53,7 @@ from starprob import sigma as sig
 from starprob import similarity as sim
 from starprob.errors import EventNotInField
 from starprob.cli import run_command
-from starprob.io import load_field, load_measure, load_structure, measure_report_to_dict
+from starprob.io import load_field, load_structure, measure_report_to_dict
 from starprob.lattice import similarity_to_subspace
 from starprob.measures import (
     evaluate,
@@ -200,13 +204,20 @@ def old_validate_measure(p, fld):
     ])
 
 
-def old_first_difference(p, q, samples, seed):
+def old_seeded_events(st, samples, seed):
     rng = np.random.default_rng(seed)
-    st = p.structure
-    events = [lattice.empty(st), lattice.full(st)] + [
+    return [lattice.empty(st), lattice.full(st)] + [
         from_span(st, st.random_span(rng)) for _ in range(samples)]
-    return next((e for e in events
+
+
+def old_first_difference(p, q, samples, seed):
+    return next((e for e in old_seeded_events(p.structure, samples, seed)
                  if not abs(evaluate(p, e) - evaluate(q, e)) <= TOL_UNIT), None)
+
+
+def old_seeded_continuity(p, samples, seed):
+    events = old_seeded_events(p.structure, samples, seed)
+    return meas._continuity_check(events, [evaluate(p, e) for e in events])
 
 
 def old_triangle_verdict(s_ab, s_ac, s_bc):
@@ -623,32 +634,80 @@ def test_a_broken_table_fails_continuity_with_the_ordered_witness():
 
 
 # ---------------------------------------------------------------------------
-# the first difference, built lazily
+# field-free measures: the closed form against the seeded domain
 
 
-def test_first_difference_matches_the_eager_domain(ray2, ray3):
+def _excess(check):
+    """How far a failed continuity check's witness breaks the bound."""
+    w = check.witness
+    return w["p_A"] - w["bound"]
+
+
+def _random_mixtures(rng, count):
+    """Point-backed ray measures on ``ray(2)`` to ``ray(5)``: pure states and
+    mixtures of two or three random points with random weights."""
+    out = []
+    for i in range(count):
+        st = SPStructure.ray(2 + i % 4)
+        k = 1 + i % 3
+        weights = rng.dirichlet(np.ones(k))
+        out.append(mix([(float(w), pure_state(st, rng.standard_normal(st.d)))
+                        for w in weights]))
+    return out
+
+
+def _gap(p, q, event):
+    return abs(evaluate(p, event) - evaluate(q, event))
+
+
+def test_first_difference_finds_what_the_seeded_domain_finds(ray2, ray3):
+    found = agreed = 0
     for st in (ray2, ray3):
         rng = np.random.default_rng(4)
         pts = points_of(st, rng)
         measures = [pure_state(st, x) for x in pts[:3]]
         measures.append(mix([(0.5, measures[0]), (0.5, measures[1])]))
+        # two bases, each weighted evenly, give the same rho = I/d
+        for basis in (np.eye(st.d), np.linalg.qr(rng.standard_normal((st.d, st.d)))[0]):
+            measures.append(mix([(1.0 / st.d, pure_state(st, v)) for v in basis.T]))
         for p, q in itertools.combinations(measures, 2):
+            got = first_difference(p, q)
             for seed in (0, 7):
-                got = first_difference(p, q, samples=50, seed=seed)
                 want = old_first_difference(p, q, samples=50, seed=seed)
-                assert (got is None) == (want is None)
-                if got is not None:
-                    assert got.to_literal() == want.to_literal()
+                if got is None:
+                    agreed += 1
+                    assert want is None
+                if want is not None:
+                    found += 1
+                    assert _gap(p, q, got) >= _gap(p, q, want) - TOL_UNIT
+    assert found and agreed
 
 
-def test_prob_equal_builds_events_only_up_to_the_witness(capsys):
+def test_closed_form_fails_wherever_the_seeded_domain_fails():
+    rng = np.random.default_rng(11)
+    failures = 0
+    for p in _random_mixtures(rng, 16):
+        got = validate_measure(p).check("continuity_bound")
+        lam = np.linalg.eigvalsh(sum(w * np.outer(x, x) for w, x in p.components))
+        spread = lam[-1] - lam[0]
+        if got.status == FAIL_CERTIFIED:
+            assert _excess(got) == pytest.approx((spread - 0.5) ** 2 / 4, abs=1e-12)
+        else:
+            assert (spread - 0.5) ** 2 / 4 <= TOL_EQ or spread <= 0.5
+        for seed in (0, 1):
+            want = old_seeded_continuity(p, samples=40, seed=seed)
+            if want.status == FAIL_CERTIFIED:
+                failures += 1
+                assert got.status == FAIL_CERTIFIED
+                assert _excess(got) >= _excess(want) - 1e-12
+    assert failures
+
+
+def test_field_free_prob_equal_builds_one_event(capsys):
     argv = ["prob", "equal", FIXTURES / "ray2.json", FIXTURES / "measure_pure_e1.json",
             FIXTURES / "measure_mix_axes.json", "--json"]
     with mock.patch.object(lattice, "from_span", wraps=lattice.from_span) as calls:
         assert run_command([str(a) for a in argv]) == 1
-    assert calls.call_count == 2  # the witness is the fourth event: empty, full, two spans
-    st = load_structure(FIXTURES / "ray2.json")
-    p, q = (load_measure(st, FIXTURES / name)
-            for name in ("measure_pure_e1.json", "measure_mix_axes.json"))
-    witness = old_first_difference(p, q, samples=200, seed=0)
-    assert json.loads(capsys.readouterr().out)["witness"]["event"] == witness.to_literal()
+    assert calls.call_count == 1  # the span of rho_p - rho_q's positive eigenvector
+    witness = json.loads(capsys.readouterr().out)["witness"]
+    assert witness == {"event": [[1.0, 0.0]], "measure": 1.0, "other": 0.5}

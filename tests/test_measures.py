@@ -4,7 +4,9 @@ A measure is graded per axiom with ``pass`` / ``fail-certified``: every
 subspace similarity it reads is exact, and every failure carries a witness.
 """
 
+import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,9 +29,11 @@ from starprob import (
 from starprob.errors import EventNotInField, WeightsNotConvex
 from starprob.io import load_field, load_measure, measure_report_to_dict
 from starprob import lattice
+from starprob import measures as meas
+from starprob.cli import run_command
 from starprob.lattice import RaySubspace
 from starprob.measures import FAIL_CERTIFIED, PASS, evaluate, first_difference
-from starprob.structures import as_point
+from starprob.structures import TOL_EQ, as_point
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +260,109 @@ def test_classical_points_print_as_labels_and_events_as_indices(classical4):
 # equality of measures
 
 
-def test_measures_equal_is_seeded_and_stable(ray2, fixture_dir):
+def test_measures_equal_does_not_depend_on_samples_or_seed(ray2, fixture_dir):
     axes = load_measure(ray2, fixture_dir / "measure_mix_axes.json")
     diags = load_measure(ray2, fixture_dir / "measure_mix_diagonals.json")
-    assert measures_equal(axes, diags, samples=200, seed=9)
-    assert measures_equal(axes, diags, samples=200, seed=9)
+    e1 = pure_state(ray2, [1.0, 0.0])
+    for samples, seed in ((0, 0), (200, 9), (1000, 123)):
+        assert measures_equal(axes, diags, samples=samples, seed=seed)
+        assert not measures_equal(axes, e1, samples=samples, seed=seed)
+
+
+# ---------------------------------------------------------------------------
+# field-free measures, decided on the events of the closed form
+
+
+def _excess(check):
+    w = check.witness
+    return w["p_A"] - w["bound"]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_pure_states_break_continuity_by_a_sixteenth(d):
+    st = SPStructure.ray(d)
+    report = validate_measure(pure_state(st, np.eye(d)[0]))
+    check = report.check("continuity_bound")
+    assert check.status == FAIL_CERTIFIED and report.overall == FAIL_CERTIFIED
+    assert _excess(check) == pytest.approx(1 / 16, abs=1e-12)
+    assert check.witness["similarity"] == pytest.approx(15 / 16, abs=1e-12)
+    assert [report.check(law).status for law in
+            ("empty_event_zero", "full_event_one", "orthogonal_additivity")] == [PASS] * 3
+
+
+def test_cli_fails_the_ray5_pure_state(tmp_path, capsys):
+    (tmp_path / "ray5.json").write_text('{"kind": "ray", "d": 5}')
+    (tmp_path / "e1.json").write_text('{"kind": "pure", "point": [1, 0, 0, 0, 0]}')
+    argv = ["prob", "validate", tmp_path / "ray5.json", tmp_path / "e1.json", "--json"]
+    assert run_command([str(a) for a in argv]) == 1
+    checks = json.loads(capsys.readouterr().out)["report"]["checks"]
+    continuity = next(c for c in checks if c["name"] == "continuity_bound")
+    assert continuity["status"] == FAIL_CERTIFIED
+    w = continuity["witness"]
+    assert w["p_A"] - w["bound"] == pytest.approx(1 / 16, abs=1e-12)
+
+
+def _spread_state(st, spread):
+    """The mixture of the axes whose rho is diag(spread + c, c, ..., c)."""
+    c = (1.0 - spread) / st.d
+    return mix([(spread + c if i == 0 else c, pure_state(st, v))
+                for i, v in enumerate(np.eye(st.d))])
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_continuity_fails_exactly_past_a_spread_of_a_half(d):
+    st = SPStructure.ray(d)
+    # just past a half the worst lines are closer than TOL_EQ, so they are ==
+    # and the true excess, 2.5e-11 at 0.50001, is within the tolerance
+    for spread in (0.0, 0.2, 0.4, 0.49, 0.5, 0.50001, 0.51, 0.6, 0.75, 0.9, 1.0):
+        check = validate_measure(_spread_state(st, spread)).check("continuity_bound")
+        if spread <= 0.5 or (spread - 0.5) ** 2 / 4 <= TOL_EQ:
+            assert check.status == PASS and not check.witnesses, spread
+        else:
+            assert check.status == FAIL_CERTIFIED, spread
+            assert _excess(check) == pytest.approx((spread - 0.5) ** 2 / 4, abs=1e-12)
+
+
+def test_a_spread_under_a_half_passes_with_no_close_lines():
+    st = SPStructure.ray(3)
+    p = mix([(w, pure_state(st, v)) for w, v in zip((0.5, 0.3, 0.2), np.eye(3))])
+    assert validate_measure(p).overall == PASS
+    lines = [e for e in meas._deciding_events(p) if e.dim == 1]
+    assert len(lines) == 3
+    for i, a in enumerate(lines):
+        for b in lines[i + 1:]:
+            assert a != b  # no two lines within TOL_EQ of each other
+
+
+def test_classical_difference_is_the_total_variation(classical6, fixture_dir):
+    uniform = load_measure(classical6, fixture_dir / "measure_uniform6.json")
+    point = pure_state(classical6, 0)
+    event = first_difference(uniform, point)
+    assert event.to_literal() == (1, 2, 3, 4, 5)
+    assert evaluate(uniform, event) - evaluate(point, event) == pytest.approx(5 / 6, abs=1e-12)
+    assert first_difference(uniform, uniform) is None
+
+
+def test_classical_measures_are_checked_on_every_atom(classical6, fixture_dir):
+    uniform = load_measure(classical6, fixture_dir / "measure_uniform6.json")
+    with mock.patch.object(meas, "evaluate", wraps=meas.evaluate) as calls:
+        assert validate_measure(uniform).overall == PASS
+    seen = {c.args[1].points for c in calls.call_args_list}
+    assert {frozenset([x]) for x in range(6)} <= seen
+    assert {frozenset(), frozenset(range(6))} <= seen
+
+
+def test_explicit_measures_are_checked_on_every_carrier(wheel):
+    carriers = wheel.explicit_lattice()["carrier_list"]
+    for p in (pure_state(wheel, 0), mix([(0.5, pure_state(wheel, 0)),
+                                         (0.5, pure_state(wheel, 1))])):
+        with mock.patch.object(meas, "evaluate", wraps=meas.evaluate) as calls:
+            assert validate_measure(p).overall == PASS
+        seen = {c.args[1].points for c in calls.call_args_list}
+        assert set(carriers) <= seen
+    assert first_difference(pure_state(wheel, 0), pure_state(wheel, 0)) is None
+    event = first_difference(pure_state(wheel, 0), pure_state(wheel, 1))
+    assert event.points in carriers
 
 
 @given(hs.integers(min_value=0, max_value=2 ** 32 - 1))
