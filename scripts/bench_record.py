@@ -13,9 +13,7 @@ which goes first.  After the workloads each side also times the command
 line on its own source, best of three runs: ``suite <id> --seed 42 --json``
 for every suite id, ``validate <table> --json`` on a 13-point identity
 table (written once to a temporary file, so both sides read the same
-absolute path), the field-free ``prob validate`` of the bundled ``ray2``
-pure state and ``prob equal`` of it against the axis mixture, and the cold
-start of ``--version``.
+absolute path), and the cold start of ``--version``.
 
 The JSON on stdout holds, per side and workload, every run of each
 end-to-end metric with its median and quartiles, the result digests, the
@@ -52,8 +50,6 @@ SUITES = ("lattice", "similarity", "sigma", "prob", "rv", "all")
 # 2**13 orthogonal point sets, past the enumeration budget, so validate samples it
 IDENTITY13 = {"kind": "explicit",
               "matrix": [[float(i == j) for j in range(13)] for i in range(13)]}
-# the bundled ray2 pure state, read from each side's own fixtures
-RAY2_E1 = ("fixtures/ray2.json", "fixtures/measure_pure_e1.json")
 # a command's time in a round is its fastest of this many runs: single runs
 # straight after the workloads spread by half their median on this 2-core box
 REPEATS = 3
@@ -89,9 +85,6 @@ def commands(table: Path) -> dict:
     the file holding ``IDENTITY13``."""
     return {**{f"suite {s}": ["suite", s, "--seed", "42", "--json"] for s in SUITES},
             "validate identity13": ["validate", str(table), "--json"],
-            "prob validate ray2 pure_e1": ["prob", "validate", *RAY2_E1, "--json"],
-            "prob equal ray2 pure_e1 mix_axes": [
-                "prob", "equal", *RAY2_E1, "fixtures/measure_mix_axes.json", "--json"],
             "cold_start": ["--version"]}
 
 

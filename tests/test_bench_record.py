@@ -132,11 +132,7 @@ def test_each_suite_and_the_cold_start_run_on_the_sides_own_source(monkeypatch):
     assert [cmd[3:] for cmd, _, _ in seen[::repeats]] == [
         ["suite", s, "--seed", "42", "--json"]
         for s in ("lattice", "similarity", "sigma", "prob", "rv", "all")] + [
-        ["validate", str(TABLE), "--json"],
-        ["prob", "validate", "fixtures/ray2.json", "fixtures/measure_pure_e1.json", "--json"],
-        ["prob", "equal", "fixtures/ray2.json", "fixtures/measure_pure_e1.json",
-         "fixtures/measure_mix_axes.json", "--json"],
-        ["--version"]]
+        ["validate", str(TABLE), "--json"], ["--version"]]
     assert len(seen) == repeats * len(COMMANDS)
     assert {tuple(cmd[1:3]) for cmd, _, _ in seen} == {("-m", "starprob.cli")}
     assert {(cwd, path) for _, cwd, path in seen} == {(where, str(where / "src"))}

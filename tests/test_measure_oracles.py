@@ -14,6 +14,12 @@ The superseded implementations live here as oracles:
 * ``old_continuity_check`` computes ``s(A, B)`` for both orders of every
   event pair.  The library computes an exact value once per unordered pair
   and must give the same verdict and the same first witness.
+* ``old_additivity_check`` is also the oracle for ``_carrier_additivity``,
+  which checks every carrier of an explicit table on rows of member points
+  and must give the same verdict and witness, bit for bit; and
+  ``old_validate_measure`` on a field of every carrier is the oracle for
+  the field-free report of a point-backed explicit measure, whose
+  continuity scan computes only the pairs that can fail.
 * A fresh copy of a field, whose similarity table is empty, is the oracle
   for the same field after other measures filled its table: every report
   must be the same, byte for byte.
@@ -631,6 +637,108 @@ def test_a_broken_table_fails_continuity_with_the_ordered_witness():
                     witnesses.append((i, j))
     # both orders of a pair reach the witness, the reverse one from the reused value
     assert any(i < j for i, j in witnesses) and any(i > j for i, j in witnesses)
+
+
+# ---------------------------------------------------------------------------
+# every carrier of an explicit table, decided on membership matrices
+
+
+def carrier_fields():
+    """Explicit tables with the field their points generate, which holds
+    every carrier: identities, plane tables and seven lines of R^3."""
+    r = 2 ** -0.5
+    lines = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [r, r, 0], [r, -r, 0],
+                      [r, 0, r], [r, 0, -r]])
+    cube = (lines @ lines.T) ** 2
+    cube[cube < 1e-15] = 0.0
+    out = []
+    for m in [np.eye(n) for n in range(1, 6)] + [plane_table(k) for k in (2, 4, 6, 12)] + [cube]:
+        st = SPStructure.explicit(np.asarray(m).tolist())
+        fld = generate_sigma_star(st, [[x] for x in range(st.n)])
+        assert {e.points for e in fld.events} == set(st.explicit_lattice()["carrier_list"])
+        out.append(fld)
+    return out
+
+
+def test_carrier_additivity_matches_the_pair_scan():
+    rng = np.random.default_rng(1)
+    verdicts, families = set(), 0
+    for fld in carrier_fields():
+        events = list(fld.events)
+        for t in range(12):
+            values = rng.random(len(events)) if t % 2 else np.round(rng.random(len(events)) * 4) / 4
+            values = [0.0 if e.is_empty else 1.0 if e.is_full else float(v)
+                      for e, v in zip(events, values)]
+            table = table_measure(fld, values)
+            got = meas._carrier_additivity(table, events, values)
+            want = old_additivity_check(table, events)
+            assert (got.status, got.witnesses) == (want.status, want.witnesses)
+            verdicts.add(got.status)
+            families += bool(got.witnesses) and "family_size" in got.witness
+    assert verdicts == {PASS, FAIL_CERTIFIED} and families
+
+
+def test_field_free_explicit_measures_match_the_scan_of_every_carrier():
+    rng = np.random.default_rng(2)
+    verdicts = set()
+    # the seven lines of R^3 (last) hold no projection of some point onto
+    # some plane, and the scan of every pair meets one and raises
+    for st in [f.structure for f in carrier_fields()[:-1]] + [
+            load_structure(FIXTURES / "explicit4.json")]:
+        measures = [pure_state(st, x) for x in range(st.n)]
+        measures += [mix([(float(w), pure_state(st, x)) for x, w in
+                          enumerate(rng.dirichlet(np.ones(st.n)))]) for _ in range(2)]
+        for p in measures:
+            carriers = sig.SigmaStarField(st, tuple(meas._deciding_events(p)))
+            got = measure_report_to_dict(validate_measure(p))
+            assert got == measure_report_to_dict(old_validate_measure(p, carriers))
+            verdicts.add(got["overall"])
+    assert verdicts == {PASS, FAIL_CERTIFIED}
+
+
+def test_field_free_continuity_computes_every_pair_that_can_fail():
+    # every pair with p(A) > p(B) and s(A, B) > TOL_EQ, and no pair with p(A) <= p(B)
+    rng = np.random.default_rng(3)
+    two_planes = np.kron(np.eye(2), plane_table(6))
+    computed = 0
+    for st in [f.structure for f in carrier_fields()[:-1]] + [
+            SPStructure.explicit(two_planes.tolist())]:
+        for p in [pure_state(st, 0), mix([(float(w), pure_state(st, x)) for x, w in
+                                          enumerate(rng.dirichlet(np.ones(st.n)))])]:
+            events = meas._deciding_events(p)
+            values = [evaluate(p, e) for e in events]
+            got = {(i, j) for i, j, _ in meas._open_pairs(events, values)}
+            for i, j in itertools.permutations(range(len(events)), 2):
+                if values[i] <= values[j]:
+                    assert (i, j) not in got
+                elif subspace_similarity(events[i], events[j]).value > TOL_EQ:
+                    assert (i, j) in got
+            computed += len(got)
+    assert computed
+
+
+def test_field_free_continuity_computes_only_pairs_that_can_fail():
+    # on an identity table every carrier holds a point orthogonal to each
+    # carrier it outweighs, so no pair can fail and none is computed
+    st = SPStructure.explicit(np.eye(10).tolist())
+    uniform = mix([(0.1, pure_state(st, x)) for x in range(10)])
+    for p in (pure_state(st, 0), uniform):
+        with mock.patch.object(meas, "subspace_similarity",
+                               wraps=meas.subspace_similarity) as calls:
+            assert validate_measure(p).overall == PASS
+        assert calls.call_count == 0
+    # a plane table computes only pairs with p(A) > p(B), each once
+    st = SPStructure.explicit(plane_table(12))
+    p = pure_state(st, 0)
+    events = meas._deciding_events(p)
+    values = [evaluate(p, e) for e in events]
+    with mock.patch.object(meas, "subspace_similarity", wraps=meas.subspace_similarity) as calls:
+        got = meas._continuity_check(events, values)
+    assert got == meas._continuity_check(events, values, {})
+    assert got.status == FAIL_CERTIFIED
+    pairs = [c.args for c in calls.call_args_list]
+    assert pairs and len({(a.points, b.points) for a, b in pairs}) == len(pairs)
+    assert all(evaluate(p, a) > evaluate(p, b) for a, b in pairs)
 
 
 # ---------------------------------------------------------------------------
