@@ -13,7 +13,9 @@ which goes first.  After the workloads each side also times the command
 line on its own source, best of three runs: ``suite <id> --seed 42 --json``
 for every suite id, ``validate <table> --json`` on a 13-point identity
 table (written once to a temporary file, so both sides read the same
-absolute path), and the cold start of ``--version``.
+absolute path), ``prob validate`` and ``prob equal`` of the ``ray2`` pure
+state ``e1`` without a field (against ``measure_mix_axes.json`` for
+equality), and the cold start of ``--version``.
 
 The JSON on stdout holds, per side and workload, every run of each
 end-to-end metric with its median and quartiles, the result digests, the
@@ -50,6 +52,9 @@ SUITES = ("lattice", "similarity", "sigma", "prob", "rv", "all")
 # 2**13 orthogonal point sets, past the enumeration budget, so validate samples it
 IDENTITY13 = {"kind": "explicit",
               "matrix": [[float(i == j) for j in range(13)] for i in range(13)]}
+# a pure ray state without a field, decided in closed form; read from each
+# side's own fixtures
+PURE_E1 = ("fixtures/ray2.json", "fixtures/measure_pure_e1.json")
 # a command's time in a round is its fastest of this many runs: single runs
 # straight after the workloads spread by half their median on this 2-core box
 REPEATS = 3
@@ -85,6 +90,9 @@ def commands(table: Path) -> dict:
     the file holding ``IDENTITY13``."""
     return {**{f"suite {s}": ["suite", s, "--seed", "42", "--json"] for s in SUITES},
             "validate identity13": ["validate", str(table), "--json"],
+            "prob validate pure_e1": ["prob", "validate", *PURE_E1, "--json"],
+            "prob equal pure_e1 mix_axes": ["prob", "equal", *PURE_E1,
+                                            "fixtures/measure_mix_axes.json", "--json"],
             "cold_start": ["--version"]}
 
 

@@ -9,21 +9,28 @@ operation computes a carrier.  The classical model is the Kronecker case of
 that route, in which every point set is its own closure; where it differs
 from an explicit table (a carrier's basis and literal, the least carrier
 over a point set, the points orthogonal to a set) the structure's class
-answers.  A :class:`RaySubspace` carries a canonical
-orthonormal frame (column-pivoted, largest-residual-first, sign-canonical);
-equal subspaces built by different routes, even ``a + b`` and ``b + a``, can
+answers.  A :class:`RaySubspace` carries the orthonormal basis its
+construction produced (``onb``, the carried basis: the leading left singular
+vectors of a span, sum or intersection, the trailing columns of a complete
+QR for a complement) and builds its canonical frame (column-pivoted,
+largest-residual-first, sign-canonical) on first read of ``frame``.
+Equal subspaces built by different routes, even ``a + b`` and ``b + a``, can
 round apart at 12 decimals, so ``==`` decides equality and the canonical key
 is only a hint.  Ray relations are decided on the principal angles (Bjorck
 & Golub 1973) against ``TOL_EQ``, read from sines where small (Knyazev &
 Argentati 2002): ``A`` is orthogonal to ``B`` when every principal
 ``cos^2`` is within it, ``A <= B`` (orthogonality to ``B'``) when every
 ``sin^2`` is, and ``A == B`` when ``A <= B`` and the dimensions agree.
+Principal angles are the same for any orthonormal basis, so the relations
+read ``onb`` and build no frame; everything else (the operations, the
+canonical key, literals, basis points, similarity) reads the frame.
 
 The lattice operations are sum (least upper bound), intersection (greatest
 lower bound) and orthocomplement, kept on the subspace after its first use.
 For rays the sum is one SVD of the operands' stacked frames, the
 intersection one SVD of their stacked residual maps ``I - P`` (the common
-nullspace), and the complement the frame of ``I - P``.  Ray 0 and 1 are
+nullspace), and the complement the trailing columns of a complete QR of
+the operand's ``onb``, its frame that of ``I - P``.  Ray 0 and 1 are
 decided from dimensions: a span of rank ``d`` is 1, with the identity frame;
 ``0' = 1``, ``1' = 0``, and 0 and 1 drop out of sums and intersections
 (``x + 0 = x``, ``x + 1 = 1``, ``x & 1 = x``, ``x & 0 = 0``).  The lattice is
@@ -297,22 +304,64 @@ def _least_containing(st: SPStructure, pts: frozenset, what: str) -> DiscreteSub
 
 
 # ---------------------------------------------------------------------------
-# the ray model: subspaces carried by read-only canonical frames
+# the ray model: subspaces carried by orthonormal bases and canonical frames
+
+
+class _FrameSlot:
+    """A ray subspace's carried basis ``onb`` and its canonical ``frame``,
+    built on first :meth:`canonical` call from what the eager route used:
+    ``onb onb^T``, or for a complement ``I - P`` of the operand's canonical
+    frame.  A complement keeps its operand's slot (``of``), not the operand,
+    which keeps the complement as its memo: pointing back would make a
+    reference cycle."""
+
+    __slots__ = ("onb", "frame", "of")
+
+    def __init__(self, onb: np.ndarray, frame: np.ndarray | None = None,
+                 of: _FrameSlot | None = None):
+        onb.flags.writeable = False
+        self.onb, self.frame, self.of = onb, frame, of
+
+    def canonical(self) -> np.ndarray:
+        if self.frame is None:
+            d, k = self.onb.shape
+            if self.of is None:
+                proj = self.onb @ self.onb.T
+            else:
+                f = self.of.canonical()
+                proj = np.eye(d) - f @ f.T
+            frame = _canonical_frame(proj, k)
+            frame.flags.writeable = False
+            self.frame, self.of = frame, None
+        return self.frame
 
 
 class RaySubspace(Subspace):
-    """A subspace of ``R^d``: its canonical frame, one column per dimension."""
+    """A subspace of ``R^d``, one column per dimension: the orthonormal
+    basis its construction produced (``_slot.onb``, not canonical), which
+    the relations read, and the canonical ``frame``, built on first read,
+    which everything else reads (joins, meets, complements' frames,
+    ``projector``, ``sum_gap``, the canonical key, literals, basis points and
+    similarity)."""
 
     # _basis is filled by the first _own_basis call
-    __slots__ = ("frame", "_basis")
+    __slots__ = ("_slot", "_basis")
 
-    def __init__(self, st: SPStructure, frame: np.ndarray):
-        frame.flags.writeable = False
+    def __init__(self, st: SPStructure, frame: np.ndarray | None = None, *,
+                 onb: np.ndarray | None = None, of: _FrameSlot | None = None):
+        """From its canonical ``frame``, or from an orthonormal ``onb`` with
+        the frame left to first use (``of``: the slot of the subspace this
+        one complements)."""
+        self._slot = _FrameSlot(frame, frame) if onb is None else _FrameSlot(onb, of=of)
         self.structure = st
-        self.frame = frame
-        self.dim = frame.shape[1]
+        self.dim = self._slot.onb.shape[1]
         self.is_full = self.dim == st.d
         self._complement = self._basis = None
+
+    @property
+    def frame(self) -> np.ndarray:
+        """The canonical frame (read-only), built on first read."""
+        return self._slot.canonical()
 
     @staticmethod
     def empty(st):
@@ -365,8 +414,8 @@ class RaySubspace(Subspace):
         st = self.structure
         if self.is_empty or self.is_full:  # 0' = 1 and 1' = 0
             return RaySubspace.full(st) if self.is_empty else RaySubspace.empty(st)
-        return RaySubspace(st, _canonical_frame(np.eye(st.d) - self.projector(),
-                                                st.d - self.dim))
+        q = np.linalg.qr(self._slot.onb, mode="complete")[0]
+        return RaySubspace(st, onb=q[:, self.dim:], of=self._slot)
 
     # On a principal plane (angle g), the stacked frames [F_A F_B] and residual
     # maps [I - P_A; I - P_B] have one sv^2 = 1 - cos g: sin^2 g = sv^2 (2 - sv^2).
@@ -395,10 +444,11 @@ class RaySubspace(Subspace):
         return _column_span(self.structure, vt[(sq < 1.0) & (sq * (2.0 - sq) <= TOL_EQ)].T)
 
     def is_orthogonal_to(self, other) -> bool:  # principal cos^2
-        return _within_tol(self.frame.T @ other.frame)
+        return _within_tol(self._slot.onb.T @ other._slot.onb)
 
     def is_subset_of(self, other) -> bool:  # principal sin^2
-        return _within_tol(self.frame - other.frame @ (other.frame.T @ self.frame))
+        a, b = self._slot.onb, other._slot.onb
+        return _within_tol(a - b @ (b.T @ a))
 
     def _own_basis(self) -> tuple[Point, ...]:
         # orthogonal by construction: no pairwise check.  as_point runs again
@@ -440,8 +490,7 @@ def _column_span(st: SPStructure, m: np.ndarray, frames: bool = False) -> RaySub
     rank = int(np.sum(keep))
     if rank == st.d:  # a span of rank d is 1
         return RaySubspace.full(st)
-    basis = u[:, :rank]
-    return RaySubspace(st, _canonical_frame(basis @ basis.T, rank))
+    return RaySubspace(st, onb=u[:, :rank])
 
 
 def _within_tol(m: np.ndarray) -> bool:

@@ -167,11 +167,12 @@ def subspace_similarity(a: Subspace, b: Subspace) -> SimilarityEstimate:
     Inside a single plane the same recipe gives an ``x`` orthogonal to
     ``u_i`` or to ``v_i``, which is why two lines keep ``c^2``.
 
-    :func:`_zero_witness` tries the pairs and re-checks the winner with
-    :func:`tau`.  For unequal subspaces whose principal angles ``g`` all lie
-    below ``sqrt(2 TOL_EQ)``, about 4.5e-5, none passes: a zero witness shows
-    one side about ``g^2/2 < TOL_EQ`` of its mass, which ``tau`` reads as
-    orthogonal.  The value is still 0 by the proof, returned without a witness.
+    :func:`_zero_witness` tries the pairs and re-checks the winner on the
+    projections :func:`tau` compares.  For unequal subspaces whose principal
+    angles ``g`` all lie below ``sqrt(2 TOL_EQ)``, about 4.5e-5, none passes:
+    a zero witness shows one side about ``g^2/2 < TOL_EQ`` of its mass,
+    which ``tau`` reads as orthogonal.  The value is still 0 by the proof,
+    returned without a witness.
     """
     ensure_same_structure(a.structure, b.structure)
     st = a.structure
@@ -219,7 +220,9 @@ def _zero_witness(a: Subspace, b: Subspace) -> list | None:
     ``F_A^T F_B``, as :func:`subspace_similarity` builds it.  Pairs ``(i, j)``
     are tried from the most negative ``l-`` and the largest ``l+``; one is
     kept when more than ``TOL_EQ`` of its mass projects onto each side and
-    :func:`tau` confirms a value within ``TOL_EQ`` of zero."""
+    its projections ``P x = F (F^T x)`` are orthogonal within ``TOL_EQ``,
+    ``(P_A x . P_B x)^2 <= TOL_EQ |P_A x|^2 |P_B x|^2``: the ``cos^2`` that
+    :func:`tau` reads between them, from the frames in hand."""
     fa, fb = a.frame, b.frame
     u, cos, vt = np.linalg.svd(fa.T @ fb)
     if a.dim > b.dim:
@@ -240,7 +243,8 @@ def _zero_witness(a: Subspace, b: Subspace) -> list | None:
             if min(np.sum((x @ fa) ** 2), np.sum((x @ fb) ** 2)) <= TOL_EQ:
                 continue
             pt = a.structure.as_point(x)
-            if tau(pt, a, b) <= TOL_EQ:
+            pa, pb = fa @ (fa.T @ pt), fb @ (fb.T @ pt)
+            if np.dot(pa, pb) ** 2 <= TOL_EQ * np.dot(pa, pa) * np.dot(pb, pb):
                 return pt.tolist()
     return None
 

@@ -448,19 +448,7 @@ class ExplicitStructure(DiscreteStructure):
         if self._lattice is not None:
             return self._lattice
         cliques: list[tuple[int, ...]] = [()]
-
-        def grow(clique: tuple[int, ...], start: int) -> None:
-            for v in range(start, self.n):
-                if self.orthogonal[v].issuperset(clique):
-                    if len(cliques) == ENUM_MAX_SETS:
-                        raise BudgetRequired(
-                            f"explicit model has more than {ENUM_MAX_SETS} orthogonal "
-                            "point sets; exhaustive subspace enumeration is out of budget")
-                    nxt = clique + (v,)
-                    cliques.append(nxt)
-                    grow(nxt, v + 1)
-
-        grow((), 0)
+        _grow_cliques(self.orthogonal, cliques, (), 0)
 
         # a clique is pairwise orthogonal by construction: no pair check
         carriers: dict[frozenset, tuple[int, ...]] = {}
@@ -494,6 +482,23 @@ class ExplicitStructure(DiscreteStructure):
     def to_dict(self) -> dict:
         return {"kind": self.kind, "points": list(self.labels),
                 "matrix": [[float(v) for v in row] for row in self.matrix]}
+
+
+def _grow_cliques(orthogonal, cliques: list, clique: tuple[int, ...], start: int) -> None:
+    """Append to ``cliques``, depth first, every pairwise-orthogonal point set
+    that extends ``clique`` by points from ``start`` on; ``orthogonal[v]`` is
+    the set of points orthogonal to ``v``.  A module function: a nested one
+    that calls itself is a reference cycle, which holds the structure and its
+    cache until the cyclic collector runs."""
+    for v in range(start, len(orthogonal)):
+        if orthogonal[v].issuperset(clique):
+            if len(cliques) == ENUM_MAX_SETS:
+                raise BudgetRequired(
+                    f"explicit model has more than {ENUM_MAX_SETS} orthogonal "
+                    "point sets; exhaustive subspace enumeration is out of budget")
+            nxt = clique + (v,)
+            cliques.append(nxt)
+            _grow_cliques(orthogonal, cliques, nxt, v + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -132,10 +132,21 @@ def test_each_suite_and_the_cold_start_run_on_the_sides_own_source(monkeypatch):
     assert [cmd[3:] for cmd, _, _ in seen[::repeats]] == [
         ["suite", s, "--seed", "42", "--json"]
         for s in ("lattice", "similarity", "sigma", "prob", "rv", "all")] + [
-        ["validate", str(TABLE), "--json"], ["--version"]]
+        ["validate", str(TABLE), "--json"],
+        ["prob", "validate", "fixtures/ray2.json", "fixtures/measure_pure_e1.json", "--json"],
+        ["prob", "equal", "fixtures/ray2.json", "fixtures/measure_pure_e1.json",
+         "fixtures/measure_mix_axes.json", "--json"],
+        ["--version"]]
     assert len(seen) == repeats * len(COMMANDS)
     assert {tuple(cmd[1:3]) for cmd, _, _ in seen} == {("-m", "starprob.cli")}
     assert {(cwd, path) for _, cwd, path in seen} == {(where, str(where / "src"))}
     assert out["suite rv"]["s"] == 2.0  # the fastest of the three runs
     assert out["suite rv"]["exits"] == [0, 1]
     assert out["cold_start"]["digests"] == [hashlib.sha256(b"out").hexdigest()]
+
+
+def test_the_timed_fixtures_are_in_the_repository():
+    # read relative to each side's own checkout, which holds the same files
+    paths = [a for args in COMMANDS.values() for a in args if a.startswith("fixtures/")]
+    assert len(paths) == 5
+    assert all((SCRIPT.parents[1] / a).is_file() for a in paths)

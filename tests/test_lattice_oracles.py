@@ -33,6 +33,7 @@ The superseded implementations live here as oracles:
   there.
 """
 
+import gc
 import importlib.util
 import itertools
 import math
@@ -973,6 +974,10 @@ def test_top_and_bottom_build_no_frame(monkeypatch, d):
     ca = ortho_complement(a)
     basis = random_frame(d, d, rng).T
     line = from_span(st, rng.standard_normal((1, d)))
+    # frames are built on first read: read the operands' frames here, so
+    # the count sees only what 0, 1 and the proper join build
+    for s in (a, ca, line):
+        assert s.frame.shape == (d, s.dim)
     calls = _count_frames(monkeypatch)
     results = [join(a, ca), ortho_complement(empty(st)), ortho_complement(full(st)),
                from_basis(st, basis), join(ca, a, empty(st))]
@@ -981,5 +986,186 @@ def test_top_and_bottom_build_no_frame(monkeypatch, d):
     for r in results:
         if r.is_full:
             assert r.frame.tobytes() == np.eye(d).tobytes()
-    # a proper subspace still builds its frame
-    assert join(a, line).dim == d // 2 + 1 and len(calls) == 1
+    # a proper subspace still builds its frame, on first read
+    proper = join(a, line)
+    assert proper.dim == d // 2 + 1 and calls == []
+    assert proper.frame.shape == (d, d // 2 + 1) and len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# frames on first read: the bytes of the eager builders, relations on onb
+
+
+OLD_BUILDERS = {lattice.join: old_join, lattice.meet: old_meet,
+                lattice.ortho_complement: old_complement}
+
+
+def _record_ops(monkeypatch, read_frames):
+    """Record every ``from_span``, ``join``, ``meet`` and
+    ``ortho_complement`` the library makes, as ``(op, operands, result)``;
+    ``read_frames`` reads each result's frame as soon as it is built."""
+    log = []
+
+    def recording(op):
+        def run(*args):
+            got = op(*args)
+            log.append((op, args, got))
+            if read_frames:
+                assert got.frame.shape == (got.structure.d, got.dim)
+            return got
+        return run
+
+    for name in ("from_span", "join", "meet", "ortho_complement"):
+        monkeypatch.setattr(lattice, name, recording(getattr(lattice, name)))
+    return log
+
+
+def _replay_eagerly(log):
+    """Each recorded result next to its eager twin: the old builder applied
+    to the twins of the operands, or the library's own shortcut where it
+    took one (an operand returned as it is, 0 and 1 from dimensions), so
+    both routes stay in step.  The old builder runs in every case and must
+    agree on the dimension."""
+    twins = {}
+    pairs = []
+    for op, args, got in log:
+        st = got.structure
+        if op is lattice.from_span:
+            want = old_column_span(st, np.asarray(args[1], dtype=float).reshape(-1, st.d).T)
+        else:
+            want = OLD_BUILDERS[op](*(twins[id(s)] for s in args))
+        assert want.dim == got.dim
+        shortcut = [twins[id(s)] for s in args if s is got]
+        if shortcut:
+            want = shortcut[0]
+        elif got.is_empty or got.is_full:
+            want = lattice.RaySubspace.empty(st) if got.is_empty else lattice.RaySubspace.full(st)
+        twins[id(got)] = want
+        pairs.append((got, want))
+    return pairs
+
+
+def _lattice_data(d, seed):
+    rng = np.random.default_rng(seed)
+    return {"d": d, "frames": [random_frame(d, int(k), rng) if k else np.zeros((d, 0))
+                               for k in rng.integers(0, d + 1, 3)]}
+
+
+LAZY_CASES = ([(d, seed) for d in (2, 3, 4, 5) for seed in range(6)]
+              + [(d, seed) for d in (4, 8, 16, 32) for seed in range(3)])
+
+
+@pytest.mark.parametrize("read_first", [True, False], ids=["read-at-once", "read-after"])
+@pytest.mark.parametrize("d,seed", LAZY_CASES)
+def test_lazy_frames_have_the_bytes_of_the_eager_builders(monkeypatch, d, seed, read_first):
+    # every subspace lattice_run builds, its frame read as soon as it is
+    # built or only after the run's relations, against the eager route
+    data = _lattice_data(d, seed)
+    with monkeypatch.context() as mp:
+        log = _record_ops(mp, read_first)
+        workloads.lattice_run(data)
+    assert len(log) > 20
+    for got, want in _replay_eagerly(log):
+        assert got.frame.tobytes() == want.frame.tobytes(), (got, want)
+        assert not got.frame.flags.writeable
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 8, 16, 32])
+def test_complements_build_their_frames_from_the_operands_canonical_frame(d):
+    rng = np.random.default_rng(120 + d)
+    st = SPStructure.ray(d)
+    for k in range(1, d):
+        rows = rng.standard_normal((k, d))
+        eager = old_column_span(st, rows.T)
+        # the complement's frame read before its operand's, then the second
+        # complement's after a relation
+        a = from_span(st, rows)
+        ca = ortho_complement(a)
+        cca = ortho_complement(ca)
+        assert ca.frame.tobytes() == old_complement(eager).frame.tobytes()
+        assert a.frame.tobytes() == eager.frame.tobytes()
+        assert cca == a and is_orthogonal(cca, ca)
+        assert cca.frame.tobytes() == old_complement(old_complement(eager)).frame.tobytes()
+
+
+def _fresh_results(d, seed):
+    """Spans, their complements, joins and meets, none of whose frames is
+    built (the operations read their operands' frames)."""
+    rng = np.random.default_rng(seed)
+    st = SPStructure.ray(d)
+    spans = [from_span(st, rng.standard_normal((k, d))) for k in (1, d // 2, d - 1)]
+    spans.append(_tilted(st, spans[1]._slot.onb, 1e-6, rng))  # equal to spans[1]
+    comps = [ortho_complement(s) for s in spans]
+    ops = [join(spans[0], spans[1]), meet(spans[1], spans[2]), join(comps[0], spans[0]),
+           meet(comps[2], spans[2])]
+    return spans + comps + ops
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 8, 16, 32])
+def test_relations_on_fresh_results_build_no_frame(monkeypatch, d):
+    subs = _fresh_results(d, 140 + d)
+    calls = _count_frames(monkeypatch)
+    seen = {(x == y, is_subset(x, y), is_orthogonal(x, y))
+            for x, y in itertools.product(subs, repeat=2)}
+    assert subs[1] == subs[3] and subs[3] == subs[1]  # the tilt is within TOL_EQ
+    assert calls == []
+    assert len(seen) >= 3
+
+
+def frame_subset(x, y):
+    return lattice._within_tol(x.frame - y.frame @ (y.frame.T @ x.frame))
+
+
+def frame_orthogonal(x, y):
+    return lattice._within_tol(x.frame.T @ y.frame)
+
+
+@pytest.mark.parametrize("d,k", SHAPES)
+@pytest.mark.parametrize("s2", BOUNDARY)
+def test_relations_on_onb_agree_with_relations_on_frames(d, k, s2):
+    st = SPStructure.ray(d)
+    a, b, c, q = (from_span(st, v) for v in _swept_pair(d, k, s2))
+    base = [a, b, c, q]
+    subs = base + [ortho_complement(s) for s in base] + [join(a, b), meet(a, b),
+                                                          join(c, q), meet(b, c)]
+    for x, y in itertools.product(subs, repeat=2):
+        sub = frame_subset(x, y)
+        assert is_subset(x, y) is sub, (x, y)
+        assert is_orthogonal(x, y) is frame_orthogonal(x, y), (x, y)
+        assert (x == y) is (x.dim == y.dim and sub and frame_subset(y, x)), (x, y)
+
+
+@pytest.mark.parametrize("name", ["ray_lattice", "ray_similarity", "discrete_fields"])
+def test_a_workload_batch_leaves_no_reference_cycle(name):
+    work = workloads.WORKLOADS[name]
+    batch = work.items(np.random.default_rng(5), work.size)
+    gc.collect()
+    gc.disable()
+    try:
+        for item in batch:
+            work.check(item.data, work.run(item.data))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_a_ray_lattice_batch_builds_half_the_frames(monkeypatch):
+    # seed 5: 745 frames, 47,670 sweep steps and 1,212 SVDs when every
+    # result built its frame; relations on onb leave 391 and 24,940
+    work = workloads.WORKLOADS["ray_lattice"]
+    batch = work.items(np.random.default_rng(5), work.size)
+    calls = _count_frames(monkeypatch)
+    svds = []
+    real_svd = np.linalg.svd
+
+    def counted_svd(*args, **kwargs):
+        svds.append(1)
+        return real_svd(*args, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(np.linalg, "svd", counted_svd)
+        for item in batch:
+            work.run(item.data)
+    assert len(calls) <= 400
+    assert sum(r * (r - 1) // 2 for r in calls) <= 25_000
+    assert len(svds) <= 1_212
