@@ -26,7 +26,11 @@ The superseded implementations live here as oracles:
   build every ray result through an SVD and a canonical frame, with no
   shortcut for the empty and the full subspace; the library decides 0 and 1
   from dimensions and must give the same dimension, ``==`` both ways and
-  canonical key, with the frame of 1 exactly the identity.
+  canonical key, with the frame of 1 exactly the identity.  Replayed in
+  step with the library's shortcuts over every subspace ``lattice_run``
+  builds, they also give the bytes of every frame the library builds on
+  first read, whether it is read at once or after the relations, which
+  read the carried basis and must agree with relations on the frames.
 * ``principal_sin2`` and ``principal_cos2`` compute principal angles with
   numpy from the raw spanning vectors; every ray relation must agree with
   them on pairs swept through ``TOL_EQ``, and the lattice laws must hold
