@@ -12,10 +12,13 @@ own metadata is left alone) and every round runs both sides, alternating
 which goes first.  After the workloads each side also times the command
 line on its own source, best of three runs: ``suite <id> --seed 42 --json``
 for every suite id, ``validate <table> --json`` on a 13-point identity
-table (written once to a temporary file, so both sides read the same
-absolute path), ``prob validate`` and ``prob equal`` of the ``ray2`` pure
-state ``e1`` without a field (against ``measure_mix_axes.json`` for
-equality), and the cold start of ``--version``.
+table, ``prob validate`` and ``prob equal`` of the ``ray2`` pure state
+``e1`` without a field (against ``measure_mix_axes.json`` for equality),
+``sigma generate`` of Cabello's first 8 rays of ``ray(4)`` with
+``--cap 512`` (a real ray closure, which passes the cap and exits 2), and
+the cold start of ``--version``.  The table and the closure's inputs are
+written once to a temporary directory, so both sides read the same
+absolute paths.
 
 The JSON on stdout holds, per side and workload, every run of each
 end-to-end metric with its median and quartiles, the result digests, the
@@ -52,6 +55,14 @@ SUITES = ("lattice", "similarity", "sigma", "prob", "rv", "all")
 # 2**13 orthogonal point sets, past the enumeration budget, so validate samples it
 IDENTITY13 = {"kind": "explicit",
               "matrix": [[float(i == j) for j in range(13)] for i in range(13)]}
+# the first 8 of the 18 rays of Cabello, Estebaranz and Garcia-Alcaine
+# (1996), in the order their bases list them: they close past 512 events
+RAY4 = {"kind": "ray", "d": 4}
+CABELLO8 = {"generators": [[[float(x) for x in ray]] for ray in (
+    (0, 0, 0, 1), (0, 0, 1, 0), (1, 1, 0, 0), (1, -1, 0, 0), (0, 1, 0, 0),
+    (1, 0, 1, 0), (1, 0, -1, 0), (1, -1, 1, -1))]}
+# the timed commands' inputs that no checkout holds, by file name
+INPUTS = {"identity13.json": IDENTITY13, "ray4.json": RAY4, "cabello8.json": CABELLO8}
 # a pure ray state without a field, decided in closed form; read from each
 # side's own fixtures
 PURE_E1 = ("fixtures/ray2.json", "fixtures/measure_pure_e1.json")
@@ -85,14 +96,17 @@ def run_once(where: Path) -> dict:
     return {r["workload"]: r for r in reports}
 
 
-def commands(table: Path) -> dict:
-    """The command lines timed after the workloads, by name; ``table`` is
-    the file holding ``IDENTITY13``."""
+def commands(inputs: Path) -> dict:
+    """The command lines timed after the workloads, by name; ``inputs`` is
+    the directory holding the files of ``INPUTS``."""
     return {**{f"suite {s}": ["suite", s, "--seed", "42", "--json"] for s in SUITES},
-            "validate identity13": ["validate", str(table), "--json"],
+            "validate identity13": ["validate", str(inputs / "identity13.json"), "--json"],
             "prob validate pure_e1": ["prob", "validate", *PURE_E1, "--json"],
             "prob equal pure_e1 mix_axes": ["prob", "equal", *PURE_E1,
                                             "fixtures/measure_mix_axes.json", "--json"],
+            "sigma generate cabello8 cap512": [
+                "sigma", "generate", str(inputs / "ray4.json"),
+                str(inputs / "cabello8.json"), "--cap", "512", "--json"],
             "cold_start": ["--version"]}
 
 
@@ -198,9 +212,10 @@ def main(argv=None) -> int:
     sides = {"change": {"dir": ROOT, "rev": git("rev-parse", "HEAD"),
                         "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}}
     with tempfile.TemporaryDirectory(prefix="bench-against-") as tmp:
-        table = Path(tmp, "identity13.json").resolve()
-        table.write_text(json.dumps(IDENTITY13))
-        cmds = commands(table)
+        inputs = Path(tmp).resolve()
+        for name, doc in INPUTS.items():
+            (inputs / name).write_text(json.dumps(doc))
+        cmds = commands(inputs)
         if args.against:
             parent_dir = Path(tmp, "parent")
             parent_dir.mkdir()

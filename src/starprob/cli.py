@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -49,7 +50,7 @@ def main(argv=None) -> int:
     try:
         st = spio.load_structure(args.structure) if "structure" in args else None
         payload, lines, code = args.handler(args, st)
-        print(spio.dump_json({**payload, "report_version": 1}) if args.json
+        _emit(spio.dump_json({**payload, "report_version": 1}) if args.json
               else "\n".join(lines))
         return code
     except (FormatError, ClosureCapExceeded) as exc:
@@ -61,6 +62,15 @@ def main(argv=None) -> int:
     except Exception as exc:  # a bug, not a verdict: exit 1 needs a witness
         print(f"error: internal: {exc.__class__.__name__}: {exc}", file=sys.stderr)
         return INTERNAL
+
+
+def _emit(text: str) -> None:
+    """Print the answer.  A reader that closes stdout early is no fault of
+    the program: the rest goes to the null device and the exit code stands."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def run_command(argv) -> int:

@@ -22,20 +22,26 @@ Argentati 2002): ``A`` is orthogonal to ``B`` when every principal
 ``cos^2`` is within it, ``A <= B`` (orthogonality to ``B'``) when every
 ``sin^2`` is, and ``A == B`` when ``A <= B`` and the dimensions agree.
 Principal angles are the same for any orthonormal basis, so the relations
-read ``onb`` and build no frame; everything else (the operations, the
-canonical key, literals, basis points, similarity) reads the frame.
+read ``onb`` and build no frame, and so do the operations where an
+operand's frame is not built yet; the canonical key, literals, basis points
+and similarity read the frame.
 
 The lattice operations are sum (least upper bound), intersection (greatest
 lower bound) and orthocomplement, kept on the subspace after its first use.
-For rays the sum is one SVD of the operands' stacked frames, the
-intersection one SVD of their stacked residual maps ``I - P`` (the common
-nullspace), and the complement the trailing columns of a complete QR of
-the operand's ``onb``, its frame that of ``I - P``.  Ray 0 and 1 are
-decided from dimensions: a span of rank ``d`` is 1, with the identity frame;
-``0' = 1``, ``1' = 0``, and 0 and 1 drop out of sums and intersections
-(``x + 0 = x``, ``x + 1 = 1``, ``x & 1 = x``, ``x & 0 = 0``).  The lattice is
-orthomodular but not distributive; ``check_orthomodular`` and
-``distributes`` exercise both laws.
+For rays the sum is one SVD of the operands' stacked bases, the
+intersection one SVD of their stacked residual maps ``I - B B^T`` (the
+common nullspace), each operand given by its frame if built and else by
+its ``onb``, and the complement the trailing columns of a complete QR of
+the operand's ``onb``.  A result's frame is the one the eager route gives,
+in which every operand had its frame: on first read a result replays that
+route on its operands' frames, built first (see :class:`_FrameSlot`), and
+keeps the dimension it was built with.  So the frame, the key and every
+printed value keep their bits whichever frames were read before.  Ray 0
+and 1 are decided from dimensions: a span of rank ``d`` is 1, with the
+identity frame; ``0' = 1``, ``1' = 0``, and 0 and 1 drop out of sums and
+intersections (``x + 0 = x``, ``x + 1 = 1``, ``x & 1 = x``, ``x & 0 = 0``).
+The lattice is orthomodular but not distributive; ``check_orthomodular``
+and ``distributes`` exercise both laws.
 """
 
 from __future__ import annotations
@@ -191,8 +197,8 @@ def check_de_morgan(a: Subspace, b: Subspace) -> bool:
 
     For the ray model the intersections come from the common-nullspace
     construction of :func:`meet` and the sums from the span of the operands'
-    frames, so ``(A & B)' = A' + B'`` and ``(A + B)' = A' & B'`` each compare
-    an SVD of stacked residual maps with an SVD of stacked frames.  Rewriting
+    bases, so ``(A & B)' = A' + B'`` and ``(A + B)' = A' & B'`` each compare
+    an SVD of stacked residual maps with an SVD of stacked bases.  Rewriting
     the intersection as the complement of a sum of complements would reduce
     the first identity to ``((A' + B')')' = A' + B'``, which only tests the
     involution.
@@ -308,51 +314,85 @@ def _least_containing(st: SPStructure, pts: frozenset, what: str) -> DiscreteSub
 
 
 class _FrameSlot:
-    """A ray subspace's carried basis ``onb`` and its canonical ``frame``,
-    built on first :meth:`canonical` call from what the eager route used:
-    ``onb onb^T``, or for a complement ``I - P`` of the operand's canonical
-    frame.  A complement keeps its operand's slot (``of``), not the operand,
-    which keeps the complement as its memo: pointing back would make a
-    reference cycle."""
+    """A ray subspace's carried basis ``onb``, its canonical ``frame`` once
+    built, and the recipe that builds the frame from what the eager route
+    used: ``op`` applied to the canonical frames of the operands' slots
+    ``of``.  With no ``op`` the frame is that of ``onb onb^T``.  A
+    ``"complement"`` takes ``I - F F^T`` of its operand's frame; a
+    ``"join"`` or ``"meet"`` runs the eager SVDs again on the operands'
+    frames (stacked, or stacked as ``I - F F^T``), keeps ``dim`` leading
+    left singular vectors ``u`` and takes the frame of ``u u^T``.  A join or
+    meet whose operands all had frames carries the eager basis already and
+    keeps no recipe.  The recipe is dropped once the frame is built.
 
-    __slots__ = ("onb", "frame", "of")
+    Slots point at slots, never at subspaces: an operand keeps its
+    complement as its memo, so pointing back would make a reference cycle."""
+
+    __slots__ = ("onb", "frame", "op", "of")
 
     def __init__(self, onb: np.ndarray, frame: np.ndarray | None = None,
-                 of: _FrameSlot | None = None):
+                 op: str | None = None, of: tuple[_FrameSlot, ...] = ()):
         onb.flags.writeable = False
-        self.onb, self.frame, self.of = onb, frame, of
+        self.onb, self.frame, self.op, self.of = onb, frame, op, of
+
+    def basis(self) -> np.ndarray:
+        """The canonical frame if it is built, else the carried basis."""
+        return self.onb if self.frame is None else self.frame
 
     def canonical(self) -> np.ndarray:
-        if self.frame is None:
-            d, k = self.onb.shape
-            if self.of is None:
-                proj = self.onb @ self.onb.T
+        """The canonical frame, building it and every missing operand frame
+        first, operands before results, on an explicit stack: a chain of
+        operations any number deep replays without recursion."""
+        stack = [self] if self.frame is None else []
+        while stack:
+            slot = stack[-1]
+            if slot.frame is not None:
+                stack.pop()
+                continue
+            waiting = [s for s in slot.of if s.frame is None]
+            if waiting:
+                stack += waiting
             else:
-                f = self.of.canonical()
-                proj = np.eye(d) - f @ f.T
-            frame = _canonical_frame(proj, k)
-            frame.flags.writeable = False
-            self.frame, self.of = frame, None
+                stack.pop()
+                slot._replay()
         return self.frame
+
+    def _replay(self) -> None:
+        d, k = self.onb.shape
+        frames = [s.frame for s in self.of]
+        if self.op == "complement":
+            proj = np.eye(d) - frames[0] @ frames[0].T
+        else:
+            u = self.onb
+            if self.op == "join":
+                u = _leading(np.concatenate(frames, axis=1), k)
+            elif self.op == "meet":  # sv^2 descend: the meet keeps trailing rows
+                u = _leading(_residual_svd(frames)[1][d - k:].T, k)
+            proj = u @ u.T
+        frame = _canonical_frame(proj, k)
+        frame.flags.writeable = False
+        self.frame, self.op, self.of = frame, None, ()
 
 
 class RaySubspace(Subspace):
     """A subspace of ``R^d``, one column per dimension: the orthonormal
-    basis its construction produced (``_slot.onb``, not canonical), which
-    the relations read, and the canonical ``frame``, built on first read,
-    which everything else reads (joins, meets, complements' frames,
-    ``projector``, ``sum_gap``, the canonical key, literals, basis points and
-    similarity)."""
+    basis its construction produced (``_slot.onb``, not canonical) and the
+    canonical ``frame``, built on first read.  The relations and a
+    complement's carried basis read ``onb``; joins and meets read each
+    operand's frame if it is built and its ``onb`` otherwise; everything
+    else reads the frame (``projector``, ``sum_gap``, the canonical key,
+    literals, basis points and similarity)."""
 
     # _basis is filled by the first _own_basis call
     __slots__ = ("_slot", "_basis")
 
     def __init__(self, st: SPStructure, frame: np.ndarray | None = None, *,
-                 onb: np.ndarray | None = None, of: _FrameSlot | None = None):
+                 onb: np.ndarray | None = None, op: str | None = None,
+                 of: tuple[_FrameSlot, ...] = ()):
         """From its canonical ``frame``, or from an orthonormal ``onb`` with
-        the frame left to first use (``of``: the slot of the subspace this
-        one complements)."""
-        self._slot = _FrameSlot(frame, frame) if onb is None else _FrameSlot(onb, of=of)
+        the frame left to first read, by the recipe ``op`` on the operands'
+        slots ``of`` (see :class:`_FrameSlot`)."""
+        self._slot = _FrameSlot(frame, frame) if onb is None else _FrameSlot(onb, op=op, of=of)
         self.structure = st
         self.dim = self._slot.onb.shape[1]
         self.is_full = self.dim == st.d
@@ -415,11 +455,11 @@ class RaySubspace(Subspace):
         if self.is_empty or self.is_full:  # 0' = 1 and 1' = 0
             return RaySubspace.full(st) if self.is_empty else RaySubspace.empty(st)
         q = np.linalg.qr(self._slot.onb, mode="complete")[0]
-        return RaySubspace(st, onb=q[:, self.dim:], of=self._slot)
+        return RaySubspace(st, onb=q[:, self.dim:], op="complement", of=(self._slot,))
 
-    # On a principal plane (angle g), the stacked frames [F_A F_B] and residual
+    # On a principal plane (angle g), the stacked bases [B_A B_B] and residual
     # maps [I - P_A; I - P_B] have one sv^2 = 1 - cos g: sin^2 g = sv^2 (2 - sv^2).
-    # Other sv^2 are >= 1, or 0 (frames) and 2 (maps) off both sides.  The sum
+    # Other sv^2 are >= 1, or 0 (bases) and 2 (maps) off both sides.  The sum
     # keeps sv^2 >= 1 and sin^2 g > TOL_EQ; the meet sv^2 < 1, sin^2 g <= TOL_EQ.
     # For n operands sv^2 sums cos^2 or sin^2: operands lie in the join, the meet in each.
 
@@ -428,8 +468,9 @@ class RaySubspace(Subspace):
         most = max(subs, key=lambda s: s.dim)
         if len(subs) == 1 or most.is_full:  # x + 1 = 1
             return most
+        slots = [s._slot for s in subs]
         return _column_span(self.structure, np.concatenate(
-            [s.frame for s in subs], axis=1), frames=True)
+            [s.basis() for s in slots], axis=1), frames=True, **_recipe("join", slots))
 
     def meet(self, rest):
         """The common nullspace of the residual maps ``I - P``, from one SVD
@@ -438,10 +479,10 @@ class RaySubspace(Subspace):
         least = min(subs, key=lambda s: s.dim)
         if len(subs) == 1 or least.is_empty:  # x & 0 = 0
             return least
-        eye = np.eye(self.structure.d)
-        _, sv, vt = np.linalg.svd(np.vstack([eye - s.projector() for s in subs]))
-        sq = sv * sv
-        return _column_span(self.structure, vt[(sq < 1.0) & (sq * (2.0 - sq) <= TOL_EQ)].T)
+        slots = [s._slot for s in subs]
+        sq, vt = _residual_svd([s.basis() for s in slots])
+        return _column_span(self.structure, vt[(sq < 1.0) & (sq * (2.0 - sq) <= TOL_EQ)].T,
+                            **_recipe("meet", slots))
 
     def is_orthogonal_to(self, other) -> bool:  # principal cos^2
         return _within_tol(self._slot.onb.T @ other._slot.onb)
@@ -477,9 +518,11 @@ class RaySubspace(Subspace):
         return float(np.linalg.norm(frames.T @ frames - np.eye(frames.shape[1]), 2))
 
 
-def _column_span(st: SPStructure, m: np.ndarray, frames: bool = False) -> RaySubspace:
+def _column_span(st: SPStructure, m: np.ndarray, frames: bool = False,
+                 op: str | None = None, of: tuple[_FrameSlot, ...] = ()) -> RaySubspace:
     """The span of the columns of a finite ``d x m`` matrix; rank by SVD:
-    ``sv^2 > TOL_EQ sv_0^2``, or the sum's rule for stacked ``frames``."""
+    ``sv^2 > TOL_EQ sv_0^2``, or the sum's rule for stacked ``frames``.  A
+    proper result builds its frame by the recipe ``op`` on ``of``."""
     if not m.shape[1]:
         return RaySubspace.empty(st)
     u, sv, _ = np.linalg.svd(m, full_matrices=False)
@@ -490,7 +533,27 @@ def _column_span(st: SPStructure, m: np.ndarray, frames: bool = False) -> RaySub
     rank = int(np.sum(keep))
     if rank == st.d:  # a span of rank d is 1
         return RaySubspace.full(st)
-    return RaySubspace(st, onb=u[:, :rank])
+    return RaySubspace(st, onb=u[:, :rank], op=op, of=of)
+
+
+def _recipe(op: str, slots: list[_FrameSlot]) -> dict:
+    """``op`` on ``slots`` when an operand's frame is missing; nothing when
+    every frame is built, as the result then carries the eager basis."""
+    if all(s.frame is not None for s in slots):
+        return {}
+    return {"op": op, "of": tuple(slots)}
+
+
+def _residual_svd(bases: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """``sv^2`` and ``V^T`` of the full SVD of the stacked ``I - B B^T``."""
+    eye = np.eye(bases[0].shape[0])
+    _, sv, vt = np.linalg.svd(np.vstack([eye - b @ b.T for b in bases]))
+    return sv * sv, vt
+
+
+def _leading(m: np.ndarray, k: int) -> np.ndarray:
+    """The ``k`` leading left singular vectors of ``m``."""
+    return np.linalg.svd(m, full_matrices=False)[0][:, :k]
 
 
 def _within_tol(m: np.ndarray) -> bool:

@@ -408,29 +408,7 @@ class ExplicitStructure(DiscreteStructure):
 
     def complete_basis(self, pts) -> tuple[int, ...]:
         base = tuple(sorted(int(p) for p in pts))
-        candidates = sorted(self.orthogonal_points(base))
-        nodes = 0
-
-        def is_basis(sel: tuple[int, ...]) -> bool:
-            return bool(np.all(np.abs(self.row_sums(sel) - 1.0) <= TOL_EQ))
-
-        def search(sel: tuple[int, ...], start: int):
-            nonlocal nodes
-            nodes += 1
-            if nodes > COMPLETION_MAX_NODES:
-                raise CompletionNotFound(
-                    "basis completion search budget exhausted", exhausted=False)
-            if is_basis(sel):
-                return sel
-            for k in range(start, len(candidates)):
-                p = candidates[k]
-                if all(p in self.orthogonal[q] for q in sel):
-                    found = search(sel + (p,), k + 1)
-                    if found is not None:
-                        return found
-            return None
-
-        found = search(base, 0)
+        found = _complete(self, sorted(self.orthogonal_points(base)), base, 0, [0])
         if found is None:
             raise CompletionNotFound(
                 "no orthogonal completion spans the whole space; "
@@ -499,6 +477,28 @@ def _grow_cliques(orthogonal, cliques: list, clique: tuple[int, ...], start: int
             nxt = clique + (v,)
             cliques.append(nxt)
             _grow_cliques(orthogonal, cliques, nxt, v + 1)
+
+
+def _complete(st: ExplicitStructure, candidates: list[int], sel: tuple[int, ...],
+              start: int, nodes: list[int]) -> tuple[int, ...] | None:
+    """The first basis, depth first, among the orthogonal extensions of
+    ``sel`` by ``candidates`` from ``start`` on: a set whose row sums are all
+    1 within ``TOL_EQ``.  ``nodes[0]`` counts the sets visited against
+    ``COMPLETION_MAX_NODES``.  A module function, as :func:`_grow_cliques`
+    is, so that no closure cell makes a reference cycle."""
+    nodes[0] += 1
+    if nodes[0] > COMPLETION_MAX_NODES:
+        raise CompletionNotFound(
+            "basis completion search budget exhausted", exhausted=False)
+    if np.all(np.abs(st.row_sums(sel) - 1.0) <= TOL_EQ):
+        return sel
+    for k in range(start, len(candidates)):
+        p = candidates[k]
+        if all(p in st.orthogonal[q] for q in sel):
+            found = _complete(st, candidates, sel + (p,), k + 1, nodes)
+            if found is not None:
+                return found
+    return None
 
 
 # ---------------------------------------------------------------------------

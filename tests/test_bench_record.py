@@ -79,8 +79,8 @@ def test_each_run_uses_the_benchmarks_run_length_and_the_pinned_seed(monkeypatch
     assert cmd[cmd.index("--seconds") + 1] == str(bench_record.BENCHMARK["run_seconds"])
 
 
-TABLE = pathlib.Path("/tmp/identity13.json")
-COMMANDS = bench_record.commands(TABLE)
+INPUTS = pathlib.Path("/tmp")
+COMMANDS = bench_record.commands(INPUTS)
 
 
 def _timed(times, exit_code=0, digest="d"):
@@ -115,6 +115,16 @@ def test_the_identity_table_is_written_in_full():
     assert m == [[1.0 if i == j else 0.0 for j in range(13)] for i in range(13)]
 
 
+def test_the_closure_inputs_are_cabellos_first_eight_rays():
+    assert set(bench_record.INPUTS) == {"identity13.json", "ray4.json", "cabello8.json"}
+    assert bench_record.RAY4 == {"kind": "ray", "d": 4}
+    gens = bench_record.CABELLO8["generators"]
+    assert [v for (v,) in gens] == [
+        [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0], [1.0, 1.0, 0.0, 0.0],
+        [1.0, -1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 1.0, 0.0],
+        [1.0, 0.0, -1.0, 0.0], [1.0, -1.0, 1.0, -1.0]]
+
+
 def test_each_suite_and_the_cold_start_run_on_the_sides_own_source(monkeypatch):
     seen = []
     # each command's three runs take 5, 2 and 3 s: a start and an end reading each
@@ -132,10 +142,12 @@ def test_each_suite_and_the_cold_start_run_on_the_sides_own_source(monkeypatch):
     assert [cmd[3:] for cmd, _, _ in seen[::repeats]] == [
         ["suite", s, "--seed", "42", "--json"]
         for s in ("lattice", "similarity", "sigma", "prob", "rv", "all")] + [
-        ["validate", str(TABLE), "--json"],
+        ["validate", str(INPUTS / "identity13.json"), "--json"],
         ["prob", "validate", "fixtures/ray2.json", "fixtures/measure_pure_e1.json", "--json"],
         ["prob", "equal", "fixtures/ray2.json", "fixtures/measure_pure_e1.json",
          "fixtures/measure_mix_axes.json", "--json"],
+        ["sigma", "generate", str(INPUTS / "ray4.json"), str(INPUTS / "cabello8.json"),
+         "--cap", "512", "--json"],
         ["--version"]]
     assert len(seen) == repeats * len(COMMANDS)
     assert {tuple(cmd[1:3]) for cmd, _, _ in seen} == {("-m", "starprob.cli")}

@@ -10,7 +10,10 @@ Exit code contract:
 
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -519,3 +522,22 @@ def test_text_mode_prints_lines_not_json(capsys, fixture_dir):
     assert "pass" in out
     with pytest.raises(json.JSONDecodeError):
         json.loads(out)
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_a_reader_that_closes_stdout_early_is_no_internal_error(mode):
+    # the pipe's read end is closed before the program starts, so its first
+    # write fails; it exits quietly with its answer's own code
+    argv = [sys.executable, "-m", "starprob.cli", "prob", "validate",
+            str(FIXTURES / "ray2.json"), str(FIXTURES / "measure_pure_e1.json"), *mode]
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).resolve().parents[1] / "src")}
+    whole = subprocess.run(argv, env=env, capture_output=True, timeout=60)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        cut = subprocess.run(argv, env=env, stdout=write, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write)
+    assert whole.stdout and whole.stderr == b""
+    assert (cut.returncode, cut.stderr) == (whole.returncode, b"")
+    assert whole.returncode == 1

@@ -29,7 +29,9 @@ The superseded implementations live here as oracles:
   canonical key, with the frame of 1 exactly the identity.  Replayed in
   step with the library's shortcuts over every subspace ``lattice_run``
   builds, they also give the bytes of every frame the library builds on
-  first read, whether it is read at once or after the relations, which
+  first read, whether it is read at once, after the relations, or at once
+  for a seeded half (so joins and meets see operands with and without
+  frames), and at the end of chains 5,000 operations deep.  The relations
   read the carried basis and must agree with relations on the frames.
 * ``principal_sin2`` and ``principal_cos2`` compute principal angles with
   numpy from the raw spanning vectors; every ray relation must agree with
@@ -66,6 +68,7 @@ from starprob import (
     similarity_to_subspace,
 )
 from starprob import lattice
+from starprob import sigma
 from starprob import similarity as sim
 from starprob import structures as core
 from starprob.errors import BudgetRequired, SPError
@@ -1004,17 +1007,17 @@ OLD_BUILDERS = {lattice.join: old_join, lattice.meet: old_meet,
                 lattice.ortho_complement: old_complement}
 
 
-def _record_ops(monkeypatch, read_frames):
+def _record_ops(monkeypatch, read_now):
     """Record every ``from_span``, ``join``, ``meet`` and
     ``ortho_complement`` the library makes, as ``(op, operands, result)``;
-    ``read_frames`` reads each result's frame as soon as it is built."""
+    a result's frame is read as soon as it is built where ``read_now()``."""
     log = []
 
     def recording(op):
         def run(*args):
             got = op(*args)
             log.append((op, args, got))
-            if read_frames:
+            if read_now():
                 assert got.frame.shape == (got.structure.d, got.dim)
             return got
         return run
@@ -1059,14 +1062,19 @@ LAZY_CASES = ([(d, seed) for d in (2, 3, 4, 5) for seed in range(6)]
               + [(d, seed) for d in (4, 8, 16, 32) for seed in range(3)])
 
 
-@pytest.mark.parametrize("read_first", [True, False], ids=["read-at-once", "read-after"])
+@pytest.mark.parametrize("read", ["at-once", "after", "half"])
 @pytest.mark.parametrize("d,seed", LAZY_CASES)
-def test_lazy_frames_have_the_bytes_of_the_eager_builders(monkeypatch, d, seed, read_first):
+def test_lazy_frames_have_the_bytes_of_the_eager_builders(monkeypatch, d, seed, read):
     # every subspace lattice_run builds, its frame read as soon as it is
-    # built or only after the run's relations, against the eager route
+    # built, only after the run's relations, or at once for a seeded half
+    # of the results, so that joins and meets see operands with and
+    # without frames; against the eager route
     data = _lattice_data(d, seed)
+    coin = np.random.default_rng(seed + 1000 * d)
+    read_now = {"at-once": lambda: True, "after": lambda: False,
+                "half": lambda: coin.random() < 0.5}[read]
     with monkeypatch.context() as mp:
-        log = _record_ops(mp, read_first)
+        log = _record_ops(mp, read_now)
         workloads.lattice_run(data)
     assert len(log) > 20
     for got, want in _replay_eagerly(log):
@@ -1173,3 +1181,78 @@ def test_a_ray_lattice_batch_builds_half_the_frames(monkeypatch):
     assert len(calls) <= 400
     assert sum(r * (r - 1) // 2 for r in calls) <= 25_000
     assert len(svds) <= 1_212
+
+
+def _count_svds(monkeypatch):
+    calls = []
+    real_svd = np.linalg.svd
+
+    def counted_svd(*args, **kwargs):
+        calls.append(1)
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    return calls
+
+
+def test_a_ray_lattice_batch_builds_no_frame(monkeypatch):
+    # joins and meets read carried bases: the batch reads no frame, so it
+    # builds none, with no more SVDs than when every operand had a frame
+    work = workloads.WORKLOADS["ray_lattice"]
+    batch = work.items(np.random.default_rng(5), work.size)
+    calls = _count_frames(monkeypatch)
+    svds = _count_svds(monkeypatch)
+    for item in batch:
+        work.run(item.data)
+    assert calls == []
+    assert len(svds) <= 1_212
+
+
+def _ray(text):
+    """A ray of ``R^4`` written as in the Cabello bases: ``1-100`` is
+    ``(1, -1, 0, 0)``."""
+    return [float(c) * (-1.0 if text[i - 1:i] == "-" else 1.0)
+            for i, c in enumerate(text) if c != "-"]
+
+
+def test_a_ray_closure_does_the_eager_work(monkeypatch):
+    # the closure reads every event's key, so every operand has its frame
+    # and each join and meet carries the eager basis, with no replay
+    st = SPStructure.ray(4)
+    calls = _count_frames(monkeypatch)
+    svds = _count_svds(monkeypatch)
+    gens = [from_span(st, [_ray(r)]) for r in ("0001", "0010", "1100", "1-100", "0100")]
+    fld = sigma.generate_sigma_star(st, gens)
+    assert len(fld) == 24
+    assert (len(svds), len(calls)) == (869, 399)
+
+
+DEPTH = 5_000
+
+
+def test_deep_chains_replay_without_recursion():
+    # a plane complemented DEPTH times, and a line joined with one line and
+    # met with one plane in turn (a plane and a line in turn), each step
+    # next to its eager twin
+    st = SPStructure.ray(3)
+    rng = np.random.default_rng(11)
+
+    def twins(k):
+        rows = rng.standard_normal((k, 3))
+        return from_span(st, rows), old_column_span(st, rows.T)
+
+    (x, ex), (y, ey) = twins(1), twins(2)
+    complements = [(ortho_complement, old_complement)]
+    turns = [(lambda a: join(a, x), lambda a: old_join(a, ex)),
+             (lambda a: meet(a, y), lambda a: old_meet(a, ey))]
+    for (got, want), steps in ((twins(2), complements), (twins(1), turns)):
+        chain = []
+        for i in range(DEPTH):
+            op, old_op = steps[i % len(steps)]
+            got, want = op(got), old_op(want)
+            chain.append((got, want))
+        # the last result first: every frame of the chain replays under it
+        assert got.canonical_key() == want.canonical_key()
+        for got, want in chain:
+            assert got.dim == want.dim
+            assert got.frame.tobytes() == want.frame.tobytes()

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import warnings
@@ -320,6 +321,42 @@ def test_extend_to_basis_ray_completes_many_tilted_points(d):
             if max(point_similarity(ray, *map(ray.as_point, pair)) for pair
                    in itertools.combinations(pts, 2)) <= TOL_EQ:
                 _completes_to_the_full_space(ray, list(pts))
+
+
+def _plane_table(k):
+    """``k`` lines of the plane spaced ``180/k`` degrees, tabulated."""
+    ang = [math.pi * i / k for i in range(k)]
+    return SPStructure.explicit([[math.cos(x - y) ** 2 for y in ang] for x in ang])
+
+
+def _first_completion(st_, base):
+    """The first orthogonal extension of ``base`` in depth-first order (the
+    lexicographic order of the added points) that is a basis."""
+    cands = sorted(st_.orthogonal_points(base))
+    added = [c for r in range(len(cands) + 1) for c in itertools.combinations(cands, r)
+             if all(q in st_.orthogonal[p] for p, q in itertools.combinations(c, 2))]
+    return next(base + c for c in sorted(added)
+                if st_.closure(base + c) == frozenset(range(st_.n)))
+
+
+@pytest.mark.parametrize("k", [4, 6, 8])
+def test_explicit_completion_is_the_first_basis_depth_first(k):
+    st_ = _plane_table(k)
+    for p in range(k):
+        assert extend_to_basis(st_, [p]) == _first_completion(st_, (p,))
+
+
+def test_explicit_completion_leaves_no_reference_cycle(wheel):
+    tables = [wheel, _plane_table(6)]
+    for st_ in tables:
+        st_.explicit_lattice()
+    gc.collect()
+    gc.disable()
+    try:
+        assert [extend_to_basis(st_, [0]) for st_ in tables] == [(0, 2), (0, 3)]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @given(st.integers(min_value=0, max_value=5), st.integers(min_value=0, max_value=5))
