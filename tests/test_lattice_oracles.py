@@ -1062,7 +1062,7 @@ LAZY_CASES = ([(d, seed) for d in (2, 3, 4, 5) for seed in range(6)]
               + [(d, seed) for d in (4, 8, 16, 32) for seed in range(3)])
 
 
-@pytest.mark.parametrize("read", ["at-once", "after", "half"])
+@pytest.mark.parametrize("read", ["read-at-once", "read-after", "read-half"])
 @pytest.mark.parametrize("d,seed", LAZY_CASES)
 def test_lazy_frames_have_the_bytes_of_the_eager_builders(monkeypatch, d, seed, read):
     # every subspace lattice_run builds, its frame read as soon as it is
@@ -1071,8 +1071,8 @@ def test_lazy_frames_have_the_bytes_of_the_eager_builders(monkeypatch, d, seed, 
     # without frames; against the eager route
     data = _lattice_data(d, seed)
     coin = np.random.default_rng(seed + 1000 * d)
-    read_now = {"at-once": lambda: True, "after": lambda: False,
-                "half": lambda: coin.random() < 0.5}[read]
+    read_now = {"read-at-once": lambda: True, "read-after": lambda: False,
+                "read-half": lambda: coin.random() < 0.5}[read]
     with monkeypatch.context() as mp:
         log = _record_ops(mp, read_now)
         workloads.lattice_run(data)
