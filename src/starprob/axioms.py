@@ -23,7 +23,6 @@ from .errors import BudgetRequired, FormatError
 from .structures import (
     SAMPLED_PASS,
     TOL_EQ,
-    TOL_UNIT,
     Check,
     Point,
     Report,
@@ -93,20 +92,11 @@ def validate_sp_axioms(st: SPStructure,
 
 
 def _matrix_law(st: SPStructure, law: str, table: np.ndarray) -> Check:
-    """A law read off the whole matrix: its residual is ``table``'s largest
-    entry, and a failure names the pair where it sits."""
-    res = float(max(0.0, np.max(table)))
-    check = Check(law)
-    check.hit(res <= TOL_UNIT, res,
-              _argmax_pair(table, st) if res > TOL_UNIT else None,
-              trials=st.n * st.n)
-    return check
-
-
-def _argmax_pair(m: np.ndarray, st: SPStructure) -> dict:
-    i, j = np.unravel_index(int(np.argmax(m)), m.shape)
-    return {"points": [st.labels[int(i)], st.labels[int(j)]],
-            "residual": float(m[i, j])}
+    """A law read off the whole matrix, ``n^2`` trials whose residual is
+    ``table``'s largest entry.  It cannot fail: ``SPStructure.explicit``
+    already rejects asymmetry and negative entries past ``TOL_UNIT``, the
+    same tests at the same tolerance, so the constructor is its guard."""
+    return Check(law, trials=st.n * st.n, max_residual=float(max(0.0, np.max(table))))
 
 
 # ---------------------------------------------------------------------------

@@ -545,9 +545,11 @@ def _recipe(op: str, slots: list[_FrameSlot]) -> dict:
 
 
 def _residual_svd(bases: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """``sv^2`` and ``V^T`` of the full SVD of the stacked ``I - B B^T``."""
+    """``sv^2`` and the ``d x d`` ``V^T`` of the stacked ``I - B B^T``, from
+    the reduced SVD: the stack has at least ``d`` rows, so ``V^T`` is
+    complete, and the ``(n d) x (n d)`` ``U`` of the full one goes unused."""
     eye = np.eye(bases[0].shape[0])
-    _, sv, vt = np.linalg.svd(np.vstack([eye - b @ b.T for b in bases]))
+    _, sv, vt = np.linalg.svd(np.vstack([eye - b @ b.T for b in bases]), full_matrices=False)
     return sv * sv, vt
 
 

@@ -9,9 +9,9 @@ which replaces monotonicity in this non-distributive setting.  Two
 backings are supported: an explicit value table over a field, and a convex
 mixture of points ``B -> sum_i w_i s(x_i, B)``.  A pure state, induced by a
 single point, is the mixture of one point with weight one.  Point-backed
-measures are defined on every subspace, and decided there by the events of
-:func:`_deciding_events` (every carrier of an explicit table, a few events
-on the other models); tables only on their field.
+measures are defined on every subspace, and decided there by the few events
+that the structure's ``measure_events`` names (every carrier of an explicit
+table); tables only on their field.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .lattice import Subspace, similarity_to_subspace
 from .sigma import SigmaStarField
 from .similarity import compare_leq, continuity_rhs, ordered_similarities, subspace_similarity
 from .structures import TOL_EQ, TOL_UNIT, Point, SPStructure, as_point, ensure_same_structure
-from .structures import CLASSICAL, EXPLICIT, FAIL_CERTIFIED, Check, Report
+from .structures import FAIL_CERTIFIED, Check, ExplicitStructure, Report
 from .structures import PASS  # noqa: F401 - verdicts re-exported with the validator
 
 TABLE = "table"
@@ -144,7 +144,7 @@ def evaluate(p: ProbabilityMeasure, event: Subspace) -> float:
 def validate_measure(p: ProbabilityMeasure,
                      fld: SigmaStarField | None = None) -> Report:
     """Check the four measure axioms over a field (``p``'s own by default)
-    or, with none, on every subspace (see :func:`_deciding_events`).
+    or, with none, on every subspace (see the structure's ``measure_events``).
 
     Normalization and the empty event are exact checks; additivity runs over
     every orthogonal pair plus greedily-extended maximal orthogonal
@@ -152,24 +152,25 @@ def validate_measure(p: ProbabilityMeasure,
     is exact and symmetric, so it is computed once per unordered pair and
     kept in the field's ``similarities``, where later measures validated on
     the same field reuse it.  Without a field no table is kept: continuity
-    computes only the pairs that can fail (:func:`_open_pairs`), and an
-    explicit table's carriers are checked for additivity on rows of member
-    points (:func:`_carrier_additivity`).  Each event of the domain is
-    evaluated once.  Every check that is not ``pass`` carries a witness.
+    computes only the pairs that can fail (:func:`_open_pairs`).  An
+    explicit table's carriers, the one model test here, are checked on rows
+    of member points: additivity by :func:`_carrier_additivity`, and pairs
+    screened by row sums.  Each event of the domain is evaluated once.
+    Every check that is not ``pass`` carries a witness.
     """
     st = p.structure
     fld = p.field if fld is None else fld
-    events = _deciding_events(p) if fld is None else list(fld.events)
+    carriers = fld is None and isinstance(st, ExplicitStructure)
+    events = st.measure_events(p.components) if fld is None else list(fld.events)
     values = [evaluate(p, e) for e in events]
     v_empty = evaluate(p, lat.empty(st))
     v_full = evaluate(p, lat.full(st))
     return Report([
         _exact_check("empty_event_zero", abs(v_empty), {"value": v_empty}),
         _exact_check("full_event_one", abs(v_full - 1.0), {"value": v_full}),
-        (_carrier_additivity if fld is None and st.kind == EXPLICIT
-         else _additivity_check)(p, events, values),
+        (_carrier_additivity if carriers else _additivity_check)(p, events, values),
         _continuity_check(events, values,
-                          None if fld is None else fld.similarities),
+                          None if fld is None else fld.similarities, rows=carriers),
     ])
 
 
@@ -178,48 +179,6 @@ def _exact_check(law: str, residual: float, witness: dict) -> Check:
     if residual <= TOL_EQ:
         return Check(law)
     return Check(law, FAIL_CERTIFIED, witnesses=[witness])
-
-
-def _deciding_events(p: ProbabilityMeasure) -> list[Subspace]:
-    """The events that decide the laws of a point-backed ``p`` on every
-    subspace.  Explicit: every carrier.  Classical: 0, 1, the atoms.  Rays:
-    0, 1, ``rho``'s eigenlines and, if ``sin^2 g > TOL_EQ``, the two lines
-    ``g`` apart, ``sin g = (D - 1/2)/2`` (``D = lmax - lmin``), where
-    continuity fails most."""
-    st = p.structure
-    if st.kind == EXPLICIT:
-        return [lat.DiscreteSubspace(st, c) for c in st.explicit_lattice()["carrier_list"]]
-    if st.kind == CLASSICAL:
-        return [lat.empty(st), lat.full(st), *(lat.from_points(st, [x]) for x in range(st.n))]
-    lam, vecs = np.linalg.eigh(_density(p))
-    events = [lat.empty(st), lat.full(st), *(lat.from_span(st, [v]) for v in vecs.T)]
-    sin_g = (lam[-1] - lam[0] - 0.5) / 2
-    if sin_g > 0 and sin_g * sin_g > TOL_EQ:
-        g = math.asin(sin_g)
-        events += [lat.from_span(st, [math.cos(a) * vecs[:, -1] + math.sin(a) * vecs[:, 0]])
-                   for a in (math.pi / 4 - g / 2, math.pi / 4 + g / 2)]
-    return events
-
-
-def _difference_event(p: ProbabilityMeasure, q: ProbabilityMeasure) -> list[Subspace]:
-    """Where point-backed ``p - q`` peaks over every subspace, so one event
-    decides equality within a tolerance: the points where ``p`` outweighs
-    ``q`` (classical), the positive eigenspace of ``rho_p - rho_q`` (rays);
-    an explicit table has no such event and gives every carrier."""
-    st = p.structure
-    if st.kind == EXPLICIT:
-        return _deciding_events(p)
-    if st.kind == CLASSICAL:
-        atoms = [lat.from_points(st, [x]) for x in range(st.n)]
-        return [lat.from_points(st, [x for x, a in enumerate(atoms)
-                                     if evaluate(p, a) > evaluate(q, a)])]
-    lam, vecs = np.linalg.eigh(_density(p) - _density(q))
-    return [lat.from_span(st, vecs[:, lam > 0].T)]
-
-
-def _density(p: ProbabilityMeasure) -> np.ndarray:
-    """``rho = sum w x x^T``, so that ``p(E) = tr(rho P_E)`` on rays."""
-    return sum(w * np.outer(x, x) for w, x in p.components)
 
 
 def _additivity_check(p: ProbabilityMeasure, events: list[Subspace],
@@ -323,13 +282,13 @@ def _certified(p: ProbabilityMeasure, res: float, parts) -> bool:
 
 
 def _continuity_check(events: list[Subspace], values: list[float],
-                      similarities: dict | None = None) -> Check:
+                      similarities: dict | None = None, rows: bool = False) -> Check:
     """The continuity bound over every ordered pair of distinct events;
     ``s(A, B)`` serves both orders of its pair.  ``similarities`` is the
     table of the field whose events these are, read and filled here; with
-    none, only the pairs :func:`_open_pairs` streams.  The first failure
-    ends the scan."""
-    pairs = (_open_pairs(events, values) if similarities is None
+    none, only the pairs :func:`_open_pairs` streams (screened by row sums
+    when ``rows``).  The first failure ends the scan."""
+    pairs = (_open_pairs(events, values, rows) if similarities is None
              else ordered_similarities(events, similarities))
     for i, j, s_ab in pairs:
         a, b, pa, pb = events[i], events[j], values[i], values[j]
@@ -341,15 +300,15 @@ def _continuity_check(events: list[Subspace], values: list[float],
     return Check("continuity_bound")
 
 
-def _open_pairs(events: list[Subspace], values: list[float]):
+def _open_pairs(events: list[Subspace], values: list[float], rows: bool):
     """``(i, j, s(A, B))``, row by row and keeping no table, for the ordered
     pairs whose continuity bound can fail.  The bound is at least ``p(B)``,
     so ``p(A) <= p(B)`` passes; and it is past 1 when ``s(A, B) <= TOL_EQ``,
-    which on an explicit table a point of one carrier orthogonal to the
-    other shows, read from the row sums the vantage kernel reads."""
+    which on an explicit table (``rows``) a point of one carrier orthogonal
+    to the other shows, read from the row sums the vantage kernel reads."""
     st, vals = events[0].structure, np.array(values)
     inside = apart = np.zeros((len(events), 1), dtype=bool)
-    if st.kind == EXPLICIT:
+    if rows:
         sums = np.array([st.row_sums(e.basis) for e in events])
         inside, apart = np.abs(sums - 1.0) <= TOL_EQ, sums <= TOL_EQ
     for i, a in enumerate(events):
@@ -362,17 +321,17 @@ def first_difference(p: ProbabilityMeasure, q: ProbabilityMeasure,
                      tol: float = TOL_UNIT) -> Subspace | None:
     """The first event where ``p`` and ``q`` differ by more than ``tol``, or
     ``None`` when they agree on all: the events of ``fld``, else of ``p``'s
-    or ``q``'s own field, else every subspace (see :func:`_deciding_events`)."""
+    or ``q``'s own field, else every subspace (see ``measure_events``)."""
     ensure_same_structure(p.structure, q.structure)
     fld = next((f for f in (fld, p.field, q.field) if f is not None), None)
-    events = _difference_event(p, q) if fld is None else fld.events
+    events = (p.structure.measure_events(p.components, q.components)
+              if fld is None else fld.events)
     return next((e for e in events
                  if not abs(evaluate(p, e) - evaluate(q, e)) <= tol), None)
 
 
 def measures_equal(p: ProbabilityMeasure, q: ProbabilityMeasure,
-                   fld: SigmaStarField | None = None,
-                   samples: int = 1000, seed: int = 0,
+                   fld: SigmaStarField | None = None, *,
                    tol: float = TOL_UNIT) -> bool:
-    """Agreement within ``tol``; exact, so ``samples`` and ``seed`` go unused."""
+    """Agreement within ``tol`` on the events :func:`first_difference` reads."""
     return first_difference(p, q, fld, tol) is None

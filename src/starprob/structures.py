@@ -14,8 +14,9 @@ the points coincide.  Three models are provided, one class each:
   :mod:`starprob.axioms`.
 
 The model is decided once, by the constructors on :class:`SPStructure`,
-and its class owns every model-specific step of the point layer; the module
-functions do what the models share and make one method call.  Classical is
+and its class owns every model-specific step of the point layer, and names
+the events that decide a point-backed measure (``measure_events``); the
+module functions do what the models share and make one method call.  Classical is
 the Kronecker case of explicit: both are a :class:`DiscreteStructure`, and
 classical answers each table scan in closed form.
 
@@ -26,6 +27,7 @@ immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
 
@@ -275,11 +277,6 @@ class DiscreteStructure(SPStructure):
 
     to_dict = summary  # the JSON document; explicit adds its table
 
-    def random_span(self, rng: np.random.Generator) -> list[int]:
-        """Seeded points whose least subspace is a random event."""
-        size = int(rng.integers(0, self.n + 1))
-        return sorted(rng.permutation(self.n)[:size].tolist())
-
 
 @dataclass(eq=False)
 class ClassicalStructure(DiscreteStructure):
@@ -308,6 +305,17 @@ class ClassicalStructure(DiscreteStructure):
 
     def complete_basis(self, pts) -> tuple[int, ...]:
         return tuple(range(self.n))  # the only basis is the whole point set
+
+    def measure_events(self, p, q=None) -> list:
+        """The events that decide a measure backed by the weighted points
+        ``p`` on every subspace: 0, 1 and the atoms.  With ``q``, the one
+        event where ``p - q`` peaks: the points where ``p`` outweighs ``q``."""
+        from . import lattice as lat  # lattice imports this module
+        if q is None:
+            return [lat.empty(self), lat.full(self),
+                    *(lat.from_points(self, [x]) for x in range(self.n))]
+        return [lat.from_points(self, [x for x in range(self.n) if sum(
+            w for w, y in p if y == x) > sum(w for w, y in q if y == x)])]
 
     def carrier_basis(self, carrier: frozenset) -> tuple[int, ...]:
         return tuple(sorted(carrier))
@@ -414,6 +422,13 @@ class ExplicitStructure(DiscreteStructure):
                 "no orthogonal completion spans the whole space; "
                 "the matrix is not a similarity-projection space", exhausted=True)
         return found
+
+    def measure_events(self, p, q=None) -> list:
+        """The events that decide a measure backed by the weighted points
+        ``p`` on every subspace, or ``p = q``: every carrier, as a table has
+        no single event where a difference peaks."""
+        from . import lattice as lat  # lattice imports this module
+        return [lat.DiscreteSubspace(self, c) for c in self.explicit_lattice()["carrier_list"]]
 
     def explicit_lattice(self) -> dict:
         """Enumerate every subspace of the model (cached on the structure).
@@ -600,6 +615,26 @@ class RayStructure(SPStructure):
             frame.append(v)
         return (*pts, *(self.as_point(v) for v in frame[len(pts):]))
 
+    def measure_events(self, p, q=None) -> list:
+        """The events that decide a measure backed by the weighted points
+        ``p`` on every subspace: 0, 1, ``rho``'s eigenlines and, if
+        ``sin^2 g > TOL_EQ``, the two lines ``g`` apart,
+        ``sin g = (D - 1/2)/2`` (``D = lmax - lmin``), where continuity fails
+        most.  With ``q``, the one event where ``p - q`` peaks: the positive
+        eigenspace of ``rho_p - rho_q``."""
+        from . import lattice as lat  # lattice imports this module
+        if q is not None:
+            lam, vecs = np.linalg.eigh(_density(p) - _density(q))
+            return [lat.from_span(self, vecs[:, lam > 0].T)]
+        lam, vecs = np.linalg.eigh(_density(p))
+        events = [lat.empty(self), lat.full(self), *(lat.from_span(self, [v]) for v in vecs.T)]
+        sin_g = (lam[-1] - lam[0] - 0.5) / 2
+        if sin_g > 0 and sin_g * sin_g > TOL_EQ:
+            g = math.asin(sin_g)
+            events += [lat.from_span(self, [math.cos(a) * vecs[:, -1] + math.sin(a) * vecs[:, 0]])
+                       for a in (math.pi / 4 - g / 2, math.pi / 4 + g / 2)]
+        return events
+
     def point_literal(self, x: np.ndarray) -> list[float]:
         return [float(v) for v in x]
 
@@ -612,6 +647,11 @@ class RayStructure(SPStructure):
         """Seeded vectors whose span is a random event."""
         k = int(rng.integers(0, self.d + 1))
         return random_frame(self.d, k, rng).T
+
+
+def _density(comps) -> np.ndarray:
+    """``rho = sum w x x^T`` of weighted rays, so that ``p(E) = tr(rho P_E)``."""
+    return sum(w * np.outer(x, x) for w, x in comps)
 
 
 def same_structure(a: SPStructure, b: SPStructure) -> bool:

@@ -239,6 +239,30 @@ def test_bad_sampler_budget_is_usage_error(capsys, fixture_dir, cmd, fixture,
     assert message in captured.err
 
 
+def test_truncated_structure_file_is_usage_error(capsys, tmp_path):
+    truncated = tmp_path / "ray2.json"
+    truncated.write_text((FIXTURES / "ray2.json").read_text()[:10])
+    code = run_command(["validate", str(truncated)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "is not valid JSON" in captured.err
+
+
+def test_table_measure_event_index_past_the_field_is_usage_error(capsys, tmp_path):
+    # the line field of ray2 has 4 events, indices 0..3
+    measure = tmp_path / "measure.json"
+    measure.write_text(json.dumps({"kind": "table",
+                                   "field": str(FIXTURES / "field_ray2_line.json"),
+                                   "values": {"9": 0.5}}))
+    code = run_command(["prob", "evaluate", str(FIXTURES / "ray2.json"), str(measure),
+                        "[[1.0, 0.0]]"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "event index 9 out of range" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # lattice
 

@@ -73,6 +73,18 @@ def test_classical_subspaces_are_subsets(classical4):
     assert a.dim == 2
 
 
+def test_from_basis_on_discrete_models_is_the_closure(classical4, wheel):
+    assert from_basis(classical4, [0, 2]) == from_points(classical4, [0, 2])
+    assert from_basis(classical4, [0, 2]).to_literal() == (0, 2)
+    # two orthogonal lines of the plane close to the whole wheel
+    assert from_basis(wheel, ["r0", "r90"]) == full(wheel)
+
+
+def test_from_basis_of_no_points_is_empty(ray3):
+    assert from_basis(ray3, []).is_empty
+    assert from_basis(ray3, []) == empty(ray3)
+
+
 def test_frame_is_read_only(ray2):
     a = line(ray2, 1.0, 0.0)
     with pytest.raises(ValueError):

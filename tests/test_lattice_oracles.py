@@ -8,6 +8,9 @@ The superseded implementations live here as oracles:
 * ``complement_route_meet`` is the complement of the sum of complements;
   the library's ray ``meet`` takes the common nullspace of the residual maps from one SVD
   and must agree on dimension and, within ``TOL_EQ``, on the projector.
+* ``full_residual_svd`` takes the full SVD of the meet's stacked residual
+  maps, with its unused ``(n d) x (n d)`` ``U``; the library's reduced SVD
+  must give the same ``sv^2`` and ``V^T`` bytes.
 * ``old_discrete_similarity`` takes the minimum of ``tau`` point by point;
   the structures' one-pass kernels must give the same value and witness bit
   for bit, and raise the same error on tables that break an axiom.
@@ -249,6 +252,29 @@ def test_meet_matches_the_complement_route_on_random_operands(seed, d, count):
         k = int(rng.integers(0, d + 1))
         subs.append(from_span(st, random_frame(d, k, rng).T) if k else empty(st))
     _assert_same_subspace(meet(*subs), complement_route_meet(*subs))
+
+
+def full_residual_svd(bases):
+    eye = np.eye(bases[0].shape[0])
+    _, sv, vt = np.linalg.svd(np.vstack([eye - b @ b.T for b in bases]))
+    return sv * sv, vt
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8, 16, 32])
+def test_residual_svd_has_the_bytes_of_the_full_svd(d):
+    rng = np.random.default_rng(300 + d)
+    cases = 0
+    for count in (2, 3):
+        for _ in range(12):
+            bases = [random_frame(d, int(rng.integers(1, d)), rng)]  # below d: it tilts
+            bases += [random_frame(d, int(rng.integers(1, d + 1)), rng) for _ in range(count - 1)]
+            bases.append(_tilt(bases[0], 1e-6, rng)[0])  # nearly equal to the first
+            for stack in (bases[:count], bases[1:]):
+                got, want = lattice._residual_svd(stack), full_residual_svd(stack)
+                for g, w in zip(got, want):
+                    assert g.shape == w.shape and g.tobytes() == w.tobytes()
+                cases += 1
+    assert cases == 48
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ The superseded implementations live here as oracles:
   for the same field after other measures filled its table: every report
   must be the same, byte for byte.
 * ``old_seeded_events`` is the seeded domain that decided field-free
-  measures before the closed form of ``_deciding_events``:
+  measures before the closed form of ``measure_events``:
   ``old_first_difference`` compares two measures on it and
   ``old_seeded_continuity`` checks the continuity bound on it.  Wherever
   the seeded route finds a difference or a certified continuity failure,
@@ -628,7 +628,7 @@ def test_a_broken_table_fails_continuity_with_the_ordered_witness():
                 broken = list(values)
                 broken[k] = min(1.0, max(0.0, broken[k] + delta))
                 table = table_measure(fld, broken)
-                got = meas._continuity_check(list(fld.events), broken)
+                got = meas._continuity_check(list(fld.events), broken, rows=True)
                 want = old_continuity_check(table, list(fld.events))
                 assert got == want
                 if got.status == FAIL_CERTIFIED:
@@ -689,7 +689,7 @@ def test_field_free_explicit_measures_match_the_scan_of_every_carrier():
         measures += [mix([(float(w), pure_state(st, x)) for x, w in
                           enumerate(rng.dirichlet(np.ones(st.n)))]) for _ in range(2)]
         for p in measures:
-            carriers = sig.SigmaStarField(st, tuple(meas._deciding_events(p)))
+            carriers = sig.SigmaStarField(st, tuple(st.measure_events(p.components)))
             got = measure_report_to_dict(validate_measure(p))
             assert got == measure_report_to_dict(old_validate_measure(p, carriers))
             verdicts.add(got["overall"])
@@ -705,9 +705,9 @@ def test_field_free_continuity_computes_every_pair_that_can_fail():
             SPStructure.explicit(two_planes.tolist())]:
         for p in [pure_state(st, 0), mix([(float(w), pure_state(st, x)) for x, w in
                                           enumerate(rng.dirichlet(np.ones(st.n)))])]:
-            events = meas._deciding_events(p)
+            events = st.measure_events(p.components)
             values = [evaluate(p, e) for e in events]
-            got = {(i, j) for i, j, _ in meas._open_pairs(events, values)}
+            got = {(i, j) for i, j, _ in meas._open_pairs(events, values, rows=True)}
             for i, j in itertools.permutations(range(len(events)), 2):
                 if values[i] <= values[j]:
                     assert (i, j) not in got
@@ -730,10 +730,10 @@ def test_field_free_continuity_computes_only_pairs_that_can_fail():
     # a plane table computes only pairs with p(A) > p(B), each once
     st = SPStructure.explicit(plane_table(12))
     p = pure_state(st, 0)
-    events = meas._deciding_events(p)
+    events = st.measure_events(p.components)
     values = [evaluate(p, e) for e in events]
     with mock.patch.object(meas, "subspace_similarity", wraps=meas.subspace_similarity) as calls:
-        got = meas._continuity_check(events, values)
+        got = meas._continuity_check(events, values, rows=True)
     assert got == meas._continuity_check(events, values, {})
     assert got.status == FAIL_CERTIFIED
     pairs = [c.args for c in calls.call_args_list]

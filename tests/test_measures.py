@@ -4,8 +4,10 @@ A measure is graded per axiom with ``pass`` / ``fail-certified``: every
 subspace similarity it reads is exact, and every failure carries a witness.
 """
 
+import ast
 import json
 import math
+import pathlib
 from unittest import mock
 
 import numpy as np
@@ -261,12 +263,16 @@ def test_classical_points_print_as_labels_and_events_as_indices(classical4):
 
 
 def test_measures_equal_does_not_depend_on_samples_or_seed(ray2, fixture_dir):
+    # exact: it takes no sample count or seed, and the tolerance only by name
     axes = load_measure(ray2, fixture_dir / "measure_mix_axes.json")
     diags = load_measure(ray2, fixture_dir / "measure_mix_diagonals.json")
     e1 = pure_state(ray2, [1.0, 0.0])
-    for samples, seed in ((0, 0), (200, 9), (1000, 123)):
-        assert measures_equal(axes, diags, samples=samples, seed=seed)
-        assert not measures_equal(axes, e1, samples=samples, seed=seed)
+    assert measures_equal(axes, diags)
+    assert not measures_equal(axes, e1)
+    with pytest.raises(TypeError):
+        measures_equal(axes, diags, samples=1000)
+    with pytest.raises(TypeError):
+        measures_equal(axes, e1, None, 1000)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +333,7 @@ def test_a_spread_under_a_half_passes_with_no_close_lines():
     st = SPStructure.ray(3)
     p = mix([(w, pure_state(st, v)) for w, v in zip((0.5, 0.3, 0.2), np.eye(3))])
     assert validate_measure(p).overall == PASS
-    lines = [e for e in meas._deciding_events(p) if e.dim == 1]
+    lines = [e for e in st.measure_events(p.components) if e.dim == 1]
     assert len(lines) == 3
     for i, a in enumerate(lines):
         for b in lines[i + 1:]:
@@ -376,3 +382,36 @@ def test_pure_state_total_mass_on_any_line(seed):
     line = fld.events[2]
     perp = fld.events[1]
     assert evaluate(p, line) + evaluate(p, perp) == pytest.approx(1.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# model rules live in the structure classes, not in the measure layer
+
+
+def _model_tests(tree):
+    """Comparisons of a ``kind`` other than the measure's own (``self.kind``)
+    and ``isinstance`` tests against a structure class."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            for side in (node.left, *node.comparators):
+                if (isinstance(side, ast.Attribute) and side.attr == "kind"
+                        and not (isinstance(side.value, ast.Name) and side.value.id == "self")):
+                    found.append(ast.unparse(node))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "isinstance" and "Structure" in ast.unparse(node.args[1])):
+            found.append(ast.unparse(node))
+    return found
+
+
+def test_the_measure_layer_does_not_dispatch_on_the_model():
+    source = pathlib.Path(meas.__file__).read_text()
+    tree = ast.parse(source)
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert not imported & {"CLASSICAL", "EXPLICIT", "RAY"}
+    # the one model test picks the explicit table's row-based checks
+    assert len(_model_tests(tree)) <= 1, _model_tests(tree)
+    # the guard sees the comparisons it is meant to catch
+    assert len(_model_tests(ast.parse("st.kind == EXPLICIT\nif isinstance(st, "
+                                      "RayStructure): pass\nself.kind == TABLE"))) == 2

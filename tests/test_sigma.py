@@ -175,6 +175,15 @@ def test_unknown_event_rejected(ray2, fixture_dir):
         fld.index_of(diag)
 
 
+def test_unknown_discrete_event_names_itself(classical4):
+    from starprob.errors import EventNotInField
+
+    fld = generate_sigma_star(classical4, [[0]])
+    with pytest.raises(EventNotInField,
+                       match=r"^Subspace\(classical, \{1\}\) is not an event of this field$"):
+        fld.index_of(from_points(classical4, [1]))
+
+
 def test_three_orthogonal_lines_in_d3():
     st = SPStructure.ray(3)
     fld = generate_sigma_star(

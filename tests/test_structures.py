@@ -89,6 +89,12 @@ def test_classical_point_by_label():
         as_point(st_, "middle")
 
 
+def test_discrete_points_are_equal_only_to_themselves(classical4, wheel):
+    for st in (classical4, wheel):
+        for x, y in itertools.product(range(st.n), repeat=2):
+            assert points_equal(st, x, y) == (x == y)
+
+
 def test_classical_index_out_of_range(classical4):
     with pytest.raises(InvalidPoint):
         as_point(classical4, 4)
